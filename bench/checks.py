@@ -32,6 +32,8 @@ ZERO_TOL = 1e-3
 CLOSED_FORM_TOL = 1e-8
 BAND_TOL = 1e-9
 EVENT_TOL = 1e-9
+EVENT_T_ATOL = 1e-12  # how far from an event time a node may be and still be flagged
+EVENT_T_RTOL = 1e-12  # the CSV holds 13 significant digits
 
 
 def _json(path):
@@ -140,6 +142,10 @@ def check_simulate_artifacts(out_root, docs, run_scenario) -> list:
             cols = _csv(os.path.join(out_root, name, "trajectory.csv"))
             xs = cols["x"]
             events = cols["derivative_flag"] == 1.0
+            flagged = np.sort(cols["t"][events])
+            event_ts = np.sort([e["t"] for e in _json(os.path.join(out_root, name, "events.json"))])
+            if flagged.size != event_ts.size or not np.allclose(flagged, event_ts, rtol=EVENT_T_RTOL, atol=EVENT_T_ATOL):
+                problems.append(f"{name}: {flagged.size} flagged rows do not match the {event_ts.size} times in events.json")
             bad = np.abs(cols["x_delayed"][events] - 1.0) > EVENT_TOL
             if np.any(bad):
                 problems.append(f"{name}: x_delayed != 1 at event rows t = {cols['t'][events][bad][:3].tolist()}")

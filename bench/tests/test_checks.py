@@ -146,6 +146,20 @@ def test_simulate_artifacts_rejects_a_moved_first_unit(outputs, tmp_path):
     assert any("rerun" in p for p in problems), problems
 
 
+def test_simulate_artifacts_rejects_unflagged_events(outputs, tmp_path):
+    docs = workloads.scenario_docs("simulate-artifacts", 0)
+    runs = outputs("simulate-artifacts", docs)
+    bad = _corrupt_copy(runs, tmp_path)
+    path = os.path.join(bad, "simulate-probe", "trajectory.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[1:] = [line.rsplit(",", 1)[0] + ",0.000000000000e+00\n" for line in lines[1:]]
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    problems = checks.check_simulate_artifacts(bad, docs, run_scenario)
+    assert any(p.startswith("simulate-probe") and "events.json" in p for p in problems), problems
+
+
 def test_reference_autocorrelation_period_of_a_known_signal():
     from reference import autocorrelation_period
 

@@ -6,10 +6,10 @@ Set-up (imports, writing the scenario files, one warm-up dense ``eig``) ends
 with a ``READY`` line on stdout, which ``run.py`` times from process start.
 In ``setup`` mode the process then exits.  Otherwise it runs whole passes over
 the scenario list through ``ddelab.scenarios.run_scenario`` until ``R``
-seconds are used (at least one pass), timing each pass both on the wall clock
-and at reference machine speed (``SpeedProbe``), checks the outputs of the
-last pass, and prints one ``RESULT <json>`` line.  ``traced`` adds one pass with spans
-recorded around ddelab's layers.
+seconds are used (at least one pass), stamping the start and end of each pass
+with ``time.monotonic`` (``run.py`` scales the passes to reference machine
+speed), checks the outputs of the last pass, and prints one ``RESULT <json>``
+line.  ``traced`` adds one pass with spans recorded around ddelab's layers.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import json
 import os
 import resource
 import shutil
-import signal
 import statistics
 import sys
 import time
@@ -28,43 +27,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
 EIG_WARMUP_N = 201  # the period-map size monodromy_multipliers uses at N=200
-CAL_LOOP = 5000  # iterations of the calibration loop
-CAL_INTERVAL_S = 0.05  # one calibration sample per 50 ms of a timed pass
-CAL_REF_S = 3.4e-4  # mean calibration sample on the reference machine
-
-
-class SpeedProbe:
-    """Samples the machine's speed while a pass runs.
-
-    The host preempts this machine's CPUs in bursts, so the same pass can take
-    1.5 times longer from one minute to the next.  Every ``CAL_INTERVAL_S`` a
-    SIGALRM handler times a fixed pure-Python loop that shares nothing with
-    ddelab.  A pass's wall time times ``CAL_REF_S`` over the mean loop time is
-    its time at reference speed.  The handler runs between bytecodes, so long
-    native calls delay samples but do not bias them.
-    """
-
-    def __init__(self):
-        self.samples: list = []
-
-    def _sample(self, signum, frame):
-        t0 = time.perf_counter()
-        acc = 0
-        for i in range(CAL_LOOP):
-            acc += i * i
-        self.samples.append(time.perf_counter() - t0)
-
-    def __enter__(self):
-        self._previous = signal.signal(signal.SIGALRM, self._sample)
-        signal.setitimer(signal.ITIMER_REAL, CAL_INTERVAL_S, CAL_INTERVAL_S)
-        return self
-
-    def __exit__(self, *exc):
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, self._previous)
-
-    def reference_seconds(self, wall: float) -> float:
-        return wall * CAL_REF_S / statistics.mean(self.samples) if self.samples else wall
 
 
 def _setup(workload: str, seed: int):
@@ -89,22 +51,20 @@ def _setup(workload: str, seed: int):
     return scenarios, docs, paths
 
 
-def _one_pass(scenarios, paths, runs_dir) -> tuple[float, float, int, int]:
-    """Run every scenario once; return wall and reference-speed seconds, attempted, failed."""
+def _one_pass(scenarios, paths, runs_dir) -> tuple[list, int, int]:
+    """Run every scenario once; return the pass's [start, end] stamps, attempted, failed."""
     failed = 0
-    with SpeedProbe() as probe:
-        t0 = time.perf_counter()
-        for path in paths:
-            name = os.path.splitext(os.path.basename(path))[0]
-            try:
-                if scenarios.run_scenario(path, out_dir=os.path.join(runs_dir, name)).unresolved:
-                    failed += 1
-                    print(f"unresolved verdict in {name}", file=sys.stderr)
-            except Exception:  # a failed operation is counted, and the pass goes on
+    t0 = time.monotonic()
+    for path in paths:
+        name = os.path.splitext(os.path.basename(path))[0]
+        try:
+            if scenarios.run_scenario(path, out_dir=os.path.join(runs_dir, name)).unresolved:
                 failed += 1
-                traceback.print_exc()
-        wall = time.perf_counter() - t0
-    return wall, probe.reference_seconds(wall), len(paths), failed
+                print(f"unresolved verdict in {name}", file=sys.stderr)
+        except Exception:  # a failed operation is counted, and the pass goes on
+            failed += 1
+            traceback.print_exc()
+    return [t0, time.monotonic()], len(paths), failed
 
 
 def _environment() -> dict:
@@ -141,25 +101,20 @@ def main(argv=None) -> int:
     work_dir = os.path.join(OUT, args.workload)
     runs_dir = os.path.join(work_dir, "runs")
     shutil.rmtree(runs_dir, ignore_errors=True)  # no artifact of an earlier run can pass the checks
-    walls, refs, attempted, failed = [], [], 0, 0
-    start = time.perf_counter()
+    passes, attempted, failed = [], 0, 0
     while True:
-        wall, ref, n, bad = _one_pass(scenarios, paths, runs_dir)
-        walls.append(wall)
-        refs.append(ref)
+        stamps, n, bad = _one_pass(scenarios, paths, runs_dir)
+        passes.append(stamps)
         attempted += n
         failed += bad
-        if time.perf_counter() - start + statistics.median(walls) > args.seconds:
+        if stamps[1] - passes[0][0] + statistics.median(e - s for s, e in passes) > args.seconds:
             break
     peak_rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     result = {
         "attempted": attempted,
         "failed": failed,
-        "wall_s": statistics.median(walls),
-        "wall_ref_s": statistics.median(refs),
-        "passes": walls,
-        "passes_ref": refs,
+        "passes": passes,
         "peak_rss_mib": peak_rss_mib,
         "environment": _environment(),
     }
@@ -169,21 +124,15 @@ def main(argv=None) -> int:
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            traced_wall, traced_ref, n, bad = _one_pass(scenarios, paths, runs_dir)
+            result["traced_pass"], n, bad = _one_pass(scenarios, paths, runs_dir)
         finally:
             tracer.uninstall()
         attempted += n
         failed += bad
         result.update(attempted=attempted, failed=failed)
         result["layers"] = {k: list(v) for k, v in tracer.layer_metrics().items()}
-        result["layers"].update({
-            "trace.untraced_wall_s": [result["wall_s"], "s"],
-            "trace.traced_wall_s": [traced_wall, "s"],
-            "trace.untraced_wall_ref_s": [result["wall_ref_s"], "s"],
-            "trace.traced_wall_ref_s": [traced_ref, "s"],
-            "trace.overhead_ref_s": [traced_ref - result["wall_ref_s"], "s"],
-        })
-        result["layer_table"] = tracer.write(work_dir, traced_wall)
+        start, end = result["traced_pass"]
+        result["layer_table"] = tracer.write(work_dir, end - start)
 
     import checks
 
