@@ -8,22 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 
 from .scenarios import TASKS, ScenarioError, run_scenario
 from .spectrum import spectrum_report
 from .threshold import find_dstar
 
 __all__ = ["main"]
-
-
-def _worker_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("DDELAB_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _add_common(p):
@@ -85,8 +76,6 @@ def main(argv=None) -> int:
             p.add_argument("--Tmax", type=float, default=400.0)
 
     args = parser.parse_args(argv)
-    os.environ.setdefault("DDELAB_THREADS", str(_worker_cap()))
-
     if args.task == "spectrum" and args.scenario is None and args.rate is not None and args.slope is not None:
         return _spectrum_direct(args)
     if args.task == "threshold" and args.scenario is None and args.c is not None:

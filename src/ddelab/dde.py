@@ -17,7 +17,6 @@ ever spans one.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,6 +41,9 @@ __all__ = [
 ]
 
 _BISECT_TOL = 1e-12
+_GRAZE_TOL = 1e-9  # how near the level a piece must come to count as touching it
+_SAMPLE_THETAS = np.linspace(0.0, 1.0, 5)
+_CHUNK = 1 << 14  # pieces per prefilter pass; bounds its scratch arrays
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
@@ -114,6 +116,102 @@ def _hermite_eval(theta: np.ndarray, h: np.ndarray, x0, d0, x1, d1) -> np.ndarra
     )
 
 
+def _eval_pieces(t: np.ndarray, ts, xs, dl, dr, side=None, rate: float = 0.0) -> np.ndarray:
+    """Dense output at times ``t`` inside ``[ts[0], ts[-1]]``.
+
+    Piece ``i`` spans ``ts[i]..ts[i+1]``: cubic Hermite through the node
+    values ``xs`` with the one-sided slopes ``dl[i]`` / ``dr[i]``, or, where
+    ``side[i] == 1``, the exact decay ``xs[i] * exp(-rate (t - ts[i]))``.
+    """
+    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[idx + 1] - ts[idx]
+    theta = np.clip((t - ts[idx]) / h, 0.0, 1.0)
+    vals = _hermite_eval(theta, h, xs[idx], dl[idx], xs[idx + 1], dr[idx])
+    if side is not None:
+        above = side[idx] == 1
+        if np.any(above):
+            vals[above] = xs[idx[above]] * np.exp(-rate * (t[above] - ts[idx[above]]))
+    return vals
+
+
+def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, width: np.ndarray, f):
+    """Bracket the sign changes of sampled functions and bisect each bracket.
+
+    Row ``r`` of ``v`` holds ``g_r(thetas) - level``.  A sample exactly on
+    the level counts as below it, as the cutoff feedback takes its value at
+    1 from below; a bracket ``[thetas[j], thetas[j+1]]`` holds a crossing
+    when its two samples lie on different sides.  All brackets are halved
+    together, each until ``(hi - lo) * width[r] <= _BISECT_TOL``;
+    ``f(rows, theta)`` returns ``g - level`` at one parameter per row.
+    Returns the rows (in row, then bracket order), the midpoints of the
+    final brackets and whether each crossing is upward.
+    """
+    va, vb = v[:, :-1], v[:, 1:]
+    rows, j = np.nonzero((va > 0.0) != (vb > 0.0))
+    lo, hi = thetas[j], thetas[j + 1]
+    flo = va[rows, j]
+    up = vb[rows, j] > flo
+    act = np.arange(rows.size)
+    while True:
+        act = act[(hi[act] - lo[act]) * width[rows[act]] > _BISECT_TOL]
+        if act.size == 0:
+            break
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = f(rows[act], mid)
+        left = flo[act] * fm <= 0.0
+        hi[act[left]] = mid[left]
+        right = act[~left]
+        lo[right] = mid[~left]
+        flo[right] = fm[~left]
+    return rows, 0.5 * (lo + hi), up
+
+
+def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
+    """Crossings of ``level`` by the dense output on the pieces ``ts[i]..ts[i+1]``.
+
+    A piece is kept only if the level lies within its Bezier hull (widened by
+    ``_GRAZE_TOL``), which contains the cubic; the kept pieces are sampled at
+    five points and their sign changes bisected.  Exact-exponential pieces
+    only decay, so they cross downward, at the closed-form time.  Returns
+    the crossing times and upward flags in piece order, and the midpoints of
+    the pieces that come within ``_GRAZE_TOL`` of the level without their
+    ends changing side (tangential approaches).
+    """
+    n = len(ts) - 1
+    kept = [np.empty(0, dtype=np.intp)]
+    for c0 in range(0, n, _CHUNK):
+        c1 = min(c0 + _CHUNK, n)
+        x0, x1 = xs[c0:c1], xs[c0 + 1 : c1 + 1]
+        h = ts[c0 + 1 : c1 + 1] - ts[c0:c1]
+        p1 = x0 + h * dl[c0:c1] / 3.0
+        p2 = x1 - h * dr[c0:c1] / 3.0
+        below = np.minimum(np.minimum(x0, x1), np.minimum(p1, p2)) - level <= _GRAZE_TOL
+        above = np.maximum(np.maximum(x0, x1), np.maximum(p1, p2)) - level >= -_GRAZE_TOL
+        keep = np.where(side[c0:c1] == 1, (x0 > level) & (level >= x1), below & above)
+        kept.append(c0 + np.flatnonzero(keep))
+    i = np.concatenate(kept)
+    expo = side[i] == 1
+    ie, ih = i[expo], i[~expo]
+    # scalar math.log: np.log can differ from it in the last bit
+    t_exp = np.asarray([ts[k] + math.log(xs[k] / level) / rate for k in ie], dtype=float)
+
+    h = ts[ih + 1] - ts[ih]
+    x0, d0, x1, d1 = xs[ih], dl[ih], xs[ih + 1], dr[ih]
+    col = np.s_[:, None]
+    v = _hermite_eval(_SAMPLE_THETAS, h[col], x0[col], d0[col], x1[col], d1[col]) - level
+    rows, theta, up = _bisect_crossings(
+        v, _SAMPLE_THETAS, h, lambda r, th: _hermite_eval(th, h[r], x0[r], d0[r], x1[r], d1[r]) - level
+    )
+    t_herm = ts[ih[rows]] + theta * h[rows]
+
+    order = np.argsort(np.concatenate([ie, ih[rows]]), kind="stable")
+    times = np.concatenate([t_exp, t_herm])[order]
+    ups = np.concatenate([np.zeros(ie.size, dtype=bool), up])[order]
+    near = np.min(np.abs(v), axis=1, initial=np.inf)
+    graze = (near > 0.0) & (near < _GRAZE_TOL) & ((x0 - level) * (x1 - level) > 0.0)
+    return times, ups, 0.5 * (ts[ih[graze]] + ts[ih[graze] + 1])
+
+
 @dataclass
 class Trajectory:
     """Dense solution on [-1, T] with an event log of cutoff-level crossings.
@@ -134,8 +232,7 @@ class Trajectory:
     dr: np.ndarray          # left-sided derivative at the right node of each piece
     side: np.ndarray        # per piece: 1 if the delayed argument exceeds the cutoff
     events: list = field(default_factory=list)       # {t, kind}: forcing switches
-    crossings_log: list = field(default_factory=list)  # (t, dir) where x(t) crosses the cutoff
-    grazes: list = field(default_factory=list)
+    grazes: list = field(default_factory=list)       # midpoints of pieces touching the cutoff
 
     # -- evaluation --------------------------------------------------------
     def eval_many(self, t) -> np.ndarray:
@@ -149,16 +246,7 @@ class Trajectory:
             tf = t[fut]
             if np.any(tf > self.T + 1e-9):
                 raise ValueError("evaluation beyond the integrated horizon")
-            idx = np.clip(np.searchsorted(self.ts, tf, side="right") - 1, 0, len(self.ts) - 2)
-            h = self.ts[idx + 1] - self.ts[idx]
-            theta = np.clip((tf - self.ts[idx]) / h, 0.0, 1.0)
-            vals = _hermite_eval(theta, h, self.xs[idx], self.dl[idx], self.xs[idx + 1], self.dr[idx])
-            above = self.side[idx] == 1
-            if np.any(above):
-                vals[above] = self.xs[idx[above]] * np.exp(
-                    -self.system.rate * (tf[above] - self.ts[idx[above]])
-                )
-            out[fut] = vals
+            out[fut] = _eval_pieces(tf, self.ts, self.xs, self.dl, self.dr, self.side, self.system.rate)
         return out
 
     def eval(self, t: float) -> float:
@@ -173,45 +261,16 @@ class Trajectory:
         exponential pieces).
         """
         t_hi = self.T if t_hi is None else t_hi
-        rate = self.system.rate
-        found: list[tuple[float, str]] = []
         i_lo = max(0, np.searchsorted(self.ts, t_lo, side="right") - 1)
-        i_hi = min(len(self.ts) - 2, np.searchsorted(self.ts, t_hi, side="left"))
-        thetas = np.linspace(0.0, 1.0, 5)
-        for i in range(i_lo, i_hi + 1):
-            a, b = self.ts[i], self.ts[i + 1]
-            if b < t_lo or a > t_hi:
-                continue
-            if self.side[i] == 1:
-                x0, x1 = self.xs[i], self.xs[i + 1]
-                if (x0 - level) * (x1 - level) <= 0.0 and x0 != x1 and x0 > 0 and level > 0:
-                    tc = a + math.log(x0 / level) / rate
-                    found.append((tc, "down" if x0 > level else "up"))
-                continue
-            h = b - a
-            vals = _hermite_eval(thetas, h, self.xs[i], self.dl[i], self.xs[i + 1], self.dr[i]) - level
-            for j in range(4):
-                va, vb = vals[j], vals[j + 1]
-                if va == 0.0 and j == 0 and i == i_lo:
-                    found.append((a, "up" if vb > 0 else "down"))
-                    continue
-                if va * vb > 0.0 or (va == 0.0 and vb == 0.0):
-                    continue
-                lo, hi = thetas[j], thetas[j + 1]
-                flo = va
-                while (hi - lo) * h > _BISECT_TOL:
-                    mid = 0.5 * (lo + hi)
-                    fm = float(
-                        _hermite_eval(np.asarray([mid]), h, self.xs[i], self.dl[i], self.xs[i + 1], self.dr[i])[0]
-                    ) - level
-                    if flo * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                tc = a + 0.5 * (lo + hi) * h
-                found.append((tc, "up" if vb > va else "down"))
+        i_hi = min(len(self.ts) - 2, np.searchsorted(self.ts, t_hi, side="right") - 1)
+        pieces = slice(i_lo, i_hi + 1)
+        times, ups, _ = _level_crossings(
+            level, self.ts[i_lo : i_hi + 2], self.xs[i_lo : i_hi + 2], self.dl[pieces], self.dr[pieces],
+            self.side[pieces], self.system.rate,
+        )
         out = []
-        for tc, dirn in sorted(found):
+        for tc, up in sorted(zip(times.tolist(), ups.tolist())):
+            dirn = "up" if up else "down"
             if not (t_lo - 1e-12 <= tc <= t_hi + 1e-12):
                 continue
             if out and abs(tc - out[-1][0]) < 1e-10:
@@ -220,54 +279,6 @@ class Trajectory:
                 continue
             out.append((tc, dirn))
         return out
-
-    def first_crossing(self, level: float, direction: str = "both", t_from: float = 0.0) -> Optional[float]:
-        step = 1.0
-        t = t_from
-        while t < self.T:
-            hits = self.crossings(level, direction, t_lo=t, t_hi=min(t + step, self.T))
-            hits = [c for c, _ in hits if c > t_from + 1e-12]
-            if hits:
-                return hits[0]
-            t += step
-        return None
-
-    # -- export --------------------------------------------------------------
-    def export_csv(self, path) -> None:
-        ev = np.array([e["t"] for e in self.events]) if self.events else np.empty(0)
-        with open(path, "w") as fh:
-            fh.write("t,x,x_delayed,derivative_flag\n")
-            delayed = self.eval_many(self.ts - 1.0)
-            for t, x, xd in zip(self.ts, self.xs, delayed):
-                flag = int(ev.size > 0 and np.min(np.abs(ev - t)) < 1e-12)
-                fh.write(f"{t:.12e},{x:.12e},{xd:.12e},{flag}\n")
-
-    def events_json(self) -> str:
-        return json.dumps(
-            [{"t": round(e["t"], 14), "kind": e["kind"]} for e in self.events],
-            indent=1,
-        )
-
-
-def _scan_history_crossings(history: HistoryFunction, level: float = 1.0) -> list:
-    s, v = history.sampled(4001)
-    d = v - level
-    out = []
-    for j in range(len(s) - 1):
-        if d[j] == 0.0 and j == 0:
-            continue
-        if d[j] * d[j + 1] < 0.0:
-            lo, hi = s[j], s[j + 1]
-            flo = d[j]
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = history.eval(mid) - level
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            out.append((0.5 * (lo + hi), "up" if d[j + 1] > d[j] else "down"))
-    return out
 
 
 def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) -> Trajectory:
@@ -290,46 +301,41 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     fb = system.feedback
     h = 1.0 / N
 
-    ts_parts: list[np.ndarray] = [np.asarray([0.0])]
-    xs_parts: list[np.ndarray] = [np.asarray([float(history.eval(0.0))])]
-    dl_parts: list[np.ndarray] = []
-    dr_parts: list[np.ndarray] = []
-    side_parts: list[np.ndarray] = []
+    x_start = float(history.eval(0.0))
     events: list[dict] = []
     grazes: list[float] = []
-    crossings: list[tuple[float, str]] = []
+    crossings: list[tuple[float, bool]] = []  # (t, upward) where x crosses the cutoff, in time order
+
+    def record(times, ups) -> None:
+        for tc, up in zip(times, ups):
+            if crossings and abs(tc - crossings[-1][0]) < 1e-10:
+                continue
+            crossings.append((tc, up))
+            bp = tc + 1.0
+            if bp <= T + 1e-12 and (not events or abs(bp - events[-1]["t"]) > 1e-10):
+                events.append({"t": bp, "kind": "forcing-off" if up else "forcing-on"})
 
     if limit:
-        crossings.extend(_scan_history_crossings(history))
-        for tc, dirn in crossings:
-            if tc + 1.0 <= T + 1e-12:
-                events.append({"t": tc + 1.0, "kind": "forcing-off" if dirn == "up" else "forcing-on"})
+        s, v = history.sampled(4001)
+        _, s_cross, ups = _bisect_crossings(
+            (v - 1.0)[None, :], s, np.ones(1), lambda _rows, th: history.eval(th) - 1.0
+        )
+        record(s_cross.tolist(), ups.tolist())
 
-    # bundles of per-unit data used for delayed lookups while integrating
-    unit_blocks: list[dict] = []
+    # the pieces (ts, xs, dl, dr, side) of each unit interval, for delayed lookups
+    blocks: list[tuple] = []
 
     def delayed_eval(times: np.ndarray, unit: int) -> np.ndarray:
-        tt = times
-        out = np.empty_like(tt)
-        past = tt <= 1e-14
+        out = np.empty_like(times)
+        past = times <= 1e-14
         if np.any(past):
-            out[past] = history.eval(np.clip(tt[past], -1.0, 0.0))
+            out[past] = history.eval(np.clip(times[past], -1.0, 0.0))
         fut = ~past
         if np.any(fut):
-            blk = unit_blocks[unit - 1]
-            bts, bxs, bdl, bdr, bside = blk["ts"], blk["xs"], blk["dl"], blk["dr"], blk["side"]
-            tf = tt[fut]
-            idx = np.clip(np.searchsorted(bts, tf, side="right") - 1, 0, len(bts) - 2)
-            hh = bts[idx + 1] - bts[idx]
-            theta = np.clip((tf - bts[idx]) / hh, 0.0, 1.0)
-            vals = _hermite_eval(theta, hh, bxs[idx], bdl[idx], bxs[idx + 1], bdr[idx])
-            ab = bside[idx] == 1
-            if np.any(ab):
-                vals[ab] = bxs[idx[ab]] * np.exp(-rate * (tf[ab] - bts[idx[ab]]))
-            out[fut] = vals
+            out[fut] = _eval_pieces(times[fut], *blocks[unit - 1], rate)
         return out
 
-    x_cur = xs_parts[0][0]
+    x_cur = x_start
     n_units = int(math.ceil(T - 1e-12))
     for unit in range(n_units):
         t0 = float(unit)
@@ -392,100 +398,30 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
             u_side.append(sides)
             x_cur = float(node_vals[-1])
 
-        blk = {
-            "ts": np.concatenate(u_ts),
-            "xs": np.concatenate(u_xs),
-            "dl": np.concatenate(u_dl),
-            "dr": np.concatenate(u_dr),
-            "side": np.concatenate(u_side),
-        }
-        if not np.all(np.isfinite(blk["xs"])):
-            bad = blk["ts"][~np.isfinite(blk["xs"])][0]
-            raise DDEIntegrationError(f"non-finite solution value near t = {bad:.6f}")
-        unit_blocks.append(blk)
-        ts_parts.append(blk["ts"][1:])
-        xs_parts.append(blk["xs"][1:])
-        dl_parts.append(blk["dl"])
-        dr_parts.append(blk["dr"])
-        side_parts.append(blk["side"])
+        blk = tuple(np.concatenate(part) for part in (u_ts, u_xs, u_dl, u_dr, u_side))
+        finite = np.isfinite(blk[1])
+        if not np.all(finite):
+            raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][~finite][0]:.6f}")
+        blocks.append(blk)
 
         if limit:
-            _scan_block_crossings(blk, rate, crossings, grazes)
-            for tc, dirn in crossings:
-                bp = tc + 1.0
-                if t1 - 1e-12 < bp <= T + 1e-12 and all(abs(bp - e["t"]) > 1e-10 for e in events):
-                    if bp <= t1 + 1.0 + 1e-9:
-                        events.append({"t": bp, "kind": "forcing-off" if dirn == "up" else "forcing-on"})
+            times, ups, touched = _level_crossings(1.0, *blk, rate)
+            grazes.extend(touched.tolist())
+            record(times.tolist(), ups.tolist())
 
-    if n_units == 0:
-        dl_parts = [np.empty(0)]
-        dr_parts = [np.empty(0)]
-        side_parts = [np.empty(0, dtype=np.int8)]
-
-    traj = Trajectory(
+    return Trajectory(
         system=system,
         history=history,
         N=N,
         T=float(T),
-        ts=np.concatenate(ts_parts),
-        xs=np.concatenate(xs_parts),
-        dl=np.concatenate(dl_parts),
-        dr=np.concatenate(dr_parts),
-        side=np.concatenate(side_parts),
+        ts=np.concatenate([[0.0]] + [blk[0][1:] for blk in blocks]),
+        xs=np.concatenate([[x_start]] + [blk[1][1:] for blk in blocks]),
+        dl=np.concatenate([np.empty(0)] + [blk[2] for blk in blocks]),
+        dr=np.concatenate([np.empty(0)] + [blk[3] for blk in blocks]),
+        side=np.concatenate([np.empty(0, dtype=np.int8)] + [blk[4] for blk in blocks]),
         events=sorted(events, key=lambda e: e["t"]),
-        crossings_log=sorted(crossings),
         grazes=grazes,
     )
-    return traj
-
-
-def _scan_block_crossings(blk: dict, rate: float, crossings: list, grazes: list) -> None:
-    ts, xs, dl, dr, side = blk["ts"], blk["xs"], blk["dl"], blk["dr"], blk["side"]
-    thetas = np.linspace(0.0, 1.0, 5)
-    for i in range(len(ts) - 1):
-        a, b = ts[i], ts[i + 1]
-        hh = b - a
-        if side[i] == 1:
-            x0, x1 = xs[i], xs[i + 1]
-            if (x0 - 1.0) * (x1 - 1.0) <= 0.0 and x0 > 1.0 >= x1:
-                tc = a + math.log(x0) / rate
-                _push_crossing(crossings, (tc, "down"))
-            continue
-        vals = _hermite_eval(thetas, hh, xs[i], dl[i], xs[i + 1], dr[i]) - 1.0
-        if np.all(vals > 1e-9) or np.all(vals < -1e-9):
-            continue
-        if np.all(np.abs(vals) < 1e-9):
-            continue  # riding exactly on the cutoff; handled by side decisions
-        for j in range(4):
-            va, vb = vals[j], vals[j + 1]
-            if va * vb > 0.0:
-                continue
-            if va == 0.0 and vb == 0.0:
-                continue
-            lo, hi = thetas[j], thetas[j + 1]
-            flo = va
-            while (hi - lo) * hh > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                fm = float(_hermite_eval(np.asarray([mid]), hh, xs[i], dl[i], xs[i + 1], dr[i])[0]) - 1.0
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            tc = a + 0.5 * (lo + hi) * hh
-            _push_crossing(crossings, (tc, "up" if vb > va else "down"))
-        # tangential approach without sign change: flag sensitivity
-        peak = float(np.max(-np.abs(vals)))
-        if -1e-9 < peak < 0.0 and (xs[i] - 1.0) * (xs[i + 1] - 1.0) > 0.0:
-            grazes.append(float(0.5 * (a + b)))
-
-
-def _push_crossing(crossings: list, item: tuple) -> None:
-    tc, dirn = item
-    for t_old, _ in crossings:
-        if abs(t_old - tc) < 1e-10:
-            return
-    crossings.append((tc, dirn))
-    crossings.sort()
 
 
 def segment_at(traj: Trajectory, t: float) -> HistoryFunction:

@@ -40,17 +40,6 @@ class HistoryFunction:
         return cls(kind="exp-decay", _fn=lambda s: np.exp(-c * (1.0 + s)), params={"c": c})
 
     @classmethod
-    def startup_above(cls, c: float, d1: float) -> "HistoryFunction":
-        """``(d1/c)(1 - e^{-c(1+s)}) + e^{-c(1+s)}``: the profile grown from 1 under full forcing."""
-        c, d1 = float(c), float(d1)
-
-        def fn(s):
-            e = np.exp(-c * (1.0 + s))
-            return (d1 / c) * (1.0 - e) + e
-
-        return cls(kind="startup-above", _fn=fn, params={"c": c, "d1": d1})
-
-    @classmethod
     def eigen_seed(cls, base: float, amp: float, rate: float) -> "HistoryFunction":
         """``base + amp * exp(rate * s)``: equilibrium plus a leading-mode bump."""
         base, amp, rate = float(base), float(amp), float(rate)

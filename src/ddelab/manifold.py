@@ -125,8 +125,8 @@ def shoot_branch(
 
     target = xi_star + kappa
     direction = "up" if branch == "plus" else "down"
-    t_hit = traj.first_crossing(target, direction=direction, t_from=0.0)
-    if t_hit is None:
+    hits = traj.crossings(target, direction)
+    if not hits:
         # wrong-side escape shows up as the solution never reaching the marker
         probe = traj.eval(min(5.0 / lam0, total))
         hint = "seed escaped toward the wrong equilibrium" if (probe - xi_star) * sign < 0 else "marker not reached; horizon too small or marker out of range"
@@ -139,7 +139,7 @@ def shoot_branch(
         eps_seed=eps_seed,
         equilibrium=xi_star,
         lambda0=lam0,
-        shift=t_hit,
+        shift=hits[0][0],
         traj=traj,
     )
     if branch == "plus":
@@ -149,16 +149,13 @@ def shoot_branch(
 
 def _plus_landmarks(sol: BranchSolution) -> Landmarks:
     traj, shift = sol.traj, sol.shift
-    ups = traj.crossings(1.0, "up", t_lo=shift, t_hi=traj.T) if sol.system.kind == "limit" else []
-    if sol.system.kind == "smooth":
-        ups = traj.crossings(1.0, "up", t_lo=shift, t_hi=traj.T)
-    if not ups:
+    hits = traj.crossings(1.0, "both", t_lo=shift)
+    t1_raw = next((c for c, d in hits if d == "up"), None)
+    if t1_raw is None:
         return Landmarks()
-    t1_raw = ups[0][0]
-    downs = [c for c, d in traj.crossings(1.0, "down", t_lo=t1_raw, t_hi=traj.T) if c > t1_raw + 1e-9]
-    if not downs:
+    t2_raw = next((c for c, d in hits if d == "down" and c > t1_raw + 1e-9), None)
+    if t2_raw is None:
         return Landmarks(t1=t1_raw - shift)
-    t2_raw = downs[0]
     t1, t2 = t1_raw - shift, t2_raw - shift
     x_t1p1 = sol.eval(t1 + 1.0)
 
@@ -265,13 +262,11 @@ def convergence_table(
         rows.append((int(n), sup, seg, window_ok))
 
     knee = None
-    sups = [r[1] for r in rows if math.isfinite(r[1])]
     for i in range(len(rows)):
         tail = [r[1] for r in rows[i:] if math.isfinite(r[1])]
         if len(tail) >= 2 and all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:])):
             knee = rows[i][0]
             break
-    del sups
     return ConvergenceTable(
         c=c, d=d, kappa=kappa, m=m, rows=tuple(rows), limit_landmarks=lm, knee=knee
     )

@@ -78,12 +78,6 @@ class PowerCutoff:
         """sup of the derivative on [0, 1] (attained at 1 for k >= 1)."""
         return self.k if self.k >= 1.0 else math.inf
 
-    def inverse_unit(self, y: float) -> float:
-        """Inverse of the restriction to [0, 1]."""
-        if not 0.0 <= y <= 1.0:
-            raise ValueError("inverse argument must lie in [0, 1]")
-        return y ** (1.0 / self.k)
-
 
 @dataclass(frozen=True)
 class Hill:
@@ -272,8 +266,7 @@ class Shifted:
         arr = np.asarray(u, dtype=float)
         scalar = np.ndim(u) == 0
         xi = self.shift + arr
-        sgn_flip = xi < 0.0
-        ax = np.abs(xi)
+        ax = np.abs(xi)  # the derivative of the odd extension is even
         out = np.empty_like(ax)
         inside = ax <= self.splice
         out[inside] = self.base.deriv(ax[inside])
@@ -281,7 +274,6 @@ class Shifted:
         fs = self.base.value(self.splice)
         slope = self.base.deriv(self.splice)
         out[~inside] = slope * np.exp(slope / fs * (self.splice - hi))
-        del sgn_flip  # derivative of the odd extension is even
         return float(out) if scalar else out
 
     def slope_at_zero(self) -> float:

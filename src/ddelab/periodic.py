@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy.signal import lfilter
 
-from .dde import System, Trajectory, _rk4_affine_coeffs, integrate, segment_at
+from .dde import System, Trajectory, _eval_pieces, _rk4_affine_coeffs, integrate, segment_at
 from .history import HistoryFunction
 from .nonlinearity import Hill
 from .spectrum import HopfData, hopf_data, stationary_points
@@ -257,18 +257,7 @@ def _integrate_variational(
         if unit == 0:
             v_del = np.interp(np.clip(dstage, -1.0, 0.0), v0_mesh, v0_vals)
         else:
-            bts, bvs, bdl, bdr = blocks[unit - 1]
-            idx = np.clip(np.searchsorted(bts, dstage, side="right") - 1, 0, len(bts) - 2)
-            hh = bts[idx + 1] - bts[idx]
-            theta = np.clip((dstage - bts[idx]) / hh, 0.0, 1.0)
-            t2 = theta * theta
-            t3 = t2 * theta
-            v_del = (
-                bvs[idx] * (2 * t3 - 3 * t2 + 1)
-                + bdl[idx] * hh * (t3 - 2 * t2 + theta)
-                + bvs[idx + 1] * (-2 * t3 + 3 * t2)
-                + bdr[idx] * hh * (t3 - t2)
-            )
+            v_del = _eval_pieces(dstage, *blocks[unit - 1])
         B = beta_stages[unit] * v_del
         A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
         r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
@@ -287,21 +276,6 @@ def _integrate_variational(
         np.concatenate(vs_all),
         np.concatenate(dl_all) if dl_all else np.empty(0),
         np.concatenate(dr_all) if dr_all else np.empty(0),
-    )
-
-
-def _eval_piecewise(ts, vs, dl, dr, t):
-    t = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-    hh = ts[idx + 1] - ts[idx]
-    theta = np.clip((t - ts[idx]) / hh, 0.0, 1.0)
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        vs[idx] * (2 * t3 - 3 * t2 + 1)
-        + dl[idx] * hh * (t3 - 2 * t2 + theta)
-        + vs[idx + 1] * (-2 * t3 + 3 * t2)
-        + dr[idx] * hh * (t3 - t2)
     )
 
 
@@ -337,7 +311,7 @@ def _period_map_matrix(system: System, q0: HistoryFunction, omega: float, N: int
         col = np.empty(N + 1)
         if np.any(past):
             col[past] = np.interp(end_times[past], mesh, e)
-        col[~past] = _eval_piecewise(ts, vs, dl, dr, end_times[~past])
+        col[~past] = _eval_pieces(end_times[~past], ts, vs, dl, dr)
         M[:, i] = col
     return M, base
 

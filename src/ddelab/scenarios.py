@@ -240,12 +240,13 @@ def run_scenario(path: str, out_dir: Optional[str] = None) -> RunResult:
 
 def _traj_columns(traj) -> dict:
     ts = traj.ts
-    ev = np.asarray([e["t"] for e in traj.events]) if traj.events else np.empty(0)
+    ev = np.sort([e["t"] for e in traj.events])
     flags = np.zeros(ts.size)
     if ev.size:
-        for i, t in enumerate(ts):
-            if np.min(np.abs(ev - t)) < 1e-12:
-                flags[i] = 1.0
+        # the nearest event to each node is one of the two around its insertion point
+        k = np.searchsorted(ev, ts)
+        gap = np.minimum(np.abs(ev[np.maximum(k - 1, 0)] - ts), np.abs(ev[np.minimum(k, ev.size - 1)] - ts))
+        flags[gap < 1e-12] = 1.0
     return {"t": ts, "x": traj.xs, "x_delayed": traj.eval_many(ts - 1.0), "derivative_flag": flags}
 
 

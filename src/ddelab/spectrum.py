@@ -202,7 +202,7 @@ def _root_by_phase(rate: float, slope: float, lo: float, hi: float) -> Optional[
     for j in range(len(ys) - 1):
         if np.isfinite(vals[j]) and np.isfinite(vals[j + 1]) and vals[j] * vals[j + 1] < 0:
             y = brentq(G, ys[j], ys[j + 1], xtol=1e-14)
-            x = math.log(slope * math.sin(y) / (-y)) if False else math.log(slope / (-y / math.sin(y)))
+            x = math.log(slope / (-y / math.sin(y)))
             return complex(x, y)
     return None
 

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddelab.dde import (
+    _SAMPLE_THETAS,
     System,
+    _eval_pieces,
+    _hermite_eval,
+    _level_crossings,
     check_bounds,
     integral_residual,
     integrate,
@@ -215,17 +221,73 @@ class TestOmegaDiagnose:
             omega_diagnose(traj, window=20.0)
 
 
-class TestExport:
-    def test_csv_and_events_deterministic(self, tmp_path):
-        system = System.limit(1.0, 7.38)
-        paths = []
-        for tag in ("a", "b"):
-            traj = integrate(system, HistoryFunction.exp_decay(1.0), 5.0)
-            p = tmp_path / f"{tag}.csv"
-            traj.export_csv(p)
-            paths.append(p)
-            (tmp_path / f"{tag}.json").write_text(traj.events_json())
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        header = paths[0].read_text().splitlines()[0]
-        assert header == "t,x,x_delayed,derivative_flag"
+DECAY = 1.3
+
+# (exact exponential?, width, mean slope, left slope, right slope)
+_piece = st.tuples(
+    st.booleans(),
+    st.floats(1e-3, 0.1),
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+    st.floats(-20.0, 20.0),
+)
+
+
+@st.composite
+def dense_pieces(draw):
+    """Random piece arrays: Hermite cubics and exact decays, continuous at the nodes."""
+    x = draw(st.floats(0.0, 3.0))
+    ts, xs, dl, dr, side = [0.0], [x], [], [], []
+    for expo, h, mean, d0, d1 in draw(st.lists(_piece, min_size=1, max_size=30)):
+        if expo:
+            x_next = x * math.exp(-DECAY * h)
+            d0, d1 = -DECAY * x, -DECAY * x_next
+        else:
+            x_next = x + h * mean
+        ts.append(ts[-1] + h)
+        xs.append(x_next)
+        dl.append(d0)
+        dr.append(d1)
+        side.append(int(expo))
+        x = x_next
+    arrays = (np.asarray(ts), np.asarray(xs), np.asarray(dl), np.asarray(dr), np.asarray(side, dtype=np.int8))
+    level = min(xs) + draw(st.floats(0.05, 0.95)) * (max(xs) - min(xs))
+    return arrays, level
+
+
+class TestCrossingLocator:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_pieces())
+    def test_one_root_per_sign_change(self, case):
+        (ts, xs, dl, dr, side), level = case
+        times, ups, _ = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
+        if times.size:
+            assert np.max(np.abs(_eval_pieces(times, ts, xs, dl, dr, side, DECAY) - level)) < 1e-9
+        for i in range(len(ts) - 1):
+            a, h = ts[i], ts[i + 1] - ts[i]
+            if side[i] == 1:
+                brackets = [(a, a + h, False)] if xs[i] > level > xs[i + 1] else []
+            else:
+                v = _hermite_eval(_SAMPLE_THETAS, h, xs[i], dl[i], xs[i + 1], dr[i]) - level
+                brackets = [
+                    (a + _SAMPLE_THETAS[j] * h, a + _SAMPLE_THETAS[j + 1] * h, bool(v[j + 1] > v[j]))
+                    for j in range(4)
+                    if v[j] * v[j + 1] < 0.0
+                ]
+            for lo, hi, up in brackets:
+                inside = (times >= lo) & (times <= hi)
+                assert np.count_nonzero(inside) == 1
+                assert ups[inside][0] == up
+
+    @pytest.mark.parametrize(
+        "history", [HistoryFunction.exp_decay(1.0), HistoryFunction.constant(1.5)], ids=["exp-decay", "above-cutoff"]
+    )
+    def test_integrate_events_are_located_crossings(self, history):
+        traj = integrate(System.limit(1.0, 7.38), history, 40.0)
+        later = [(e["t"], e["kind"]) for e in traj.events if e["t"] >= 1.0]
+        located = [
+            (t + 1.0, "forcing-off" if d == "up" else "forcing-on")
+            for t, d in traj.crossings(1.0, t_hi=traj.T - 1.0)
+        ]
+        assert later
+        assert later == located

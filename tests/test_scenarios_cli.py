@@ -55,6 +55,8 @@ class TestRunScenario:
         res = run_scenario(str(path), out_dir=str(tmp_path / "out"))
         assert set(res.artifacts) >= {"trajectory.csv", "events.json", "plot.svg", "manifest.json"}
         assert not res.unresolved
+        header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
+        assert header == "t,x,x_delayed,derivative_flag"
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_scenario(tmp_path, SIM)
