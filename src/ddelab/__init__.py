@@ -26,8 +26,6 @@ from .manifold import BranchSolution, convergence_table, exp_segment_check, shoo
 from .nonlinearity import (
     Hill,
     PowerCutoff,
-    Shifted,
-    build_shifted,
     check_cutoff_conditions,
     closeness_report,
     feedback_from_json,

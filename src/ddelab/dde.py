@@ -5,7 +5,9 @@ On each unit interval the delayed term is a known function, so the equation
 is affine in the current state.  The classical fourth-order Runge-Kutta step
 for an affine scalar equation is itself an affine map, which lets a whole
 interval be advanced as one linear recursion (``scipy.signal.lfilter``) over
-precomputed forcing samples.
+precomputed forcing samples.  The same stage grid and stepper advance the
+variational equation, whose forcing is known on each interval as well, for
+many solutions at once.
 
 For the hard-cutoff ("limit") system, times where the solution crosses the
 cutoff level are located by bisection on the dense interpolant; integration
@@ -105,6 +107,34 @@ def _rk4_affine_coeffs(rate: float, h: float) -> tuple[float, float, float, floa
     return step(1.0, 0.0, 0.0, 0.0), step(0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 1.0)
 
 
+def _stage_grid(s0: float, s1: float, h: float) -> tuple[np.ndarray, float]:
+    """Stage times of the RK4 steps covering ``[s0, s1]`` with steps of at most ``h``.
+
+    The steps are equal, ``h2 = (s1 - s0) / M``; the nodes are the even
+    stages, the step midpoints the odd ones.
+    """
+    M = max(1, int(math.ceil((s1 - s0) / h - 1e-9)))
+    h2 = (s1 - s0) / M
+    return s0 + 0.5 * h2 * np.arange(2 * M + 1), h2
+
+
+def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RK4 steps of ``x' = -rate x + B(t)`` from ``x0`` over the forcing on a stage grid.
+
+    ``B`` holds the forcing at the stages, shape ``(stages,)`` or
+    ``(stages, m)`` for ``m`` equations stepped together (then ``x0`` has
+    shape ``(m,)``).  The affine steps run as one linear recursion.  Returns
+    the node values and each step's slopes at its left and right node.
+    """
+    A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
+    r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
+    x0 = np.asarray(x0, dtype=float)[None]
+    ys = lfilter([1.0], [1.0, -A], r, axis=0, zi=A * x0)[0]
+    node_vals = np.concatenate([x0, ys])
+    derivs = -rate * node_vals + B[0::2]
+    return node_vals, derivs[:-1], derivs[1:]
+
+
 def _hermite_eval(theta: np.ndarray, h: np.ndarray, x0, d0, x1, d1) -> np.ndarray:
     t2 = theta * theta
     t3 = t2 * theta
@@ -122,15 +152,26 @@ def _eval_pieces(t: np.ndarray, ts, xs, dl, dr, side=None, rate: float = 0.0) ->
     Piece ``i`` spans ``ts[i]..ts[i+1]``: cubic Hermite through the node
     values ``xs`` with the one-sided slopes ``dl[i]`` / ``dr[i]``, or, where
     ``side[i] == 1``, the exact decay ``xs[i] * exp(-rate (t - ts[i]))``.
+    ``xs``, ``dl`` and ``dr`` may carry a trailing column axis, one column
+    per solution on the same nodes; the result then has shape
+    ``(len(t), columns)``.  Times are taken in blocks of about ``_CHUNK``
+    values, which bounds the scratch arrays.
     """
+    step = max(1, _CHUNK // np.size(xs[0]))
+    if len(t) > step:
+        out = np.empty(np.shape(t) + np.shape(xs)[1:])
+        for r0 in range(0, len(t), step):
+            out[r0 : r0 + step] = _eval_pieces(t[r0 : r0 + step], ts, xs, dl, dr, side, rate)
+        return out
+    col = (slice(None),) + (None,) * (np.ndim(xs) - 1)
     idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
     h = ts[idx + 1] - ts[idx]
     theta = np.clip((t - ts[idx]) / h, 0.0, 1.0)
-    vals = _hermite_eval(theta, h, xs[idx], dl[idx], xs[idx + 1], dr[idx])
+    vals = _hermite_eval(theta[col], h[col], xs[idx], dl[idx], xs[idx + 1], dr[idx])
     if side is not None:
         above = side[idx] == 1
         if np.any(above):
-            vals[above] = xs[idx[above]] * np.exp(-rate * (t[above] - ts[idx[above]]))
+            vals[above] = xs[idx[above]] * np.exp(-rate * (t[above] - ts[idx[above]]))[col]
     return vals
 
 
@@ -364,10 +405,7 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         u_side: list[np.ndarray] = []
 
         for s0, s1 in zip(sub_edges[:-1], sub_edges[1:]):
-            span = s1 - s0
-            M = max(1, int(math.ceil(span / h - 1e-9)))
-            h2 = span / M
-            stages = s0 + 0.5 * h2 * np.arange(2 * M + 1)
+            stages, h2 = _stage_grid(s0, s1, h)
             nodes = stages[0::2]
             xi = delayed_eval(stages - 1.0, unit)
             if limit:
@@ -375,26 +413,22 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
                 above = mid_val > 1.0
             else:
                 above = False
+            M = nodes.size - 1
             if limit and above:
-                vals = x_cur * np.exp(-rate * h2 * np.arange(1, M + 1))
-                node_vals = np.concatenate([[x_cur], vals])
-                derivs = -rate * node_vals
+                node_vals = np.concatenate([[x_cur], x_cur * np.exp(-rate * h2 * np.arange(1, M + 1))])
+                d0, d1 = -rate * node_vals[:-1], -rate * node_vals[1:]
                 sides = np.ones(M, dtype=np.int8)
             else:
                 if limit:
                     B = gain * fb.clamped_power(xi)
                 else:
                     B = gain * fb.value(np.maximum(xi, 0.0))
-                A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
-                r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
-                ys = lfilter([1.0], [1.0, -A], r, zi=np.asarray([A * x_cur]))[0]
-                node_vals = np.concatenate([[x_cur], ys])
-                derivs = -rate * node_vals + B[0::2]
+                node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, B)
                 sides = np.zeros(M, dtype=np.int8)
             u_ts.append(nodes[1:])
             u_xs.append(node_vals[1:])
-            u_dl.append(derivs[:-1])
-            u_dr.append(derivs[1:])
+            u_dl.append(d0)
+            u_dr.append(d1)
             u_side.append(sides)
             x_cur = float(node_vals[-1])
 
@@ -517,38 +551,30 @@ def omega_diagnose(traj: Trajectory, window: float = 20.0, tol: float = 1e-6) ->
     return OrbitClassification("BOUNDED_UNRESOLVED", evidence={"osc": osc})
 
 
-def _forcing_on_piece(traj: Trajectory, s: np.ndarray, piece_idx: np.ndarray) -> np.ndarray:
-    """gain * F(x(s-1)) respecting the stored one-sided forcing flags."""
-    sys_ = traj.system
-    xi = traj.eval_many(s - 1.0)
-    if sys_.kind == "limit":
-        below = sys_.gain * sys_.feedback.clamped_power(xi)
-        return np.where(traj.side[piece_idx] == 1, 0.0, below)
-    return sys_.gain * sys_.feedback.value(np.maximum(xi, 0.0))
-
-
 def integral_residual(traj: Trajectory, tau: float, t: float) -> float:
     """Defect of the variation-of-constants identity between ``tau`` and ``t``.
 
     The convolution integral is evaluated by fixed Gauss panels on the dense
-    mesh pieces, which never straddle a forcing switch.
+    mesh pieces, which never straddle a forcing switch; all panels are
+    evaluated together.
     """
     if not 0.0 <= tau < t <= traj.T + 1e-12:
         raise ValueError("need 0 <= tau < t <= T")
-    rate = traj.system.rate
+    sys_ = traj.system
     i0 = np.searchsorted(traj.ts, tau, side="right") - 1
     i1 = np.searchsorted(traj.ts, t, side="left") - 1
-    total = 0.0
-    for i in range(max(i0, 0), min(i1, len(traj.ts) - 2) + 1):
-        a = max(traj.ts[i], tau)
-        b = min(traj.ts[i + 1], t)
-        if b - a <= 0:
-            continue
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        s = mid + half * _GAUSS_NODES
-        vals = _forcing_on_piece(traj, s, np.full(s.shape, i, dtype=int)) * np.exp(-rate * (t - s))
-        total += half * float(np.dot(_GAUSS_WEIGHTS, vals))
-    lhs = traj.eval(t)
-    rhs = math.exp(-rate * (t - tau)) * traj.eval(tau) + total
-    return abs(lhs - rhs)
+    i = np.arange(max(i0, 0), min(i1, len(traj.ts) - 2) + 1)
+    a = np.maximum(traj.ts[i], tau)
+    b = np.minimum(traj.ts[i + 1], t)
+    i, a, b = i[b > a], a[b > a], b[b > a]
+    half = (0.5 * (b - a))[:, None]
+    s = 0.5 * (a + b)[:, None] + half * _GAUSS_NODES
+    xi = traj.eval_many(s - 1.0)
+    if sys_.kind == "limit":
+        # the stored one-sided forcing: off on pieces above the cutoff
+        forcing = np.where(traj.side[i][:, None] == 1, 0.0, sys_.gain * sys_.feedback.clamped_power(xi))
+    else:
+        forcing = sys_.gain * sys_.feedback.value(np.maximum(xi, 0.0))
+    total = float(np.sum(half * forcing * np.exp(-sys_.rate * (t - s)) * _GAUSS_WEIGHTS))
+    rhs = math.exp(-sys_.rate * (t - tau)) * traj.eval(tau) + total
+    return abs(traj.eval(t) - rhs)

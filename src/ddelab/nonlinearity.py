@@ -1,4 +1,4 @@
-"""Feedback nonlinearities: hard-cutoff power law, Hill family, and shifted variants.
+"""Feedback nonlinearities: hard-cutoff power law and Hill family.
 
 The two families used throughout the package are
 
@@ -8,11 +8,6 @@ The two families used throughout the package are
   makes constant-at-cutoff histories behave like the sub-cutoff branch.
 * ``Hill(k, n)``:  ``xi**k / (1 + xi**n)`` with ``n > k``, which approaches
   the cutoff family pointwise as ``n`` grows.
-
-``Shifted`` recentres either family around an interior equilibrium and
-extends it to the whole real line (odd reflection below zero, a saturating
-exponential tail above the splice point), producing a bounded increasing
-function that vanishes at the origin.
 """
 from __future__ import annotations
 
@@ -25,13 +20,11 @@ import numpy as np
 __all__ = [
     "PowerCutoff",
     "Hill",
-    "Shifted",
     "Feedback",
     "ConditionReport",
     "ClosenessReport",
     "check_cutoff_conditions",
     "closeness_report",
-    "build_shifted",
     "feedback_to_json",
     "feedback_from_json",
 ]
@@ -223,76 +216,6 @@ def closeness_report(g: PowerCutoff, f: Feedback, kappa: float, K: float = 100.0
         tail_sup_deriv=tail_sup,
         full_sup_deriv=full_sup,
     )
-
-
-@dataclass(frozen=True)
-class Shifted:
-    """A feedback recentred at an interior equilibrium and extended to the line.
-
-    ``value(u) = extended(shift + u) - base(shift)`` vanishes at 0, matches the
-    base family on ``[-shift, splice - shift]``, saturates exponentially above
-    the splice and is odd-reflected below zero.
-    """
-
-    base: Feedback
-    shift: float
-    splice: float
-
-    def extended(self, xi):
-        arr = np.asarray(xi, dtype=float)
-        scalar = np.ndim(xi) == 0
-        out = np.empty_like(arr)
-        neg = arr < 0.0
-        out[neg] = -self._extended_nonneg(-arr[neg])
-        out[~neg] = self._extended_nonneg(arr[~neg])
-        return float(out) if scalar else out
-
-    def _extended_nonneg(self, arr: np.ndarray) -> np.ndarray:
-        out = np.empty_like(arr)
-        inside = arr <= self.splice
-        out[inside] = self.base.value(arr[inside])
-        hi = arr[~inside]
-        fs = self.base.value(self.splice)
-        slope = self.base.deriv(self.splice)
-        out[~inside] = fs * (2.0 - np.exp(slope / fs * (self.splice - hi)))
-        return out
-
-    def value(self, u):
-        arr = np.asarray(u, dtype=float)
-        res = self.extended(self.shift + arr) - self.base.value(self.shift)
-        return float(res) if np.ndim(u) == 0 else res
-
-    def deriv(self, u):
-        arr = np.asarray(u, dtype=float)
-        scalar = np.ndim(u) == 0
-        xi = self.shift + arr
-        ax = np.abs(xi)  # the derivative of the odd extension is even
-        out = np.empty_like(ax)
-        inside = ax <= self.splice
-        out[inside] = self.base.deriv(ax[inside])
-        hi = ax[~inside]
-        fs = self.base.value(self.splice)
-        slope = self.base.deriv(self.splice)
-        out[~inside] = slope * np.exp(slope / fs * (self.splice - hi))
-        return float(out) if scalar else out
-
-    def slope_at_zero(self) -> float:
-        return float(self.base.deriv(self.shift))
-
-
-def build_shifted(base: Feedback, shift: float, splice: float) -> Shifted:
-    """Recentre ``base`` at ``shift`` and extend it; see ``Shifted``.
-
-    ``splice`` must equal the cutoff for the cutoff family; for the Hill
-    family it must be a point where the base is positive and increasing.
-    """
-    if not 0.0 < shift < splice:
-        raise ValueError("need 0 < shift < splice")
-    if isinstance(base, PowerCutoff) and abs(splice - 1.0) > 1e-12:
-        raise ValueError("cutoff family must be spliced at its cutoff (1.0)")
-    if base.value(splice) <= 0.0 or base.deriv(splice) <= 0.0:
-        raise ValueError("base must be positive and increasing at the splice point")
-    return Shifted(base=base, shift=float(shift), splice=float(splice))
 
 
 def feedback_to_json(f: Feedback) -> dict:

@@ -3,9 +3,10 @@
 Orbit detection is a level-crossing return test on a long trajectory: gaps
 between increasing crossings propose a period, the state-space return
 residual confirms it, and sub-multiples are ruled out.  Floquet multipliers
-come from a dense discretization of the linearized period map: each hat
-function on a segment mesh is propagated through the variational equation
-along the orbit and the resulting matrix is eigensolved.
+come from a dense discretization of the linearized period map: the hat
+functions on a segment mesh are propagated together through the variational
+equation along the orbit, by the integrator's own stepper, and the resulting
+matrix is eigensolved.
 
 Small orbits born near the interior equilibrium are of saddle type (the
 equilibrium's strong real instability persists as a Floquet multiplier above
@@ -22,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .dde import System, Trajectory, _eval_pieces, _rk4_affine_coeffs, integrate, segment_at
+from .dde import System, Trajectory, _eval_pieces, _rk4_affine_steps, _stage_grid, integrate, segment_at
 from .history import HistoryFunction
 from .nonlinearity import Hill
 from .spectrum import HopfData, hopf_data, stationary_points
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SEG_MESH = np.linspace(-1.0, 0.0, 201)
+_HOPF_ALPHAS = (-0.02, 0.02, -0.05, 0.05, -0.1, 0.1, -0.15, 0.15, -0.2, 0.2)
 
 
 @dataclass
@@ -225,95 +226,48 @@ def orbit_distance(segment_values: np.ndarray, orbit: PeriodicOrbit) -> float:
 # linearized period map
 # ---------------------------------------------------------------------------
 
-def _integrate_variational(
-    rate: float,
-    beta_stages: list,
-    v0_mesh: np.ndarray,
-    v0_vals: np.ndarray,
-    omega: float,
-    n_steps_per_unit: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Propagate ``v' = -rate v + beta(t) v(t-1)`` from a mesh-sampled segment.
+def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x, xp, fp[:, i])`` for every column ``i`` at once, to the bit."""
+    j = np.searchsorted(xp, x, side="right") - 1
+    jj = np.clip(j, 0, xp.size - 2)
+    slope = (fp[jj + 1] - fp[jj]) / (xp[jj + 1] - xp[jj])[:, None]
+    inner = slope * (x - xp[jj])[:, None] + fp[jj]
+    return np.where(((j >= 0) & (j < xp.size - 1))[:, None], inner, fp[np.clip(j, 0, xp.size - 1)])
 
-    ``beta_stages[j]`` holds the coefficient at the stage times of unit
-    interval j.  Returns nodes, values and one-sided derivatives.
+
+def _period_map_matrix(base: Trajectory, N: int) -> np.ndarray:
+    """Dense (N+1)x(N+1) approximation of the linearized period map along ``base``.
+
+    ``base`` is the orbit integrated over one period ``omega = base.T``.
+    Column i propagates the hat function on node i of the segment mesh
+    through ``v' = -rate v + beta(t) v(t-1)``, ``beta = gain F'(y(t-1))``,
+    on the stage grid of ``base``'s mesh, and reads it at ``omega + mesh``.
+    All columns are stepped together.
     """
-    h = 1.0 / n_steps_per_unit
-    n_units = int(math.ceil(omega - 1e-12))
-    ts_all = [np.asarray([0.0])]
-    vs_all = [np.asarray([float(np.interp(0.0, v0_mesh, v0_vals))])]
-    dl_all: list[np.ndarray] = []
-    dr_all: list[np.ndarray] = []
-    blocks: list[tuple] = []
-    v_cur = vs_all[0][0]
-    for unit in range(n_units):
-        t0 = float(unit)
-        t1 = min(unit + 1.0, omega)
-        span = t1 - t0
-        M = max(1, int(math.ceil(span / h - 1e-9)))
-        h2 = span / M
-        stages = t0 + 0.5 * h2 * np.arange(2 * M + 1)
-        dstage = stages - 1.0
-        if unit == 0:
-            v_del = np.interp(np.clip(dstage, -1.0, 0.0), v0_mesh, v0_vals)
-        else:
-            v_del = _eval_pieces(dstage, *blocks[unit - 1])
-        B = beta_stages[unit] * v_del
-        A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
-        r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
-        ys = lfilter([1.0], [1.0, -A], r, zi=np.asarray([A * v_cur]))[0]
-        node_vals = np.concatenate([[v_cur], ys])
-        derivs = -rate * node_vals + B[0::2]
-        nodes = stages[0::2]
-        blocks.append((nodes, node_vals, derivs[:-1], derivs[1:]))
-        ts_all.append(nodes[1:])
-        vs_all.append(node_vals[1:])
-        dl_all.append(derivs[:-1])
-        dr_all.append(derivs[1:])
-        v_cur = float(node_vals[-1])
-    return (
-        np.concatenate(ts_all),
-        np.concatenate(vs_all),
-        np.concatenate(dl_all) if dl_all else np.empty(0),
-        np.concatenate(dr_all) if dr_all else np.empty(0),
-    )
-
-
-def _beta_stage_table(system: System, base: Trajectory, omega: float, n_steps_per_unit: int) -> list:
-    """gain * F'(y(t-1)) sampled at every stage time of each unit interval."""
-    h = 1.0 / n_steps_per_unit
-    out = []
-    n_units = int(math.ceil(omega - 1e-12))
-    for unit in range(n_units):
-        t0 = float(unit)
-        t1 = min(unit + 1.0, omega)
-        span = t1 - t0
-        M = max(1, int(math.ceil(span / h - 1e-9)))
-        h2 = span / M
-        stages = t0 + 0.5 * h2 * np.arange(2 * M + 1)
-        y_del = base.eval_many(stages - 1.0)
-        out.append(system.gain * system.feedback.deriv(np.maximum(y_del, 0.0)))
-    return out
-
-
-def _period_map_matrix(system: System, q0: HistoryFunction, omega: float, N: int, N_int: int) -> tuple[np.ndarray, Trajectory]:
-    """Dense (N+1)x(N+1) approximation of the linearized period map."""
-    base = integrate(system, q0, omega, N=N_int)
-    beta = _beta_stage_table(system, base, omega, N_int)
+    system, omega = base.system, base.T
     mesh = np.linspace(-1.0, 0.0, N + 1)
-    M = np.empty((N + 1, N + 1))
+    hats = np.eye(N + 1)
     end_times = omega + mesh
-    for i in range(N + 1):
-        e = np.zeros(N + 1)
-        e[i] = 1.0
-        ts, vs, dl, dr = _integrate_variational(system.rate, beta, mesh, e, omega, N_int)
-        past = end_times <= 0.0
-        col = np.empty(N + 1)
-        if np.any(past):
-            col[past] = np.interp(end_times[past], mesh, e)
-        col[~past] = _eval_pieces(end_times[~past], ts, vs, dl, dr)
-        M[:, i] = col
-    return M, base
+    past = end_times <= 0.0
+    out = np.empty((N + 1, N + 1))
+    out[past] = _interp_columns(end_times[past], mesh, hats)
+    n_units = int(math.ceil(omega - 1e-12))
+    start, v_cur, prev = 0.0, hats[-1], None
+    for unit in range(n_units):
+        stages, h2 = _stage_grid(float(unit), min(unit + 1.0, omega), 1.0 / base.N)
+        if prev is None:
+            B = _interp_columns(np.clip(stages - 1.0, -1.0, 0.0), mesh, hats)
+        else:
+            B = _eval_pieces(stages - 1.0, *prev)
+        B *= system.gain * system.feedback.deriv(np.maximum(base.eval_many(stages - 1.0), 0.0))[:, None]
+        node_vals, d0, d1 = _rk4_affine_steps(system.rate, h2, v_cur, B)
+        # the end values that fall on this unit's pieces, which (as in the
+        # whole solution) start at the previous unit's last node
+        ts = np.concatenate([[start], stages[2::2]])
+        here = ~past & (end_times >= start) & ((end_times < ts[-1]) | (unit == n_units - 1))
+        out[here] = _eval_pieces(end_times[here], ts, node_vals, d0, d1)
+        start, v_cur, prev = ts[-1], node_vals[-1], (stages[0::2], node_vals, d0, d1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -380,7 +334,8 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
     if N < 20:
         raise ValueError("mesh too coarse; need N >= 20")
     N_int = max(400, 2 * N, 4 * int(system.feedback.n)) if N_int is None else N_int
-    M, base = _period_map_matrix(system, orbit.q0, orbit.omega, N, N_int)
+    base = integrate(system, orbit.q0, orbit.omega, N=N_int)
+    M = _period_map_matrix(base, N)
     mesh = np.linspace(-1.0, 0.0, N + 1)
     eig, vecs = np.linalg.eig(M)
     order = np.argsort(-np.abs(eig))
@@ -563,7 +518,7 @@ def _newton_periodic(
         res = max(float(np.max(np.abs(R))), abs(phase))
         if res < tol:
             return u, omega, base, res
-        Mmat, _ = _period_map_matrix(system, hist, omega, N, N_int)
+        Mmat = _period_map_matrix(base, N)
         xi_end = base.eval_many(np.maximum(omega + mesh - 1.0, -1.0 + 1e-12))
         dS_domega = -system.rate * Su + system.gain * system.feedback.value(np.maximum(xi_end, 0.0))
         J = np.zeros((N + 2, N + 2))
@@ -590,7 +545,7 @@ def hopf_orbit_search(
     k: float,
     n: int,
     j: int = 1,
-    alphas=(-0.02, 0.02, -0.05, 0.05, -0.1, 0.1, -0.15, 0.15, -0.2, 0.2),
+    alphas=None,
     amp_guesses=(0.03, 0.06, 0.1),
     mesh_N: int = 100,
     amp_cap: float = 0.2,
@@ -604,10 +559,10 @@ def hopf_orbit_search(
     The orbit is a saddle (the strong real instability survives), so forward
     simulation cannot find it; the Newton solve replaces it.  Returns the
     first success with amplitude below ``amp_cap``; None when the whole grid
-    yields only the equilibrium.
+    yields only the equilibrium.  ``alphas=None`` scans the default grid.
     """
     mesh = np.linspace(-1.0, 0.0, mesh_N + 1)
-    for alpha in alphas:
+    for alpha in _HOPF_ALPHAS if alphas is None else alphas:
         hd = hopf_data(c, d, k, n, j=j, alpha=alpha)
         system = System.smooth(hd.a_n, hd.b_n, k=k, n=n)
         xi = stationary_points(system, 0.9).interior().value
@@ -668,6 +623,7 @@ class ConnectionDiagram:
     plus_evidence: dict
     hopf: Optional[dict] = None
     unresolved: tuple = ()
+    orbit: Optional[PeriodicOrbit] = None   # the plus branch's periodic orbit
 
     def to_dict(self) -> dict:
         out = {
@@ -750,6 +706,7 @@ def connection_diagram(
         unresolved.append("minus")
 
     plus_ev: dict = {}
+    orbit = None
     if regime == "below":
         plus = shoot_branch(system, "plus", T=max(60.0, 20.0 / c), N=N)
         ptail = plus.eval_many(np.linspace(plus.domain[1] - 3.0, plus.domain[1] - 0.5, 301))
@@ -763,7 +720,6 @@ def connection_diagram(
     else:
         # the fine mesh keeps the return residual of converged orbits well
         # below the detection tolerance for sharply kinked Hill families
-        orbit = None
         plus = None
         detect_mesh = N_orbit
         for horizon, n_mesh in (
@@ -805,8 +761,6 @@ def connection_diagram(
             else:
                 plus_ev["floquet_leading_nontrivial"] = contraction
                 plus_ev["floquet_method"] = "dynamic-power-iteration"
-            plus_ev["_orbit"] = orbit
-            plus_ev["_floquet"] = flo
         else:
             hits = _recurrence_gap(plus, delta, t2)
             plus_limit = "ATTRACTOR"
@@ -827,6 +781,7 @@ def connection_diagram(
         plus_limit=plus_limit, plus_evidence=plus_ev,
         hopf=hopf_block,
         unresolved=tuple(unresolved),
+        orbit=orbit,
     )
 
 
@@ -848,10 +803,7 @@ def _hopf_block(c, d, k, n, j, seed_disk, T_fate, N, alphas=None) -> dict:
     # fates are decided in the rescaled system, whose own stable orbit
     # differs slightly from the base one; they are therefore self-detected
     # rather than matched against the base orbit bank
-    if alphas is None:
-        found = hopf_orbit_search(c, d, k, n, j=j)
-    else:
-        found = hopf_orbit_search(c, d, k, n, j=j, alphas=alphas)
+    found = hopf_orbit_search(c, d, k, n, j=j, alphas=alphas)
     if found is None:
         return {"orbit": None}
     orbit, system = found.orbit, found.system
@@ -863,9 +815,6 @@ def _hopf_block(c, d, k, n, j, seed_disk, T_fate, N, alphas=None) -> dict:
         "omega_reference": found.data.omega_guess,
         "a_n": found.data.a_n, "b_n": found.data.b_n,
         "unstable_multiplier": flo.unstable_multiplier,
-        "_orbit": orbit,
-        "_floquet": flo,
-        "_system": system,
         "disk_fates": {},
     }
     if flo.unstable_multiplier is None or flo.unstable_eigvec is None:
@@ -878,6 +827,6 @@ def _hopf_block(c, d, k, n, j, seed_disk, T_fate, N, alphas=None) -> dict:
         hist = HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * seed_disk * psi, 0.0))
         traj = integrate(system, hist, T_fate, N=N)
         fate, ev = _fate_of_trajectory(traj, None)
-        fates[side] = {"fate": fate, **{k2: v for k2, v in ev.items() if not k2.startswith("_")}}
+        fates[side] = {"fate": fate, **ev}
     block["disk_fates"] = fates
     return block

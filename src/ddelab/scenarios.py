@@ -378,11 +378,7 @@ def _run_diagram(sc: Scenario, out: str):
         float(sc.spec["c"]), float(sc.spec["d"]), float(sc.spec.get("k", 2.0)),
         int(sc.spec["n"]), with_hopf=bool(sc.spec.get("with_hopf", False)), **kwargs,
     )
-    doc = diag.to_dict()
-    doc["plus"] = {k: v for k, v in doc["plus"].items() if not k.startswith("_")}
-    if doc.get("hopf"):
-        doc["hopf"] = {k: v for k, v in doc["hopf"].items() if not k.startswith("_")}
-    _write_json(os.path.join(out, "diagram.json"), doc)
+    _write_json(os.path.join(out, "diagram.json"), diag.to_dict())
     return ["diagram.json"], bool(diag.unresolved)
 
 
@@ -419,8 +415,7 @@ def _run_figure(sc: Scenario, out: str):
         sel = np.linspace(1.0, plus.domain[1] - 0.5, 3001)
         phase.append((plus.eval_many(sel), plus.eval_many(sel - 1.0), "plus"))
     else:
-        alphas = (0.2,) if sc.spec["preset"] == "x4" else None
-        found = hopf_orbit_search(a, b, k, n, j=1, alphas=alphas) if alphas else hopf_orbit_search(a, b, k, n, j=1)
+        found = hopf_orbit_search(a, b, k, n, j=1, alphas=(0.2,) if sc.spec["preset"] == "x4" else None)
         if found is None:
             _write_json(os.path.join(out, "figure.json"), {"found": False})
             return ["figure.json"], True

@@ -164,7 +164,7 @@ def test_criterion_8_figure_regimes(x1_diagram, x2_diagram, hopf_diagram):
 
 def test_criterion_9_monodromy_sanity(x1_diagram):
     system = System.smooth(1.0, 7.38, n=200)
-    orbit = x1_diagram.plus_evidence["_orbit"]
+    orbit = x1_diagram.orbit
     err200 = monodromy_multipliers(system, orbit, N=200).trivial_error
     err400 = monodromy_multipliers(system, orbit, N=400).trivial_error
     ok = err200 < 1e-3 and err400 < err200

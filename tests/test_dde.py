@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddelab.dde import (
     _SAMPLE_THETAS,
@@ -11,6 +12,8 @@ from ddelab.dde import (
     _eval_pieces,
     _hermite_eval,
     _level_crossings,
+    _rk4_affine_steps,
+    _stage_grid,
     check_bounds,
     integral_residual,
     integrate,
@@ -142,6 +145,29 @@ class TestIntegralEquation:
             t = rng.uniform(tau + 0.01, 20.0)
             worst = max(worst, integral_residual(traj, tau, t))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize(
+        "system", [System.limit(1.0, 7.38), System.smooth(1.0, 7.38, n=50)], ids=["limit", "smooth"]
+    )
+    def test_matches_panel_loop(self, system):
+        """The batched quadrature against one Gauss panel per piece, summed in a loop."""
+        traj = integrate(system, HistoryFunction.exp_decay(1.0), 6.0)
+        nodes, weights = np.polynomial.legendre.leggauss(6)
+        for tau, t in ((0.0, 6.0), (0.3, 2.71), (1.05, 1.3)):
+            total = 0.0
+            for i in range(len(traj.ts) - 1):
+                a, b = max(traj.ts[i], tau), min(traj.ts[i + 1], t)
+                if b <= a:
+                    continue
+                s = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+                xi = traj.eval_many(s - 1.0)
+                if system.kind == "limit":
+                    forcing = 0.0 if traj.side[i] == 1 else system.gain * system.feedback.clamped_power(xi)
+                else:
+                    forcing = system.gain * system.feedback.value(xi)
+                total += 0.5 * (b - a) * float(np.dot(weights, forcing * np.exp(-system.rate * (t - s))))
+            ref = abs(traj.eval(t) - math.exp(-system.rate * (t - tau)) * traj.eval(tau) - total)
+            assert integral_residual(traj, tau, t) == pytest.approx(ref, abs=1e-13)
 
 
 class TestMonotoneOrdering:
@@ -291,3 +317,44 @@ class TestCrossingLocator:
         ]
         assert later
         assert later == located
+
+
+@st.composite
+def forcing_blocks(draw):
+    """A stage grid on [0, span] with random forcing for m equations stepped together."""
+    rate = draw(st.floats(0.1, 10.0))
+    stages, h2 = _stage_grid(0.0, draw(st.floats(0.01, 1.0)), draw(st.floats(1e-3, 0.1)))
+    m = draw(st.integers(1, 5))
+    x0 = draw(arrays(np.float64, m, elements=st.floats(-3.0, 3.0)))
+    B = draw(arrays(np.float64, (stages.size, m), elements=st.floats(-20.0, 20.0)))
+    side = draw(arrays(np.int8, stages.size // 2, elements=st.integers(0, 1)))
+    return rate, stages, h2, x0, B, side
+
+
+class TestSharedStepper:
+    @settings(max_examples=200, deadline=None)
+    @given(forcing_blocks(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_columns_match_single_equations(self, case, thetas):
+        rate, stages, h2, x0, B, side = case
+        nodes = stages[0::2]
+        vals, d0, d1 = _rk4_affine_steps(rate, h2, x0, B)
+        t = nodes[0] + np.asarray(thetas) * (nodes[-1] - nodes[0])
+        dense = _eval_pieces(t, nodes, vals, d0, d1, side, rate)
+        assert vals.shape == (nodes.size, B.shape[1]) and dense.shape == (t.size, B.shape[1])
+        for j in range(B.shape[1]):
+            one = _rk4_affine_steps(rate, h2, x0[j], B[:, j])
+            for batched, single in zip((vals, d0, d1), one):
+                assert batched[:, j].tobytes() == single.tobytes()
+            single_dense = _eval_pieces(t, nodes, vals[:, j], d0[:, j], d1[:, j], side, rate)
+            assert dense[:, j].tobytes() == single_dense.tobytes()
+
+    def test_blocks_of_times_match_single_times(self):
+        """Wide columns split the times into several blocks; each row is evaluated on its own."""
+        rng = np.random.default_rng(0)
+        ts = np.cumsum(rng.uniform(0.01, 0.1, size=50))
+        xs = rng.normal(size=(50, 3000))
+        dl, dr = rng.normal(size=(49, 3000)), rng.normal(size=(49, 3000))
+        t = np.concatenate([ts[[0, 7, -1]], rng.uniform(ts[0], ts[-1], size=37)])
+        whole = _eval_pieces(t, ts, xs, dl, dr)
+        for i in range(t.size):
+            assert whole[i].tobytes() == _eval_pieces(t[i : i + 1], ts, xs, dl, dr)[0].tobytes()

@@ -4,7 +4,6 @@ import pytest
 from ddelab.nonlinearity import (
     Hill,
     PowerCutoff,
-    build_shifted,
     check_cutoff_conditions,
     closeness_report,
     feedback_from_json,
@@ -108,41 +107,6 @@ class TestCloseness:
     def test_kappa_domain_validated(self):
         with pytest.raises(ValueError):
             closeness_report(PowerCutoff(), Hill(), kappa=1.5)
-
-
-class TestShifted:
-    def test_vanishes_at_origin(self):
-        h = build_shifted(PowerCutoff(k=2.0), shift=0.3, splice=1.0)
-        assert h.value(0.0) == 0.0
-
-    def test_extension_continuous_at_splice(self):
-        h = build_shifted(PowerCutoff(k=2.0), shift=0.3, splice=1.0)
-        assert h.extended(1.0) == pytest.approx(1.0, abs=1e-12)
-        assert h.extended(1.0 + 1e-10) == pytest.approx(1.0, abs=1e-8)
-
-    def test_extension_saturates_at_two(self):
-        h = build_shifted(PowerCutoff(k=2.0), shift=0.3, splice=1.0)
-        assert h.extended(50.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_matches_base_on_unshifted_interval(self):
-        base = Hill(k=2.0, n=30)
-        h = build_shifted(base, shift=0.2, splice=0.6)
-        u = np.linspace(-0.2, 0.4, 500)
-        assert np.max(np.abs(h.value(u) - (base.value(0.2 + u) - base.value(0.2)))) == 0.0
-
-    def test_increasing_everywhere(self):
-        h = build_shifted(Hill(k=2.0, n=30), shift=0.2, splice=0.6)
-        u = np.linspace(-3.0, 3.0, 2001)
-        assert np.all(np.diff(h.value(u)) > 0.0)
-
-    def test_non_increasing_base_rejected(self):
-        # the Hill family decreases past its hump; splicing there is invalid
-        with pytest.raises(ValueError):
-            build_shifted(Hill(k=2.0, n=10), shift=0.2, splice=3.0)
-
-    def test_bad_ordering_rejected(self):
-        with pytest.raises(ValueError):
-            build_shifted(PowerCutoff(k=2.0), shift=1.2, splice=1.0)
 
 
 class TestSerialization:

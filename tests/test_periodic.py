@@ -7,6 +7,7 @@ from ddelab.dde import System, integrate, segment_at
 from ddelab.history import HistoryFunction
 from ddelab.periodic import (
     _SEG_MESH,
+    _interp_columns,
     contraction_factors,
     detect_periodic,
     hopf_orbit_search,
@@ -70,6 +71,16 @@ class TestMonodromy:
         system, _, orbit = x1_orbit_n100
         with pytest.raises(ValueError):
             monodromy_multipliers(system, orbit, N=10)
+
+    def test_columns_interpolate_like_np_interp(self):
+        """The period map's hat values, column by column, to the bit."""
+        rng = np.random.default_rng(0)
+        mesh = np.linspace(-1.0, 0.0, 21)
+        x = np.concatenate([mesh, [-1.5, 0.5], rng.uniform(-1.0, 0.0, size=60)])
+        fp = np.hstack([np.eye(21), rng.normal(size=(21, 3))])
+        got = _interp_columns(x, mesh, fp)
+        for i in range(fp.shape[1]):
+            assert got[:, i].tobytes() == np.interp(x, mesh, fp[:, i]).tobytes()
 
 
 class TestContraction:
