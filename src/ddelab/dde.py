@@ -80,11 +80,6 @@ class System:
     def smooth(cls, a: float, b: float, k: float = 2.0, n: int = 100) -> "System":
         return cls("smooth", float(a), float(b), Hill(k=k, n=n))
 
-    @property
-    def has_gap(self) -> bool:
-        """True in the standard regime gain > rate."""
-        return self.gain > self.rate
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -329,7 +324,9 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     lookups land on stored polynomials of the previous interval.  For limit
     systems, cutoff crossings of the computed solution split the next
     interval's integration so the discontinuous feedback is only ever
-    evaluated on one side.
+    evaluated on one side.  A crossing kinks the forcing for four delays
+    after it, so only the crossings within four delays before a unit are
+    scanned for that unit's breakpoints.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
@@ -377,6 +374,7 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         return out
 
     x_cur = x_start
+    first = 0  # crossings before this index are four delays or more in the past
     n_units = int(math.ceil(T - 1e-12))
     for unit in range(n_units):
         t0 = float(unit)
@@ -384,9 +382,11 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         bps: list[float] = []
         if limit:
             # a crossing at tc kinks the forcing at tc+1 and, one derivative
-            # milder each delay later, at tc+2, ...; split all of them so no
+            # milder each delay later, up to tc+4; split all of them so no
             # step spans a loss of smoothness
-            for tc, _dir in crossings:
+            while first < len(crossings) and crossings[first][0] + 4.0 <= t0 + 1e-12:
+                first += 1
+            for tc, _dir in crossings[first:]:
                 for gen in range(1, 5):
                     bp = tc + float(gen)
                     if t0 + 1e-12 < bp < t1 - 1e-12:
@@ -407,14 +407,15 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         for s0, s1 in zip(sub_edges[:-1], sub_edges[1:]):
             stages, h2 = _stage_grid(s0, s1, h)
             nodes = stages[0::2]
-            xi = delayed_eval(stages - 1.0, unit)
+            times = stages - 1.0
             if limit:
-                mid_val = float(delayed_eval(np.asarray([0.5 * (s0 + s1) - 1.0]), unit)[0])
-                above = mid_val > 1.0
-            else:
-                above = False
+                # one lookup also for the sub-interval's midpoint, whose delayed
+                # value tells on which side of the cutoff the forcing lies
+                times = np.append(times, 0.5 * (s0 + s1) - 1.0)
+            looked = delayed_eval(times, unit)
+            xi = looked[: stages.size]
             M = nodes.size - 1
-            if limit and above:
+            if limit and looked[-1] > 1.0:
                 node_vals = np.concatenate([[x_cur], x_cur * np.exp(-rate * h2 * np.arange(1, M + 1))])
                 d0, d1 = -rate * node_vals[:-1], -rate * node_vals[1:]
                 sides = np.ones(M, dtype=np.int8)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import brentq
 
 from ddelab.dde import (
     _SAMPLE_THETAS,
@@ -198,6 +199,27 @@ class TestEventSplit:
         model = x0 * np.exp(-(traj.ts[mask] - t0))
         rel = np.abs(traj.xs[mask] - model) / model
         assert np.max(rel) < 1e-10
+
+    def test_nodes_at_kinks_and_sides_from_midpoints(self):
+        T = 40.0
+        crossing_history = HistoryFunction.from_samples(np.linspace(-1.0, 0.0, 5), [0.4, 1.6, 0.7, 2.0, 0.5])
+        for history in (HistoryFunction.exp_decay(1.0), crossing_history):
+            traj = integrate(System.limit(1.0, 7.38), history, T)
+            s = np.linspace(-1.0, 0.0, 4001)
+            v = history.eval(s) - 1.0
+            past = [brentq(lambda x: history.eval(x) - 1.0, s[j], s[j + 1], xtol=1e-14)
+                    for j in np.flatnonzero((v[:-1] > 0.0) != (v[1:] > 0.0))]
+            located = past + [t for t, _ in traj.crossings(1.0)]
+            assert len(located) > 20
+            # a crossing kinks the forcing one to four delays later: a node sits at each kink
+            kinks = np.add.outer(located, np.arange(1.0, 5.0)).ravel()
+            kinks = kinks[(kinks > 0.0) & (kinks < T)]
+            gap = np.min(np.abs(traj.ts[None, :] - kinks[:, None]), axis=1)
+            assert np.max(gap) < 1e-10
+            # a piece decays freely exactly when its delayed midpoint lies above the cutoff
+            delayed = traj.eval_many(0.5 * (traj.ts[:-1] + traj.ts[1:]) - 1.0)
+            clear = np.abs(delayed - 1.0) > 1e-9
+            assert np.array_equal(traj.side[clear] == 1, delayed[clear] > 1.0)
 
 
 class TestStepHalving:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddelab.plotting import Series, emit_plot
-from ddelab.scenarios import ScenarioError, run_scenario, validate_scenario
+from ddelab.scenarios import _CSV_BLOCK, ScenarioError, _write_csv, run_scenario, validate_scenario
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -108,6 +109,25 @@ class TestRunScenario:
         doc = {"name": "fig", "task": "figure", "preset": "x9"}
         with pytest.raises(ScenarioError):
             run_scenario(str(write_scenario(tmp_path, doc)), out_dir=str(tmp_path / "out"))
+
+
+class TestCsv:
+    def test_blocks_match_per_value_formatting(self, tmp_path):
+        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308]
+        rng = np.random.default_rng(7)
+        for rows in (0, 1, _CSV_BLOCK, _CSV_BLOCK + 1):
+            table = rng.standard_normal((rows, len(special))) * 10.0 ** rng.integers(-300, 300, (rows, len(special)))
+            table[:1] = special
+            table[-1:] = special[::-1]
+            columns = {f"c{j}": table[:, j] for j in range(len(special))}
+            columns["n"] = list(range(rows))
+            keys = list(columns)
+            expected = ",".join(keys) + "\n" + "".join(
+                ",".join(f"{float(columns[k][i]):.12e}" for k in keys) + "\n" for i in range(rows)
+            )
+            path = tmp_path / f"rows{rows}.csv"
+            _write_csv(str(path), columns)
+            assert path.read_bytes() == expected.encode(), rows
 
 
 class TestPlot:
