@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 
 from .dde import (
     BoundsReport,
-    OrbitClassification,
     System,
     Trajectory,
     check_bounds,
     integral_residual,
     integrate,
-    omega_diagnose,
     segment_at,
 )
 from .history import HistoryFunction

@@ -33,12 +33,10 @@ __all__ = [
     "System",
     "Trajectory",
     "BoundsReport",
-    "OrbitClassification",
     "DDEIntegrationError",
     "integrate",
     "segment_at",
     "check_bounds",
-    "omega_diagnose",
     "integral_residual",
 ]
 
@@ -317,16 +315,17 @@ class Trajectory:
         return out
 
 
-def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) -> Trajectory:
-    """Advance the system from the given history to time ``T``.
+def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list):
+    """Advance the system to time ``T`` one unit interval at a time.
 
-    Fixed step ``1/N`` dividing the delay exactly (``N >= 100``); delayed
-    lookups land on stored polynomials of the previous interval.  For limit
-    systems, cutoff crossings of the computed solution split the next
-    interval's integration so the discontinuous feedback is only ever
-    evaluated on one side.  A crossing kinks the forcing for four delays
-    after it, so only the crossings within four delays before a unit are
-    scanned for that unit's breakpoints.
+    Yields ``(blk, touched)`` as each unit interval ends: its pieces
+    ``(ts, xs, dl, dr, side)``, whose first node is the last node of the
+    unit before, and the midpoints of its pieces that graze the cutoff.
+    For limit systems the cutoff crossings ``(t, upward)`` are appended to
+    ``crossings`` in time order as they are located, those of the history
+    first, so a caller that stops after any unit has seen every crossing up
+    to that unit's end.  The march is causal: a unit depends only on the
+    units before it, never on ``T`` beyond its own end.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
@@ -339,19 +338,11 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     fb = system.feedback
     h = 1.0 / N
 
-    x_start = float(history.eval(0.0))
-    events: list[dict] = []
-    grazes: list[float] = []
-    crossings: list[tuple[float, bool]] = []  # (t, upward) where x crosses the cutoff, in time order
-
     def record(times, ups) -> None:
         for tc, up in zip(times, ups):
             if crossings and abs(tc - crossings[-1][0]) < 1e-10:
                 continue
             crossings.append((tc, up))
-            bp = tc + 1.0
-            if bp <= T + 1e-12 and (not events or abs(bp - events[-1]["t"]) > 1e-10):
-                events.append({"t": bp, "kind": "forcing-off" if up else "forcing-on"})
 
     if limit:
         s, v = history.sampled(4001)
@@ -360,20 +351,19 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         )
         record(s_cross.tolist(), ups.tolist())
 
-    # the pieces (ts, xs, dl, dr, side) of each unit interval, for delayed lookups
-    blocks: list[tuple] = []
+    prev: Optional[tuple] = None  # the previous unit's pieces, for delayed lookups
 
-    def delayed_eval(times: np.ndarray, unit: int) -> np.ndarray:
+    def delayed_eval(times: np.ndarray) -> np.ndarray:
         out = np.empty_like(times)
         past = times <= 1e-14
         if np.any(past):
             out[past] = history.eval(np.clip(times[past], -1.0, 0.0))
         fut = ~past
         if np.any(fut):
-            out[fut] = _eval_pieces(times[fut], *blocks[unit - 1], rate)
+            out[fut] = _eval_pieces(times[fut], *prev, rate)
         return out
 
-    x_cur = x_start
+    x_cur = float(history.eval(0.0))
     first = 0  # crossings before this index are four delays or more in the past
     n_units = int(math.ceil(T - 1e-12))
     for unit in range(n_units):
@@ -412,7 +402,7 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
                 # one lookup also for the sub-interval's midpoint, whose delayed
                 # value tells on which side of the cutoff the forcing lies
                 times = np.append(times, 0.5 * (s0 + s1) - 1.0)
-            looked = delayed_eval(times, unit)
+            looked = delayed_eval(times)
             xi = looked[: stages.size]
             M = nodes.size - 1
             if limit and looked[-1] > 1.0:
@@ -437,20 +427,44 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         finite = np.isfinite(blk[1])
         if not np.all(finite):
             raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][~finite][0]:.6f}")
-        blocks.append(blk)
+        prev = blk
 
+        touched = np.empty(0)
         if limit:
             times, ups, touched = _level_crossings(1.0, *blk, rate)
-            grazes.extend(touched.tolist())
             record(times.tolist(), ups.tolist())
+        yield blk, touched
 
+
+def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) -> Trajectory:
+    """Advance the system from the given history to time ``T``.
+
+    Fixed step ``1/N`` dividing the delay exactly (``N >= 100``); delayed
+    lookups land on stored polynomials of the previous interval.  For limit
+    systems, cutoff crossings of the computed solution split the next
+    interval's integration so the discontinuous feedback is only ever
+    evaluated on one side.  A crossing kinks the forcing for four delays
+    after it, so only the crossings within four delays before a unit are
+    scanned for that unit's breakpoints.
+    """
+    crossings: list[tuple[float, bool]] = []
+    blocks: list[tuple] = []
+    grazes: list[float] = []
+    for blk, touched in _march(system, history, T, N, crossings):
+        blocks.append(blk)
+        grazes.extend(touched.tolist())
+    events: list[dict] = []
+    for tc, up in crossings:
+        bp = tc + 1.0
+        if bp <= T + 1e-12 and (not events or abs(bp - events[-1]["t"]) > 1e-10):
+            events.append({"t": bp, "kind": "forcing-off" if up else "forcing-on"})
     return Trajectory(
         system=system,
         history=history,
         N=N,
         T=float(T),
         ts=np.concatenate([[0.0]] + [blk[0][1:] for blk in blocks]),
-        xs=np.concatenate([[x_start]] + [blk[1][1:] for blk in blocks]),
+        xs=np.concatenate([[float(history.eval(0.0))]] + [blk[1][1:] for blk in blocks]),
         dl=np.concatenate([np.empty(0)] + [blk[2] for blk in blocks]),
         dr=np.concatenate([np.empty(0)] + [blk[3] for blk in blocks]),
         side=np.concatenate([np.empty(0, dtype=np.int8)] + [blk[4] for blk in blocks]),
@@ -508,48 +522,6 @@ def check_bounds(traj: Trajectory, band_tol: float = 1e-9) -> BoundsReport:
         lipschitz_bound=lip_bound,
         lipschitz_ok=bool(lip <= lip_bound + band_tol),
     )
-
-
-@dataclass(frozen=True)
-class OrbitClassification:
-    kind: str  # CONVERGES_TO | PERIODIC | BOUNDED_UNRESOLVED
-    value: Optional[float] = None
-    period: Optional[float] = None
-    evidence: dict = field(default_factory=dict)
-
-
-def omega_diagnose(traj: Trajectory, window: float = 20.0, tol: float = 1e-6) -> OrbitClassification:
-    """Numerical verdict on the tail of a trajectory (never a proof).
-
-    CONVERGES_TO(v) when the last window oscillates less than ``tol`` around
-    a stationary value; PERIODIC(w) when the level-return test finds a period;
-    BOUNDED_UNRESOLVED otherwise.
-    """
-    if traj.T < 3.0 * window:
-        raise ValueError("horizon too short for the requested window")
-    tt = np.linspace(traj.T - window, traj.T, 2001)
-    vals = traj.eval_many(tt)
-    osc = float(np.max(vals) - np.min(vals))
-    if osc < tol:
-        value = 0.5 * float(np.max(vals) + np.min(vals))
-        from .spectrum import stationary_points
-
-        ceiling = 0.999 if traj.system.kind == "limit" else max(2.0, value * 1.5)
-        cands = [p.value for p in stationary_points(traj.system, ceiling).points]
-        best = min(cands, key=lambda c: abs(c - value))
-        if abs(best - value) < max(tol, 10 * osc + 1e-12):
-            return OrbitClassification("CONVERGES_TO", value=best, evidence={"measured": value, "osc": osc})
-        return OrbitClassification("BOUNDED_UNRESOLVED", evidence={"measured": value, "osc": osc})
-    from .periodic import detect_periodic
-
-    transient = max(0.0, traj.T - 3.0 * window)
-    orbit = detect_periodic(traj, level=1.0, transient=transient)
-    if orbit is None:
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        orbit = detect_periodic(traj, level=0.5 * (lo + hi), transient=transient)
-    if orbit is not None:
-        return OrbitClassification("PERIODIC", period=orbit.omega, evidence={"residual": orbit.residual})
-    return OrbitClassification("BOUNDED_UNRESOLVED", evidence={"osc": osc})
 
 
 def integral_residual(traj: Trajectory, tau: float, t: float) -> float:

@@ -64,7 +64,7 @@ class PeriodicOrbit:
     samples_t: np.ndarray = field(repr=False)
     samples_x: np.ndarray = field(repr=False)
     segment_bank: np.ndarray = field(repr=False)  # (m, len(_SEG_MESH)) segments over one period
-    segment_eval: object = field(repr=False, default=None)  # phase -> exact segment values
+    segment_eval: object = field(repr=False)  # phase -> exact segment values
 
     @property
     def amplitude(self) -> float:
@@ -188,9 +188,9 @@ def _build_bank(eval_many, anchor: float, omega: float) -> np.ndarray:
 def orbit_distance(segment_values: np.ndarray, orbit: PeriodicOrbit) -> float:
     """One-sided distance: sup over the segment mesh, min over the orbit phase.
 
-    A coarse pass over the stored rows locates the phase; when the orbit
-    carries an exact segment evaluator the minimum is refined by ternary
-    search on the phase (the segment shape is too curved in the transition
+    A coarse pass over the stored rows locates the phase; the minimum is
+    then refined by ternary search on the phase with the orbit's exact
+    segment evaluator (the segment shape is too curved in the transition
     layers for row interpolation to reach small distances).
     """
     bank = orbit.segment_bank
@@ -198,12 +198,6 @@ def orbit_distance(segment_values: np.ndarray, orbit: PeriodicOrbit) -> float:
     m = int(np.argmin(diffs))
     best = float(diffs[m])
     spacing = orbit.omega / len(bank)
-    if orbit.segment_eval is None:
-        theta = np.linspace(0.0, 1.0, 65)[:, None]
-        for a, b in ((bank[m - 1], bank[m]), (bank[m], bank[(m + 1) % len(bank)])):
-            blend = (1.0 - theta) * a[None, :] + theta * b[None, :]
-            best = min(best, float(np.min(np.max(np.abs(blend - segment_values[None, :]), axis=1))))
-        return best
 
     def dist(tau: float) -> float:
         tau = tau % orbit.omega

@@ -6,7 +6,8 @@ probe stays under the cutoff and collapses to zero; above it the probe
 returns to the cutoff in finite time.  The two outcomes are decided in finite
 time by, respectively, a whole delay segment falling under the interior
 equilibrium (monotone trapping) and an event-located first contact with the
-cutoff.  Bisection on the gain brackets the critical value.
+cutoff.  A probe is marched one unit interval at a time and stops at the
+unit that decides it.  Bisection on the gain brackets the critical value.
 
 The envelope functions bound every sub- and super-cutoff excursion of the
 plus branch, yielding the invariant band, the recurrence gap, and the margin
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .dde import System, Trajectory, integrate
+from .dde import System, _march, integrate
 from .history import HistoryFunction
 from .nonlinearity import Hill, PowerCutoff
 from .spectrum import interior_equilibrium
@@ -50,12 +51,13 @@ class ZClassification:
     ``HITS_ONE`` carries the first-contact time ``tau0`` (probe time axis,
     where the decay profile occupies [0, 1]); ``IN_D`` carries the time at
     which a whole delay segment fell below the interior equilibrium.
+    ``max_value`` is the largest node value over the integrated stretch, up
+    to the unit interval that decided the probe.
     """
 
     verdict: str
     c: float
     d: float
-    horizon: float
     tau0: Optional[float] = None
     certificate_time: Optional[float] = None
     max_value: Optional[float] = None
@@ -72,43 +74,36 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0, N: int
 
     The probe time axis has the profile on [0, 1]; internally the integration
     starts at the profile's right end, so reported times are shifted by one.
-    Integration proceeds in chunks with early exit on either certificate.
+    The probe is marched one unit interval at a time up to ``T_max - 1`` and
+    stops at the first unit that decides it: an up-crossing of the cutoff
+    recorded by the march, or a whole delay segment below the interior
+    equilibrium, certified once the last node at or above it lies more than
+    ``1 + 2/N`` before the unit's end.  Monotone trapping keeps the solution
+    below the equilibrium after such a segment, so that node is final.
     """
     if not (c > 0 and d >= c):
         raise ValueError("need d >= c > 0")
     system = System.limit(c, d, k=k)
     history = HistoryFunction.exp_decay(c)
     xi1 = _probe_below_threshold(c, d, k)
-    horizon = 0.0
-    traj: Optional[Trajectory] = None
+    T = T_max - 1.0
+    crossings: list = []
     max_val = 0.0
-    while horizon < T_max - 1.0:
-        horizon = min(25.0 if horizon == 0.0 else 2.0 * horizon, T_max - 1.0)
-        traj = integrate(system, history, horizon, N=N)
-        max_val = max(max_val, float(np.max(traj.xs)))
-        ups = traj.crossings(1.0, "up", t_lo=0.0, t_hi=horizon)
-        if ups:
-            tau0 = ups[0][0] + 1.0
-            return ZClassification(HITS_ONE, c, d, horizon + 1.0, tau0=tau0, max_value=max_val)
+    last_above = 0.0  # time of the last node at or above xi1, 0 if none
+    for unit, (blk, _) in enumerate(_march(system, history, T, N, crossings)):
+        ts, xs = blk[0], blk[1]
+        max_val = max(max_val, float(np.max(xs)))
+        for tc, up in crossings:
+            if up and tc >= 0.0:
+                return ZClassification(HITS_ONE, c, d, tau0=tc + 1.0, max_value=max_val)
         if xi1 is not None:
-            t_cert = _first_window_below(traj, xi1)
-            if t_cert is not None:
-                return ZClassification(IN_D, c, d, horizon + 1.0, certificate_time=t_cert + 1.0, max_value=max_val)
-    return ZClassification(UNRESOLVED, c, d, T_max, max_value=max_val)
-
-
-def _first_window_below(traj: Trajectory, level: float) -> Optional[float]:
-    """Earliest t with the whole segment [t-1, t] strictly below ``level``."""
-    ts, xs = traj.ts, traj.xs
-    above = xs >= level * (1.0 - 1e-12)
-    if np.all(above):
-        return None
-    idx_above = np.flatnonzero(above)
-    last_above_t = ts[idx_above[-1]] if idx_above.size else ts[0]
-    t_cert = last_above_t + 1.0 + 2.0 / traj.N
-    if t_cert <= traj.T:
-        return float(t_cert)
-    return None
+            above = np.flatnonzero(xs >= xi1 * (1.0 - 1e-12))
+            if above.size:
+                last_above = float(ts[above[-1]])
+            t_cert = last_above + 1.0 + 2.0 / N
+            if t_cert <= min(unit + 1.0, T):
+                return ZClassification(IN_D, c, d, certificate_time=t_cert + 1.0, max_value=max_val)
+    return ZClassification(UNRESOLVED, c, d, max_value=max_val)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from ddelab.dde import (
     check_bounds,
     integral_residual,
     integrate,
-    omega_diagnose,
     segment_at,
 )
 from ddelab.history import HistoryFunction
@@ -237,36 +236,6 @@ class TestStepHalving:
         vals = [integrate(system, hist, 8.0, N=N).eval(8.0) for N in (100, 200, 400)]
         d1, d2 = abs(vals[0] - vals[1]), abs(vals[1] - vals[2])
         assert math.log2(d1 / d2) > 3.0
-
-
-class TestOmegaDiagnose:
-    def test_below_equilibrium_converges_to_zero(self):
-        system = System.limit(1.0, 1.3)  # interior equilibrium ~ 0.77
-        traj = integrate(system, HistoryFunction.constant(0.3), 60.0)
-        verdict = omega_diagnose(traj)
-        assert verdict.kind == "CONVERGES_TO" and verdict.value == 0.0
-
-    def test_constant_interior_equilibrium(self):
-        # the equilibrium is unstable, so the last-digit residual of the
-        # root-find grows like exp(lambda0 t); keep the horizon moderate
-        system = System.smooth(1.0, 7.38, n=100)
-        xi = stationary_points(system, 0.9).interior().value
-        traj = integrate(system, HistoryFunction.constant(xi), 30.0)
-        verdict = omega_diagnose(traj, window=10.0)
-        assert verdict.kind == "CONVERGES_TO"
-        assert verdict.value == pytest.approx(xi, abs=1e-6)
-
-    def test_periodic_verdict(self):
-        system = System.smooth(1.0, 7.38, n=100)
-        traj = integrate(system, HistoryFunction.constant(1.2), 260.0, N=400)
-        verdict = omega_diagnose(traj)
-        assert verdict.kind == "PERIODIC"
-        assert verdict.period > 1.0
-
-    def test_short_horizon_rejected(self):
-        traj = integrate(System.limit(1.0, 2.0), HistoryFunction.constant(0.5), 30.0)
-        with pytest.raises(ValueError):
-            omega_diagnose(traj, window=20.0)
 
 
 DECAY = 1.3

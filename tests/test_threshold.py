@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ddelab import threshold
+from ddelab.dde import System, integrate
+from ddelab.history import HistoryFunction
 from ddelab.nonlinearity import PowerCutoff
+from ddelab.spectrum import interior_equilibrium
 from ddelab.threshold import (
     HITS_ONE,
     IN_D,
@@ -38,9 +44,6 @@ class TestClassify:
         assert res.tau0 > 1.0
 
     def test_contact_value_accuracy(self):
-        from ddelab.dde import System, integrate
-        from ddelab.history import HistoryFunction
-
         res = classify_zd(1.0, 7.38)
         traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), res.tau0)
         assert abs(traj.eval(res.tau0 - 1.0) - 1.0) < 1e-10
@@ -48,6 +51,63 @@ class TestClassify:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             classify_zd(1.0, 0.5)
+
+
+def _probe_on_one_horizon(c: float, d: float, horizon: float = 25.0):
+    """The probe decided after one integration to ``horizon``, or None.
+
+    Re-scans the whole trajectory for the first up-crossing and takes the
+    certificate from the last node at or above the interior equilibrium.
+    """
+    traj = integrate(System.limit(c, d), HistoryFunction.exp_decay(c), horizon)
+    ups = traj.crossings(1.0, "up", t_lo=0.0, t_hi=horizon)
+    if ups:
+        return HITS_ONE, ups[0][0] + 1.0, None
+    above = traj.xs >= interior_equilibrium(c, d, 2.0) * (1.0 - 1e-12)
+    if np.all(above):
+        return None
+    last_above_t = traj.ts[np.flatnonzero(above)[-1]] if np.any(above) else traj.ts[0]
+    t_cert = last_above_t + 1.0 + 2.0 / traj.N
+    if t_cert <= traj.T:
+        return IN_D, None, float(t_cert) + 1.0
+    return None
+
+
+class TestProbeMarch:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 2.8]), st.floats(0.0, 3.0, exclude_min=True))
+    def test_matches_one_horizon_reference(self, c, excess):
+        d = c * (1.0 + excess)
+        assume(d > c * (1.0 + 1e-9))
+        ref = _probe_on_one_horizon(c, d)
+        assume(ref is not None)
+        res = classify_zd(c, d)
+        assert (res.verdict, res.tau0, res.certificate_time) == ref
+
+    @staticmethod
+    def _count_units(monkeypatch) -> list:
+        units = []
+        march = threshold._march
+
+        def counted(*args):
+            for item in march(*args):
+                units.append(1)
+                yield item
+
+        monkeypatch.setattr(threshold, "_march", counted)
+        return units
+
+    def test_contact_stops_within_two_units(self, monkeypatch):
+        units = self._count_units(monkeypatch)
+        res = classify_zd(1.0, 100.0)
+        assert res.verdict == HITS_ONE and 1.0 < res.tau0 <= 2.0
+        assert len(units) <= 2
+
+    def test_certificate_stops_at_its_unit(self, monkeypatch):
+        units = self._count_units(monkeypatch)
+        res = classify_zd(1.0, 1.1)
+        assert res.verdict == IN_D
+        assert len(units) == math.ceil(res.certificate_time - 1.0)
 
 
 class TestDStar:
@@ -88,9 +148,6 @@ class TestDStar:
 
 class TestOrdering:
     def test_probe_solutions_ordered_in_gain(self):
-        from ddelab.dde import System, integrate
-        from ddelab.history import HistoryFunction
-
         grid = [1.2, 1.35, 1.5, 1.62, 1.72]
         tt = np.linspace(1.01, 30.0, 4001)
         profiles = []
