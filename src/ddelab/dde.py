@@ -174,30 +174,28 @@ def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, width: np.ndarray, f):
     Row ``r`` of ``v`` holds ``g_r(thetas) - level``.  A sample exactly on
     the level counts as below it, as the cutoff feedback takes its value at
     1 from below; a bracket ``[thetas[j], thetas[j+1]]`` holds a crossing
-    when its two samples lie on different sides.  All brackets are halved
-    together, each until ``(hi - lo) * width[r] <= _BISECT_TOL``;
-    ``f(rows, theta)`` returns ``g - level`` at one parameter per row.
-    Returns the rows (in row, then bracket order), the midpoints of the
-    final brackets and whether each crossing is upward.
+    when its two samples lie on different sides.  Each bracket is halved on
+    plain floats until ``(hi - lo) * width[r] <= _BISECT_TOL``; ``f(r,
+    theta)`` returns ``g_r(theta) - level`` as a float.  Returns the rows
+    (in row, then bracket order), the midpoints of the final brackets and
+    whether each crossing is upward.
     """
     va, vb = v[:, :-1], v[:, 1:]
     rows, j = np.nonzero((va > 0.0) != (vb > 0.0))
-    lo, hi = thetas[j], thetas[j + 1]
-    flo = va[rows, j]
-    up = vb[rows, j] > flo
-    act = np.arange(rows.size)
-    while True:
-        act = act[(hi[act] - lo[act]) * width[rows[act]] > _BISECT_TOL]
-        if act.size == 0:
-            break
-        mid = 0.5 * (lo[act] + hi[act])
-        fm = f(rows[act], mid)
-        left = flo[act] * fm <= 0.0
-        hi[act[left]] = mid[left]
-        right = act[~left]
-        lo[right] = mid[~left]
-        flo[right] = fm[~left]
-    return rows, 0.5 * (lo + hi), up
+    up = vb[rows, j] > va[rows, j]
+    th = thetas.tolist()
+    mids = []
+    for r, k, flo, w in zip(rows.tolist(), j.tolist(), va[rows, j].tolist(), width[rows].tolist()):
+        lo, hi = th[k], th[k + 1]
+        while (hi - lo) * w > _BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            fm = f(r, mid)
+            if flo * fm <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        mids.append(0.5 * (lo + hi))
+    return rows, np.asarray(mids, dtype=float), up
 
 
 def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
@@ -233,8 +231,9 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     x0, d0, x1, d1 = xs[ih], dl[ih], xs[ih + 1], dr[ih]
     col = np.s_[:, None]
     v = _hermite_eval(_SAMPLE_THETAS, h[col], x0[col], d0[col], x1[col], d1[col]) - level
+    hl, x0l, d0l, x1l, d1l = (a.tolist() for a in (h, x0, d0, x1, d1))
     rows, theta, up = _bisect_crossings(
-        v, _SAMPLE_THETAS, h, lambda r, th: _hermite_eval(th, h[r], x0[r], d0[r], x1[r], d1[r]) - level
+        v, _SAMPLE_THETAS, h, lambda r, th: _hermite_eval(th, hl[r], x0l[r], d0l[r], x1l[r], d1l[r]) - level
     )
     t_herm = ts[ih[rows]] + theta * h[rows]
 
@@ -324,8 +323,9 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
     For limit systems the cutoff crossings ``(t, upward)`` are appended to
     ``crossings`` in time order as they are located, those of the history
     first, so a caller that stops after any unit has seen every crossing up
-    to that unit's end.  The march is causal: a unit depends only on the
-    units before it, never on ``T`` beyond its own end.
+    to that unit's end.  Each unit looks up its delayed values in one call.
+    The march is causal: a unit depends only on the units before it, never
+    on ``T`` beyond its own end.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
@@ -347,7 +347,7 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
     if limit:
         s, v = history.sampled(4001)
         _, s_cross, ups = _bisect_crossings(
-            (v - 1.0)[None, :], s, np.ones(1), lambda _rows, th: history.eval(th) - 1.0
+            (v - 1.0)[None, :], s, np.ones(1), lambda _row, th: history.eval(th) - 1.0
         )
         record(s_cross.tolist(), ups.tolist())
 
@@ -388,24 +388,22 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
                 merged.append(bp)
         sub_edges = [t0] + merged + [t1]
 
-        u_ts = [np.asarray([t0])]
-        u_xs = [np.asarray([x_cur])]
-        u_dl: list[np.ndarray] = []
-        u_dr: list[np.ndarray] = []
-        u_side: list[np.ndarray] = []
-
-        for s0, s1 in zip(sub_edges[:-1], sub_edges[1:]):
-            stages, h2 = _stage_grid(s0, s1, h)
+        # per sub-interval (ts, xs, dl, dr, side), led by the unit's first node
+        parts = [(np.asarray([t0]), np.asarray([x_cur]), np.empty(0), np.empty(0), np.empty(0, dtype=np.int8))]
+        spans = list(zip(sub_edges[:-1], sub_edges[1:]))
+        grids = [_stage_grid(s0, s1, h) for s0, s1 in spans]
+        # the stages of all sub-intervals, then (limit) their midpoints, whose
+        # delayed values tell on which side of the cutoff the forcing lies
+        mids = [0.5 * (s0 + s1) for s0, s1 in spans] if limit else []
+        looked = delayed_eval(np.concatenate([g[0] for g in grids] + [mids]) - 1.0)
+        at_mid = looked[looked.size - len(mids) :]
+        end = 0
+        for k, (stages, h2) in enumerate(grids):
             nodes = stages[0::2]
-            times = stages - 1.0
-            if limit:
-                # one lookup also for the sub-interval's midpoint, whose delayed
-                # value tells on which side of the cutoff the forcing lies
-                times = np.append(times, 0.5 * (s0 + s1) - 1.0)
-            looked = delayed_eval(times)
-            xi = looked[: stages.size]
+            xi = looked[end : end + stages.size]
+            end += stages.size
             M = nodes.size - 1
-            if limit and looked[-1] > 1.0:
+            if limit and at_mid[k] > 1.0:
                 node_vals = np.concatenate([[x_cur], x_cur * np.exp(-rate * h2 * np.arange(1, M + 1))])
                 d0, d1 = -rate * node_vals[:-1], -rate * node_vals[1:]
                 sides = np.ones(M, dtype=np.int8)
@@ -416,14 +414,10 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
                     B = gain * fb.value(np.maximum(xi, 0.0))
                 node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, B)
                 sides = np.zeros(M, dtype=np.int8)
-            u_ts.append(nodes[1:])
-            u_xs.append(node_vals[1:])
-            u_dl.append(d0)
-            u_dr.append(d1)
-            u_side.append(sides)
+            parts.append((nodes[1:], node_vals[1:], d0, d1, sides))
             x_cur = float(node_vals[-1])
 
-        blk = tuple(np.concatenate(part) for part in (u_ts, u_xs, u_dl, u_dr, u_side))
+        blk = tuple(np.concatenate(part) for part in zip(*parts))
         finite = np.isfinite(blk[1])
         if not np.all(finite):
             raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][~finite][0]:.6f}")
@@ -440,12 +434,13 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     """Advance the system from the given history to time ``T``.
 
     Fixed step ``1/N`` dividing the delay exactly (``N >= 100``); delayed
-    lookups land on stored polynomials of the previous interval.  For limit
-    systems, cutoff crossings of the computed solution split the next
-    interval's integration so the discontinuous feedback is only ever
-    evaluated on one side.  A crossing kinks the forcing for four delays
-    after it, so only the crossings within four delays before a unit are
-    scanned for that unit's breakpoints.
+    lookups land on stored polynomials of the previous interval, one lookup
+    per unit.  For limit systems, cutoff crossings of the computed solution,
+    each bracket halved on plain floats, split the next interval's
+    integration so the discontinuous feedback is only ever evaluated on one
+    side.  A crossing kinks the forcing for four delays after it, so only the
+    crossings within four delays before a unit are scanned for that unit's
+    breakpoints.
     """
     crossings: list[tuple[float, bool]] = []
     blocks: list[tuple] = []

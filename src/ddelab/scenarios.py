@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,6 +98,11 @@ def _system_from(spec) -> System:
     return System.smooth(float(spec["a"]), float(spec["b"]), k=k, n=int(spec["n"]))
 
 
+def _is_finite(v) -> bool:
+    """A JSON number, not a boolean, that a float holds finitely."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _check_history(problems, spec, path="history"):
     if spec is None:
         return
@@ -105,7 +111,7 @@ def _check_history(problems, spec, path="history"):
         return
     kind = spec.get("kind")
     if kind == "constant":
-        if "value" not in spec or not isinstance(spec["value"], (int, float)) or spec["value"] < 0:
+        if not (_is_finite(spec.get("value")) and spec["value"] >= 0):
             problems.append(f"{path}.value: must be a nonnegative number")
     elif kind == "exp-decay":
         pass
@@ -113,6 +119,18 @@ def _check_history(problems, spec, path="history"):
         mesh, vals = spec.get("mesh"), spec.get("values")
         if not (isinstance(mesh, list) and isinstance(vals, list) and len(mesh) == len(vals) and len(mesh) >= 2):
             problems.append(f"{path}: samples need matching 'mesh' and 'values' lists")
+            return
+        for i, m in enumerate(mesh):
+            if not _is_finite(m):
+                problems.append(f"{path}.mesh[{i}]: must be a number")
+        for i, v in enumerate(vals):
+            if not (_is_finite(v) and v >= 0):
+                problems.append(f"{path}.values[{i}]: must be a nonnegative number")
+        # the ends within the tolerance of HistoryFunction.from_samples
+        if all(map(_is_finite, mesh)) and not (
+            abs(mesh[0] + 1.0) <= 1e-12 and abs(mesh[-1]) <= 1e-12 and all(a < b for a, b in zip(mesh, mesh[1:]))
+        ):
+            problems.append(f"{path}.mesh: must run strictly increasing from -1 to 0")
     else:
         problems.append(f"{path}.kind: must be one of constant | exp-decay | samples")
 

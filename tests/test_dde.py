@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+from ddelab import dde
 from ddelab.dde import (
+    _BISECT_TOL,
     _SAMPLE_THETAS,
     System,
     _eval_pieces,
     _hermite_eval,
     _level_crossings,
+    _march,
     _rk4_affine_steps,
     _stage_grid,
     check_bounds,
@@ -221,6 +224,21 @@ class TestEventSplit:
             assert np.array_equal(traj.side[clear] == 1, delayed[clear] > 1.0)
 
 
+class TestMarchWork:
+    def test_one_delayed_lookup_per_unit(self, monkeypatch):
+        calls = []
+        evaluate = dde._eval_pieces
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(dde, "_eval_pieces", counted)
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 40.0)
+        assert len(traj.events) > 10
+        assert 0 < len(calls) <= 40
+
+
 class TestStepHalving:
     def test_fourth_order_smooth(self):
         system = System.smooth(1.0, 7.38, n=6)
@@ -272,7 +290,52 @@ def dense_pieces(draw):
     return arrays, level
 
 
+def batched_halving(v, thetas, width, f):
+    """Reference: every bracket of ``v`` halved together as arrays, ``f(rows, thetas)``."""
+    va, vb = v[:, :-1], v[:, 1:]
+    rows, j = np.nonzero((va > 0.0) != (vb > 0.0))
+    lo, hi, flo = thetas[j], thetas[j + 1], va[rows, j]
+    up = vb[rows, j] > flo
+    act = np.arange(rows.size)
+    while (act := act[(hi[act] - lo[act]) * width[rows[act]] > _BISECT_TOL]).size:
+        mid = 0.5 * (lo[act] + hi[act])
+        fm = f(rows[act], mid)
+        left = flo[act] * fm <= 0.0
+        hi[act[left]] = mid[left]
+        right = act[~left]
+        lo[right], flo[right] = mid[~left], fm[~left]
+    return rows, 0.5 * (lo + hi), up
+
+
 class TestCrossingLocator:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_pieces())
+    def test_matches_batched_halving(self, case):
+        """Bitwise the crossings of the batched array halving, closed-form decays merged in piece order."""
+        (ts, xs, dl, dr, side), level = case
+        times, ups, _ = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
+        ih = np.flatnonzero(side == 0)
+        coef = (ts[ih + 1] - ts[ih], xs[ih], dl[ih], xs[ih + 1], dr[ih])
+        v = _hermite_eval(_SAMPLE_THETAS, *(c[:, None] for c in coef)) - level
+        rows, theta, up = batched_halving(
+            v, _SAMPLE_THETAS, coef[0], lambda r, th: _hermite_eval(th, *(c[r] for c in coef)) - level
+        )
+        ie = [k for k in np.flatnonzero(side == 1) if xs[k] > level >= xs[k + 1]]
+        t_exp = [ts[k] + math.log(xs[k] / level) / DECAY for k in ie]
+        order = np.argsort(np.concatenate([ie, ih[rows]]), kind="stable")
+        assert np.array_equal(times, np.concatenate([t_exp, ts[ih[rows]] + theta * coef[0][rows]])[order])
+        assert np.array_equal(ups, np.concatenate([np.zeros(len(ie), dtype=bool), up])[order])
+
+    def test_history_scan_matches_batched_halving(self):
+        history = HistoryFunction.from_samples(np.linspace(-1.0, 0.0, 6), [0.3, 1.7, 0.6, 1.2, 0.9, 2.0])
+        crossings = []
+        list(_march(System.limit(1.0, 7.38), history, 0.0, 200, crossings))
+        s, v = history.sampled(4001)
+        _, ref, up = batched_halving((v - 1.0)[None, :], s, np.ones(1), lambda _r, th: history.eval(th) - 1.0)
+        assert len(crossings) == 5
+        assert np.array_equal([tc for tc, _ in crossings], ref)
+        assert [u for _, u in crossings] == up.tolist()
+
     @settings(max_examples=300, deadline=None)
     @given(dense_pieces())
     def test_one_root_per_sign_change(self, case):

@@ -50,6 +50,31 @@ class TestValidation:
         assert len(err.value.problems) >= 3
 
 
+_BAD_HISTORIES = [
+    ({"kind": "samples", "mesh": [-1.0, 0.0], "values": [-0.5, 1.0]}, "history.values[0]"),
+    ({"kind": "samples", "mesh": [0.0, -1.0], "values": [1.0, 1.0]}, "history.mesh"),
+    ({"kind": "samples", "mesh": [-2.0, 0.0], "values": [1.0, 1.0]}, "history.mesh"),
+    ({"kind": "samples", "mesh": [-1.0, -0.5, -0.5, 0.0], "values": [1.0, 1.0, 1.0, 1.0]}, "history.mesh"),
+    ({"kind": "samples", "mesh": [-1.0, 0.0], "values": ["a", 1.0]}, "history.values[0]"),
+    ({"kind": "samples", "mesh": [-1.0, None], "values": [1.0, 1.0]}, "history.mesh[1]"),
+    ({"kind": "constant", "value": True}, "history.value"),
+    ({"kind": "constant", "value": math.nan}, "history.value"),
+    ({"kind": "constant", "value": math.inf}, "history.value"),
+]
+
+
+class TestHistoryValidation:
+    @pytest.mark.parametrize("history,field", _BAD_HISTORIES)
+    def test_bad_history_names_its_field(self, history, field):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(SIM, history=history))
+        assert [p for p in err.value.problems if p.startswith(field + ":")], err.value.problems
+
+    def test_good_samples_accepted(self):
+        history = {"kind": "samples", "mesh": [-1, -0.5, 0], "values": [0.0, 2, 0.5]}
+        validate_scenario(dict(SIM, history=history))
+
+
 class TestRunScenario:
     def test_simulate_artifacts(self, tmp_path):
         path = write_scenario(tmp_path, SIM)
@@ -169,6 +194,13 @@ class TestCli:
         proc = self.run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "system.d" in proc.stderr
+
+    @pytest.mark.parametrize("history,field", [_BAD_HISTORIES[i] for i in (0, 1, 6)])
+    def test_bad_history_exit_two(self, tmp_path, history, field):
+        path = write_scenario(tmp_path, dict(SIM, history=history))
+        proc = self.run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert field in proc.stderr and "Traceback" not in proc.stderr
 
     def test_unresolved_exit_three(self, tmp_path):
         # a converging trajectory has no orbit to detect
