@@ -21,14 +21,7 @@ from .dde import (
 )
 from .history import HistoryFunction
 from .manifold import BranchSolution, convergence_table, exp_segment_check, shoot_branch
-from .nonlinearity import (
-    Hill,
-    PowerCutoff,
-    check_cutoff_conditions,
-    closeness_report,
-    feedback_from_json,
-    feedback_to_json,
-)
+from .nonlinearity import Hill, PowerCutoff, feedback_from_json, feedback_to_json
 from .periodic import (
     ConnectionDiagram,
     FloquetReport,
@@ -37,7 +30,6 @@ from .periodic import (
     detect_periodic,
     hopf_orbit_search,
     monodromy_multipliers,
-    verify_attraction,
 )
 from .spectrum import (
     HopfData,

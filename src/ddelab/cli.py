@@ -1,8 +1,9 @@
 """Command-line entry point: ``ddelab <task> --scenario <file> [--out <dir>]``.
 
 Every task accepts a scenario file; ``spectrum`` and ``threshold`` also take
-direct flags for quick interactive use.  Exit codes: 0 all verdicts resolved,
-2 validation failure, 3 at least one verdict unresolved.
+direct flags for quick interactive use, validated as the scenario fields of
+the same names.  Exit codes: 0 all verdicts resolved, 2 validation failure,
+3 at least one verdict unresolved.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .scenarios import TASKS, ScenarioError, run_scenario
+from .scenarios import TASKS, ScenarioError, run_scenario, validate_scenario
 from .spectrum import spectrum_report
 from .threshold import find_dstar
 
@@ -22,6 +23,12 @@ def _add_common(p):
     p.add_argument("--out", help="output directory (default: ./<scenario name>)")
 
 
+def _report(exc: ScenarioError) -> int:
+    for problem in exc.problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 2
+
+
 def _run_from_scenario(args, task: str) -> int:
     if not args.scenario:
         print(f"error: task '{task}' needs --scenario", file=sys.stderr)
@@ -29,9 +36,7 @@ def _run_from_scenario(args, task: str) -> int:
     try:
         result = run_scenario(args.scenario, out_dir=args.out)
     except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
+        return _report(exc)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -42,6 +47,15 @@ def _run_from_scenario(args, task: str) -> int:
         print("warning: unresolved verdicts present", file=sys.stderr)
         return 3
     return 0
+
+
+def _run_direct(args, fields: dict, run) -> int:
+    """Check the direct flags as the task's scenario fields, then ``run(args)``."""
+    try:
+        validate_scenario({"name": args.task, "task": args.task, **fields})
+    except ScenarioError as exc:
+        return _report(exc)
+    return run(args)
 
 
 def _spectrum_direct(args) -> int:
@@ -77,9 +91,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.task == "spectrum" and args.scenario is None and args.rate is not None and args.slope is not None:
-        return _spectrum_direct(args)
+        return _run_direct(args, {"rate": args.rate, "slope": args.slope, "pairs": args.pairs}, _spectrum_direct)
     if args.task == "threshold" and args.scenario is None and args.c is not None:
-        return _threshold_direct(args)
+        return _run_direct(args, {"c": args.c, "tol": args.tol, "T_max": args.Tmax}, _threshold_direct)
     return _run_from_scenario(args, args.task)
 
 

@@ -82,5 +82,5 @@ class HistoryFunction:
     def min(self) -> float:
         return float(np.min(self.eval(_PROBE)))
 
-    def is_nonnegative(self, tol: float = 1e-12) -> bool:
-        return self.min() >= -tol
+    def is_nonnegative(self) -> bool:
+        return self.min() >= -1e-12

@@ -211,45 +211,34 @@ class ConvergenceTable:
         return self.rows[-1][1]
 
 
-def convergence_table(
-    c: float,
-    d: float,
-    k: float,
-    n_grid,
-    m: Optional[int] = None,
-    kappa: Optional[float] = None,
-    rates=None,
-    N: int = 200,
-) -> ConvergenceTable:
+def convergence_table(c: float, d: float, k: float, n_grid) -> ConvergenceTable:
     """Distances of the finite-n plus branches to the limit branch on [0, m].
 
-    Both solutions are anchored at the same marker offset ``kappa``; rows also
-    report the distance between the anchored initial segments and whether the
-    finite-n branch clears ``1 + eps`` on the limit branch's super-threshold
-    window.  ``rates`` optionally supplies per-n ``(a_n, b_n)``; the default
-    uses ``(c, d)`` for every n.
+    Every branch is integrated at N=200 with the rates ``(c, d)`` and anchored
+    at the same marker offset ``kappa``, half the gap from the limit
+    equilibrium to the cutoff; ``m = ceil(t2) + 1`` for the limit branch's
+    return crossing ``t2``.  Rows also report the distance between the
+    anchored initial segments and whether the finite-n branch clears
+    ``1 + eps`` on the limit branch's super-threshold window.
     """
     limit_sys = System.limit(c, d, k=k)
     xi1 = stationary_points(limit_sys, 0.999).interior().value
-    if kappa is None:
-        kappa = 0.5 * (1.0 - xi1)
-    x_sol = shoot_branch(limit_sys, "plus", kappa=kappa, T=(m or 12) + 6.0, N=N)
+    kappa = 0.5 * (1.0 - xi1)
+    x_sol = shoot_branch(limit_sys, "plus", kappa=kappa, T=18.0)
     lm = x_sol.landmarks
-    if m is None:
-        if lm.t2 is None:
-            raise ValueError("limit branch has no return crossing; cannot choose m")
-        m = int(math.ceil(lm.t2)) + 1
+    if lm.t2 is None:
+        raise ValueError("limit branch has no return crossing; cannot choose m")
+    m = int(math.ceil(lm.t2)) + 1
     tt = np.linspace(0.0, float(m), 200 * m + 1)
     ss = np.linspace(-1.0, 0.0, 201)
     x_on = x_sol.eval_many(tt)
     x_seed = x_sol.eval_many(ss)
 
     rows = []
-    for idx, n in enumerate(n_grid):
-        a_n, b_n = (c, d) if rates is None else rates[idx]
-        sys_n = System.smooth(a_n, b_n, k=k, n=int(n))
+    for n in n_grid:
+        sys_n = System.smooth(c, d, k=k, n=int(n))
         try:
-            y_sol = shoot_branch(sys_n, "plus", kappa=kappa, T=float(m) + 4.0, N=N)
+            y_sol = shoot_branch(sys_n, "plus", kappa=kappa, T=float(m) + 4.0)
         except (ValueError, RuntimeError):
             rows.append((int(n), math.nan, math.nan, False))
             continue

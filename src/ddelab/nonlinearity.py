@@ -21,10 +21,6 @@ __all__ = [
     "PowerCutoff",
     "Hill",
     "Feedback",
-    "ConditionReport",
-    "ClosenessReport",
-    "check_cutoff_conditions",
-    "closeness_report",
     "feedback_to_json",
     "feedback_from_json",
 ]
@@ -116,106 +112,8 @@ class Hill:
         """``value(x) <= x**(k-n)`` for x >= xi; bound at the left endpoint."""
         return xi ** (self.k - self.n)
 
-    def tail_deriv_bound(self, xi: float) -> float:
-        """Crude majorant of ``|deriv|`` on [xi, infinity) for xi > 1."""
-        return (self.n + self.k) * xi ** (self.k - 1.0 - self.n)
-
 
 Feedback = Union[PowerCutoff, Hill]
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the structural checks on a cutoff family."""
-
-    passed: bool
-    clauses: dict
-    violated: tuple
-
-
-def check_cutoff_conditions(g: PowerCutoff, grid_points: int = 10_000) -> ConditionReport:
-    """Check the structural conditions on a ``PowerCutoff`` family.
-
-    Verifies value and slope at the origin, the normalisation at the cutoff,
-    and that the secant slope stays strictly below the derivative on a dense
-    grid of (0, 1].  Failures are reported, never raised.
-    """
-    clauses = {}
-    clauses["value_at_origin"] = (g.value(0.0) == 0.0, g.value(0.0))
-    if g.k > 1.0:
-        slope0, ok0 = 0.0, True
-    elif g.k == 1.0:
-        slope0, ok0 = 1.0, False
-    else:
-        slope0, ok0 = math.inf, False
-    clauses["slope_at_origin"] = (ok0, slope0)
-    clauses["value_at_cutoff"] = (abs(g.value(1.0) - 1.0) < 1e-14, g.value(1.0))
-    grid = np.linspace(1e-3, 1.0, grid_points)
-    gap = g.deriv(grid) - g.value(grid) / grid
-    min_gap = float(np.min(gap)) if np.all(np.isfinite(gap)) else -math.inf
-    clauses["strict_slope_gap"] = (min_gap > 0.0, min_gap)
-    violated = tuple(name for name, (ok, _) in clauses.items() if not ok)
-    return ConditionReport(passed=not violated, clauses=clauses, violated=violated)
-
-
-@dataclass(frozen=True)
-class ClosenessReport:
-    """Sup-norm distances between a smooth family and the cutoff family.
-
-    The distances are taken over ``[0, 1-kappa] + [1+kappa, K]``; the part of
-    the unbounded tail beyond ``K`` is covered by the analytic decay bounds of
-    the Hill family and folded into the reported suprema.
-    """
-
-    kappa: float
-    K: float
-    sup_value_diff: float
-    sup_deriv_diff: float
-    tail_sup_deriv: float
-    full_sup_deriv: float
-
-    def product(self, m: int) -> float:
-        """Tail slope times the m-th power of the global slope bound."""
-        return self.tail_sup_deriv * self.full_sup_deriv**m
-
-
-def closeness_report(g: PowerCutoff, f: Feedback, kappa: float, K: float = 100.0) -> ClosenessReport:
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must lie in (0, 1)")
-    if not K > 1.0 + kappa:
-        raise ValueError("K must exceed 1 + kappa")
-    left = np.linspace(0.0, 1.0 - kappa, 4000)
-    right = np.concatenate(
-        [
-            np.linspace(1.0 + kappa, min(2.0 + kappa, K), 3000),
-            np.geomspace(min(2.0 + kappa, K), K, 1000),
-        ]
-    )
-    full = np.concatenate([np.linspace(0.0, 2.0, 8000), np.geomspace(2.0, K, 1000)])
-
-    tail_v = f.tail_value_bound(K) if isinstance(f, Hill) else 0.0
-    tail_d = f.tail_deriv_bound(K) if isinstance(f, Hill) else 0.0
-
-    dv = max(
-        float(np.max(np.abs(f.value(left) - g.value(left)))),
-        float(np.max(np.abs(f.value(right)))),  # g vanishes above the cutoff
-        tail_v,
-    )
-    dd = max(
-        float(np.max(np.abs(f.deriv(left) - g.deriv(left)))),
-        float(np.max(np.abs(f.deriv(right)))),
-        tail_d,
-    )
-    tail_sup = max(float(np.max(np.abs(f.deriv(right)))), tail_d)
-    full_sup = max(float(np.max(np.abs(f.deriv(full)))), tail_d)
-    return ClosenessReport(
-        kappa=kappa,
-        K=K,
-        sup_value_diff=dv,
-        sup_deriv_diff=dd,
-        tail_sup_deriv=tail_sup,
-        full_sup_deriv=full_sup,
-    )
 
 
 def feedback_to_json(f: Feedback) -> dict:

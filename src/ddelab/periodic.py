@@ -26,7 +26,6 @@ import numpy as np
 
 from .dde import System, Trajectory, _eval_pieces, _rk4_affine_steps, _stage_grid, integrate, segment_at
 from .history import HistoryFunction
-from .nonlinearity import Hill
 from .spectrum import HopfData, hopf_data, stationary_points
 from .threshold import HITS_ONE, IN_D, UNRESOLVED, classify_zd, envelopes
 
@@ -34,15 +33,12 @@ __all__ = [
     "PeriodicOrbit",
     "contraction_factors",
     "FloquetReport",
-    "AttractionReport",
     "HopfSearchResult",
     "ConnectionDiagram",
     "detect_periodic",
     "monodromy_multipliers",
-    "verify_attraction",
     "hopf_orbit_search",
     "connection_diagram",
-    "orbit_distance",
 ]
 
 _SEG_MESH = np.linspace(-1.0, 0.0, 201)
@@ -63,8 +59,6 @@ class PeriodicOrbit:
     residual: float
     samples_t: np.ndarray = field(repr=False)
     samples_x: np.ndarray = field(repr=False)
-    segment_bank: np.ndarray = field(repr=False)  # (m, len(_SEG_MESH)) segments over one period
-    segment_eval: object = field(repr=False)  # phase -> exact segment values
 
     @property
     def amplitude(self) -> float:
@@ -81,26 +75,21 @@ class PeriodicOrbit:
         }
 
 
-def _segment_values(traj: Trajectory, t: float) -> np.ndarray:
-    return traj.eval_many(t + _SEG_MESH)
-
-
 def _segment_distance(traj: Trajectory, t_a: float, t_b: float) -> float:
-    return float(np.max(np.abs(_segment_values(traj, t_a) - _segment_values(traj, t_b))))
+    return float(np.max(np.abs(traj.eval_many(t_a + _SEG_MESH) - traj.eval_many(t_b + _SEG_MESH))))
 
 
 def detect_periodic(
     traj: Trajectory,
     level: float = 1.0,
     transient: Optional[float] = None,
-    gap_rtol: float = 1e-4,
     resid_tol: float = 1e-6,
 ) -> Optional[PeriodicOrbit]:
     """Detect a periodic orbit in the tail of a trajectory.
 
     Increasing crossings of ``level`` after the transient propose the period
-    (directly if the gaps agree to ``gap_rtol`` relative, otherwise by
-    constant multi-crossing return lags).  The candidate must pass the
+    (directly if the gaps agree to 1e-4 relative, otherwise by constant
+    multi-crossing return lags).  The candidate must pass the
     segment-return residual at ``resid_tol``; sub-multiples that also pass
     replace it.  Returns None when fewer than 4 crossings exist or the gaps
     drift.
@@ -127,7 +116,7 @@ def detect_periodic(
             med = float(np.median(laps))
             if med <= 0:
                 continue
-            if float(np.max(laps) - np.min(laps)) <= gap_rtol * med:
+            if float(np.max(laps) - np.min(laps)) <= 1e-4 * med:
                 a = float(ups[min(int(0.7 * (len(ups) - 1)), len(ups) - 2)])
                 while a + med > traj.T and a > ups[0]:
                     i = int(np.searchsorted(ups, a)) - 1
@@ -161,7 +150,6 @@ def detect_periodic(
         return None
     ts = np.linspace(anchor, anchor + omega, max(256, int(64 * omega)), endpoint=False)
     xs = traj.eval_many(ts)
-    bank = _build_bank(traj.eval_many, anchor, omega)
     return PeriodicOrbit(
         q0=segment_at(traj, anchor),
         omega=float(omega),
@@ -173,47 +161,7 @@ def detect_periodic(
         residual=resid,
         samples_t=ts - anchor,
         samples_x=xs,
-        segment_bank=bank,
-        segment_eval=lambda tau: traj.eval_many(anchor + tau + _SEG_MESH),
     )
-
-
-def _build_bank(eval_many, anchor: float, omega: float) -> np.ndarray:
-    rows = int(np.clip(200.0 * omega, 400, 8000))
-    bank_t = np.linspace(anchor, anchor + omega, rows, endpoint=False)
-    times = bank_t[:, None] + _SEG_MESH[None, :]
-    return eval_many(times.ravel()).reshape(rows, _SEG_MESH.size)
-
-
-def orbit_distance(segment_values: np.ndarray, orbit: PeriodicOrbit) -> float:
-    """One-sided distance: sup over the segment mesh, min over the orbit phase.
-
-    A coarse pass over the stored rows locates the phase; the minimum is
-    then refined by ternary search on the phase with the orbit's exact
-    segment evaluator (the segment shape is too curved in the transition
-    layers for row interpolation to reach small distances).
-    """
-    bank = orbit.segment_bank
-    diffs = np.max(np.abs(bank - segment_values[None, :]), axis=1)
-    m = int(np.argmin(diffs))
-    best = float(diffs[m])
-    spacing = orbit.omega / len(bank)
-
-    def dist(tau: float) -> float:
-        tau = tau % orbit.omega
-        return float(np.max(np.abs(orbit.segment_eval(tau) - segment_values)))
-
-    lo = m * spacing - spacing
-    hi = m * spacing + spacing
-    for _ in range(60):
-        third = (hi - lo) / 3.0
-        if dist(lo + third) <= dist(hi - third):
-            hi = hi - third
-        else:
-            lo = lo + third
-        if hi - lo < 1e-12:
-            break
-    return min(best, dist(0.5 * (lo + hi)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,46 +379,6 @@ def contraction_factors(
     return factors
 
 
-@dataclass(frozen=True)
-class AttractionReport:
-    trials: int
-    passed: int
-    failures: tuple  # (trial index, final distance)
-    eps: float
-    T: float
-
-
-def verify_attraction(
-    system: System,
-    orbit: PeriodicOrbit,
-    eps: float,
-    trials: int = 20,
-    T: float = 120.0,
-    seed: int = 0,
-    dist_tol: float = 1e-3,
-) -> AttractionReport:
-    """Spot-check that histories above ``1 + eps`` settle on the orbit.
-
-    Random shape-preserving histories with values in [1 + eps, 2*gain/rate]
-    are integrated for ``T``; each final segment must come within
-    ``dist_tol`` of the stored orbit samples.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rng = np.random.default_rng(seed)
-    hi = 2.0 * system.gain / system.rate
-    failures = []
-    for trial in range(trials):
-        nodes = np.linspace(-1.0, 0.0, int(rng.integers(6, 14)))
-        vals = rng.uniform(1.0 + eps, hi, size=nodes.size)
-        hist = HistoryFunction.from_samples(nodes, vals)
-        traj = integrate(system, hist, T, N=200)
-        dist = orbit_distance(_segment_values(traj, traj.T), orbit)
-        if dist >= dist_tol:
-            failures.append((trial, dist))
-    return AttractionReport(trials=trials, passed=trials - len(failures), failures=tuple(failures), eps=eps, T=T)
-
-
 # ---------------------------------------------------------------------------
 # small orbits near the interior equilibrium
 # ---------------------------------------------------------------------------
@@ -492,25 +400,26 @@ def _newton_periodic(
     omega0: float,
     ref_dphase: np.ndarray,
     center: float,
-    max_iter: int = 30,
-    tol: float = 1e-10,
-    N_int: int = 200,
 ) -> Optional[tuple]:
-    """Damped Newton solve of ``segment-map(u, omega) = u`` with a phase pin."""
+    """Damped Newton solve of ``segment-map(u, omega) = u`` with a phase pin.
+
+    At most 30 steps, each integrating one period at N=200, until the
+    residual falls below 1e-10.
+    """
     N = len(mesh) - 1
     u = u0.copy()
     omega = omega0
     w = np.full(N + 1, 1.0 / N)
     w[0] *= 0.5
     w[-1] *= 0.5
-    for _ in range(max_iter):
+    for _ in range(30):
         hist = HistoryFunction.from_samples(mesh, u)
-        base = integrate(system, hist, omega, N=N_int)
+        base = integrate(system, hist, omega, N=200)
         Su = base.eval_many(omega + mesh)
         R = Su - u
         phase = float(np.dot(w * ref_dphase, u - center))
         res = max(float(np.max(np.abs(R))), abs(phase))
-        if res < tol:
+        if res < 1e-10:
             return u, omega, base, res
         Mmat = _period_map_matrix(base, N)
         xi_end = base.eval_many(np.maximum(omega + mesh - 1.0, -1.0 + 1e-12))
@@ -540,35 +449,32 @@ def hopf_orbit_search(
     n: int,
     j: int = 1,
     alphas=None,
-    amp_guesses=(0.03, 0.06, 0.1),
-    mesh_N: int = 100,
-    amp_cap: float = 0.2,
-    tol: float = 1e-10,
 ) -> Optional[HopfSearchResult]:
     """Scan the detuning grid for a small orbit around the interior equilibrium.
 
     At each ``alpha`` the parameters are ``(1+alpha) * beta * (c, d)``; the
     period-map fixed point is solved by Newton, seeded on the crossing-pair
-    eigendirection ``cos(theta_n * s)`` with period guess ``2 pi / theta_n``.
-    The orbit is a saddle (the strong real instability survives), so forward
-    simulation cannot find it; the Newton solve replaces it.  Returns the
-    first success with amplitude below ``amp_cap``; None when the whole grid
-    yields only the equilibrium.  ``alphas=None`` scans the default grid.
+    eigendirection ``A cos(theta_n * s)`` (A = 0.03, 0.06, 0.1) on a 100-step
+    segment mesh, with period guess ``2 pi / theta_n``.  The orbit is a saddle
+    (the strong real instability survives), so forward simulation cannot find
+    it; the Newton solve replaces it.  Returns the first success with
+    amplitude below 0.2; None when the whole grid yields only the
+    equilibrium.  ``alphas=None`` scans the default grid.
     """
-    mesh = np.linspace(-1.0, 0.0, mesh_N + 1)
+    mesh = np.linspace(-1.0, 0.0, 101)
     for alpha in _HOPF_ALPHAS if alphas is None else alphas:
         hd = hopf_data(c, d, k, n, j=j, alpha=alpha)
         system = System.smooth(hd.a_n, hd.b_n, k=k, n=n)
         xi = stationary_points(system, 0.9).interior().value
         ref_dphase = -np.sin(hd.theta_n * mesh) * hd.theta_n
-        for A0 in amp_guesses:
+        for A0 in (0.03, 0.06, 0.1):
             u0 = xi + A0 * np.cos(hd.theta_n * mesh)
-            got = _newton_periodic(system, u0, mesh, hd.omega_guess, ref_dphase, xi, tol=tol)
+            got = _newton_periodic(system, u0, mesh, hd.omega_guess, ref_dphase, xi)
             if got is None:
                 continue
             u, omega, base, res = got
             amp = float(np.max(np.abs(u - xi)))
-            if amp < 1e-4 or amp > amp_cap:
+            if amp < 1e-4 or amp > 0.2:
                 continue
             if not 0.5 * hd.omega_guess < omega < 2.0 * hd.omega_guess:
                 continue
@@ -583,7 +489,6 @@ def hopf_orbit_search(
 def _orbit_from_solution(system, u, mesh, omega, base: Trajectory, level: float, resid: float) -> PeriodicOrbit:
     ts = np.linspace(0.0, omega, 256, endpoint=False)
     xs = base.eval_many(ts)
-    bank = _build_bank(lambda t: base.eval_many(np.clip(t, -1.0, base.T)), 0.0, omega)
     return PeriodicOrbit(
         q0=HistoryFunction.from_samples(mesh, u),
         omega=float(omega),
@@ -595,8 +500,6 @@ def _orbit_from_solution(system, u, mesh, omega, base: Trajectory, level: float,
         residual=resid,
         samples_t=ts,
         samples_x=xs,
-        segment_bank=bank,
-        segment_eval=lambda tau: base.eval_many(np.clip(tau + _SEG_MESH, -1.0, base.T)),
     )
 
 
@@ -632,14 +535,10 @@ class ConnectionDiagram:
         return out
 
 
-def _fate_of_trajectory(traj: Trajectory, orbit: Optional[PeriodicOrbit], zero_tol: float = 1e-3) -> tuple[str, dict]:
+def _fate_of_trajectory(traj: Trajectory) -> tuple[str, dict]:
     tail = traj.eval_many(np.linspace(traj.T - 5.0, traj.T, 501))
-    if float(np.max(np.abs(tail))) < zero_tol:
+    if float(np.max(np.abs(tail))) < 1e-3:
         return "ZERO", {"tail_max": float(np.max(np.abs(tail)))}
-    if orbit is not None:
-        dist = orbit_distance(_segment_values(traj, traj.T), orbit)
-        if dist < 1e-3:
-            return "ORBIT", {"distance": dist}
     det = detect_periodic(traj, level=1.0, transient=max(0.0, traj.T - 60.0), resid_tol=1e-4)
     if det is not None:
         return "ORBIT", {"omega": det.omega}
@@ -652,14 +551,10 @@ def connection_diagram(
     k: float,
     n: int,
     dstar: Optional[float] = None,
-    delta: float = 0.05,
     with_hopf: bool = False,
-    j: int = 1,
     hopf_alphas=None,
     N: int = 200,
-    N_orbit: Optional[int] = None,
     T_orbit: float = 500.0,
-    seed_disk: float = 5e-3,
     T_fate: float = 250.0,
 ) -> ConnectionDiagram:
     """Assemble the fate of the leading unstable directions at one parameter set.
@@ -668,14 +563,14 @@ def connection_diagram(
     is certified by a single probe classification (contact with the cutoff
     means the gain is at or above critical).  The minus branch must collapse
     to zero; the plus branch collapses below critical and reaches a periodic
-    orbit or a band-confined attractor above.  With ``with_hopf`` the small
-    saddle orbit is computed and the fates of its unstable-disk samples are
-    recorded.
+    orbit (sought on meshes from ``max(400, 4n)`` up) or, above critical, a
+    band-confined attractor whose returns to within 0.05 of the cutoff are
+    recorded.  With ``with_hopf`` the small saddle orbit (first band) is
+    computed and the fates of its unstable-disk samples are recorded.
     """
     from .manifold import shoot_branch
 
-    if N_orbit is None:
-        N_orbit = max(400, 4 * int(n))
+    N_orbit = max(400, 4 * int(n))
     unresolved: list[str] = []
     if dstar is not None:
         regime = "above" if d > dstar * (1 + 1e-3) else ("below" if d < dstar * (1 - 1e-3) else "critical-or-unknown")
@@ -728,9 +623,8 @@ def connection_diagram(
                 detect_mesh = n_mesh
                 break
         t2 = plus.landmarks.t2
-        band_lo = float(np.min(plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))))
-        band_hi = float(np.max(plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))))
-        plus_ev = {"band": [band_lo, band_hi], "t2": t2}
+        band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
+        plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
         flo = None
         contraction = None
         if orbit is not None:
@@ -756,7 +650,7 @@ def connection_diagram(
                 plus_ev["floquet_leading_nontrivial"] = contraction
                 plus_ev["floquet_method"] = "dynamic-power-iteration"
         else:
-            hits = _recurrence_gap(plus, delta, t2)
+            hits = _recurrence_gap(plus, t2)
             plus_limit = "ATTRACTOR"
             plus_ev.update({"recurrence_max_gap": hits})
             if hits is None:
@@ -764,7 +658,7 @@ def connection_diagram(
 
     hopf_block = None
     if with_hopf:
-        hopf_block = _hopf_block(c, d, k, n, j, seed_disk, T_fate, max(N, N_orbit), hopf_alphas)
+        hopf_block = _hopf_block(c, d, k, n, T_fate, max(N, N_orbit), hopf_alphas)
         if hopf_block.get("orbit") is None:
             unresolved.append("hopf")
 
@@ -779,12 +673,12 @@ def connection_diagram(
     )
 
 
-def _recurrence_gap(plus, delta: float, t2: Optional[float]) -> Optional[float]:
+def _recurrence_gap(plus, t2: Optional[float]) -> Optional[float]:
     if t2 is None:
         return None
     tt = np.linspace(t2, plus.domain[1] - 0.5, 20001)
     vals = plus.eval_many(tt)
-    near = np.abs(vals - 1.0) <= delta
+    near = np.abs(vals - 1.0) <= 0.05
     if not np.any(near):
         return None
     times = tt[near]
@@ -793,15 +687,33 @@ def _recurrence_gap(plus, delta: float, t2: Optional[float]) -> Optional[float]:
     return float(max(lead, np.max(gaps) if gaps.size else 0.0))
 
 
-def _hopf_block(c, d, k, n, j, seed_disk, T_fate, N, alphas=None) -> dict:
+def _unstable_disk_seeds(system: System, orbit: PeriodicOrbit) -> tuple[FloquetReport, list]:
+    """Floquet report of a saddle orbit and histories on its unstable disk.
+
+    The histories are the orbit's anchor segment pushed by ``+5e-3 psi``
+    (side "plus") and ``-5e-3 psi`` (side "minus"), clipped at zero, where
+    ``psi`` is the unstable eigenvector at hat mesh N=120; the list is empty
+    when no real multiplier lies above one.
+    """
+    flo = monodromy_multipliers(system, orbit, N=120)
+    if flo.unstable_eigvec is None:
+        return flo, []
+    psi = np.interp(_SEG_MESH, flo.mesh, flo.unstable_eigvec)
+    q_vals = orbit.q0.eval(_SEG_MESH)
+    return flo, [
+        (side, HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * 5e-3 * psi, 0.0)))
+        for side, sgn in (("plus", 1.0), ("minus", -1.0))
+    ]
+
+
+def _hopf_block(c, d, k, n, T_fate, N, alphas=None) -> dict:
     # fates are decided in the rescaled system, whose own stable orbit
     # differs slightly from the base one; they are therefore self-detected
-    # rather than matched against the base orbit bank
-    found = hopf_orbit_search(c, d, k, n, j=j, alphas=alphas)
+    found = hopf_orbit_search(c, d, k, n, alphas=alphas)
     if found is None:
         return {"orbit": None}
     orbit, system = found.orbit, found.system
-    flo = monodromy_multipliers(system, orbit, N=120)
+    flo, seeds = _unstable_disk_seeds(system, orbit)
     block = {
         "orbit": orbit.to_dict(),
         "alpha": found.alpha,
@@ -811,16 +723,12 @@ def _hopf_block(c, d, k, n, j, seed_disk, T_fate, N, alphas=None) -> dict:
         "unstable_multiplier": flo.unstable_multiplier,
         "disk_fates": {},
     }
-    if flo.unstable_multiplier is None or flo.unstable_eigvec is None:
+    if not seeds:
         block["disk_fates"] = {"note": "no real multiplier above one found"}
         return block
-    psi = np.interp(_SEG_MESH, flo.mesh, flo.unstable_eigvec)
-    q_vals = orbit.q0.eval(_SEG_MESH)
     fates = {}
-    for side, sgn in (("plus", 1.0), ("minus", -1.0)):
-        hist = HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * seed_disk * psi, 0.0))
-        traj = integrate(system, hist, T_fate, N=N)
-        fate, ev = _fate_of_trajectory(traj, None)
+    for side, hist in seeds:
+        fate, ev = _fate_of_trajectory(integrate(system, hist, T_fate, N=N))
         fates[side] = {"fate": fate, **ev}
     block["disk_fates"] = fates
     return block

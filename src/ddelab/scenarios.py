@@ -21,7 +21,7 @@ from . import __version__
 from .dde import System, integrate
 from .history import HistoryFunction
 from .manifold import shoot_branch
-from .periodic import connection_diagram, detect_periodic, hopf_orbit_search, monodromy_multipliers
+from .periodic import _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search, monodromy_multipliers
 from .plotting import Series, emit_plot
 from .spectrum import spectrum_report
 from .threshold import UNRESOLVED, classify_zd, envelopes, find_dstar
@@ -56,15 +56,24 @@ class Scenario:
 
 
 def _check_positive(problems, spec, path, key, required=True):
+    where = f"{path}.{key}" if path else key
     if key not in spec:
         if required:
-            problems.append(f"{path}.{key}: missing")
+            problems.append(f"{where}: missing")
         return None
     v = spec[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-        problems.append(f"{path}.{key}: must be a positive number")
+    if not _is_positive(v):
+        problems.append(f"{where}: must be a positive number")
         return None
     return float(v)
+
+
+def _is_positive(v) -> bool:
+    return _is_finite(v) and v > 0
+
+
+def _is_int(v, lo: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
 
 
 _SYSTEM_KEYS = {"kind", "a", "b", "c", "d", "k", "n"}
@@ -86,8 +95,7 @@ def _check_system(problems, spec, path="system"):
     _check_positive(problems, spec, path, gain_key)
     _check_positive(problems, spec, path, "k", required=False)
     if kind == "smooth":
-        n = spec.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        if not _is_int(spec.get("n"), 2):
             problems.append(f"{path}.n: must be an integer >= 2")
 
 
@@ -146,7 +154,7 @@ def _history_from(spec, system: System) -> HistoryFunction:
 
 
 _TOP_KEYS = {
-    "simulate": {"name", "task", "system", "history", "T", "N", "plot", "seed"},
+    "simulate": {"name", "task", "system", "history", "T", "N", "plot"},
     "threshold": {"name", "task", "c", "k", "tol", "T_max", "bracket"},
     "envelope": {"name", "task", "c", "d", "d0", "k"},
     "manifold": {"name", "task", "system", "branch", "kappa", "eps_seed", "T", "N"},
@@ -155,6 +163,36 @@ _TOP_KEYS = {
     "hopf": {"name", "task", "c", "d", "k", "n", "j", "alpha_grid"},
     "diagram": {"name", "task", "c", "d", "k", "n", "dstar", "with_hopf", "alpha_grid", "T_orbit", "N"},
     "figure": {"name", "task", "preset", "T", "N"},
+}
+
+_POSITIVE = (_is_positive, "a positive number")
+
+# the optional top-level keys: the rule a value must meet, and its wording
+_OPTIONAL_RULES = {
+    "k": _POSITIVE,
+    "T": _POSITIVE,
+    "N": (lambda v: _is_int(v, 100), "an integer >= 100"),
+    "tol": _POSITIVE,
+    # the probe's decay profile fills the first unit of its horizon
+    "T_max": (lambda v: _is_finite(v) and v > 1, "a number above 1"),
+    "bracket": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)) and v[0] < v[1],
+        "two positive numbers [lo, hi] with lo < hi",
+    ),
+    "pairs": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "j": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "eps_seed": (lambda v: _is_finite(v) and 0 < v <= 1e-4, "a number in (0, 1e-4]"),
+    "transient": (lambda v: _is_finite(v) and v >= 0, "a nonnegative number"),
+    "level": _POSITIVE,
+    "T_orbit": _POSITIVE,
+    "dstar": _POSITIVE,
+    # each detuning scales the rates by 1 + alpha
+    "alpha_grid": (
+        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(a) and a > -1 for a in v),
+        "a non-empty list of numbers above -1",
+    ),
+    "plot": (lambda v: isinstance(v, bool), "a boolean"),
+    "with_hopf": (lambda v: isinstance(v, bool), "a boolean"),
 }
 
 
@@ -172,24 +210,33 @@ def validate_scenario(doc: dict) -> Scenario:
     for key in doc:
         if key not in _TOP_KEYS[task]:
             problems.append(f"{key}: unknown key for task '{task}'")
+        elif key in _OPTIONAL_RULES and not _OPTIONAL_RULES[key][0](doc[key]):
+            problems.append(f"{key}: must be {_OPTIONAL_RULES[key][1]}")
 
     if task in ("simulate", "manifold", "periodic"):
         _check_system(problems, doc.get("system"))
-        _check_positive(problems, doc, "", "T", required=False)
     if task == "simulate":
         _check_history(problems, doc.get("history"))
     if task == "manifold":
         if doc.get("branch") not in ("plus", "minus"):
             problems.append("branch: must be 'plus' or 'minus'")
+        elif "kappa" in doc:
+            # necessary, not sufficient: the equilibrium lies in (0, 1), and the
+            # marker between it and the cutoff (plus) or zero (minus)
+            sign = 1.0 if doc["branch"] == "plus" else -1.0
+            if not (_is_finite(doc["kappa"]) and 0.0 < sign * doc["kappa"] < 1.0):
+                problems.append("kappa: must lie in (0, 1) on the plus branch and in (-1, 0) on the minus branch")
     if task in ("threshold", "envelope", "hopf", "diagram"):
-        _check_positive(problems, doc, "", "c")
+        c = _check_positive(problems, doc, "", "c")
+        bracket = doc.get("bracket")
+        if task == "threshold" and c is not None and _OPTIONAL_RULES["bracket"][0](bracket) and bracket[0] <= c:
+            problems.append("bracket: lower end must exceed c")
     if task in ("envelope", "hopf", "diagram"):
         _check_positive(problems, doc, "", "d")
     if task == "envelope":
         _check_positive(problems, doc, "", "d0")
     if task in ("hopf", "diagram"):
-        n = doc.get("n")
-        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        if not _is_int(doc.get("n"), 2):
             problems.append("n: must be an integer >= 2")
     if task == "spectrum":
         _check_positive(problems, doc, "", "rate")
@@ -447,22 +494,16 @@ def _run_figure(sc: Scenario, out: str):
         _write_csv(os.path.join(out, "hopf_orbit.csv"), {"t": qt, "x": qx})
         arts.append("hopf_orbit.csv")
         series.append(Series(qt, qx, "hopf"))
-        flo = monodromy_multipliers(sysn, orbit, N=120)
-        if flo.unstable_eigvec is not None:
-            smesh = np.linspace(-1.0, 0.0, 201)
-            psi = np.interp(smesh, flo.mesh, flo.unstable_eigvec)
-            qv = orbit.q0.eval(smesh)
-            for name, sgn in (("plus", 1.0), ("minus", -1.0)):
-                hist = HistoryFunction.from_samples(smesh, np.maximum(qv + sgn * 5e-3 * psi, 0.0))
-                traj = integrate(sysn, hist, T, N=N)
-                tt = np.linspace(0.0, T, 4001)
-                vals = traj.eval_many(tt)
-                _write_csv(os.path.join(out, f"{name}.csv"), {"t": tt, "x": vals})
-                arts.append(f"{name}.csv")
-                series.append(Series(tt, vals, name))
-                if name == "plus":
-                    sel = np.linspace(1.0, T, 3001)
-                    phase.append((traj.eval_many(sel), traj.eval_many(sel - 1.0), "plus"))
+        for name, hist in _unstable_disk_seeds(sysn, orbit)[1]:
+            traj = integrate(sysn, hist, T, N=N)
+            tt = np.linspace(0.0, T, 4001)
+            vals = traj.eval_many(tt)
+            _write_csv(os.path.join(out, f"{name}.csv"), {"t": tt, "x": vals})
+            arts.append(f"{name}.csv")
+            series.append(Series(tt, vals, name))
+            if name == "plus":
+                sel = np.linspace(1.0, T, 3001)
+                phase.append((traj.eval_many(sel), traj.eval_many(sel - 1.0), "plus"))
     svg = emit_plot(series, phase=phase or None, title=f"preset {sc.spec['preset']}")
     with open(os.path.join(out, "figure.svg"), "w") as fh:
         fh.write(svg)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,11 +71,12 @@ def interior_equilibrium(c: float, d: float, k: float = 2.0) -> float:
     return (c / d) ** (1.0 / (k - 1.0))
 
 
-def stationary_points(system: System, ceiling: float, grid_points: int = 10_000) -> StationarySet:
+def stationary_points(system: System, ceiling: float) -> StationarySet:
     """All zeros of ``-rate xi + gain F(xi)`` on [0, ceiling].
 
-    Sign changes on a dense grid are refined by bisection to ~1e-12.  For the
-    limit system the scan stops at the cutoff, where the map is discontinuous.
+    Sign changes on a 10,000-point grid are refined by bisection to ~1e-12.
+    For the limit system the scan stops at the cutoff, where the map is
+    discontinuous.
     """
     if ceiling <= 0:
         raise ValueError("ceiling must be positive")
@@ -85,7 +86,7 @@ def stationary_points(system: System, ceiling: float, grid_points: int = 10_000)
     def alpha(xi):
         return -system.rate * xi + system.gain * fb.value(xi)
 
-    grid = np.linspace(0.0, top, grid_points)
+    grid = np.linspace(0.0, top, 10_000)
     vals = alpha(grid)
     roots = [0.0]
     for j in range(len(grid) - 1):
@@ -124,11 +125,12 @@ def _char(lam: complex, rate: float, slope: float) -> complex:
     return lam + rate - slope * cmath.exp(-lam)
 
 
-def leading_real_root(rate: float, slope: float, tol: float = 1e-13) -> float:
+def leading_real_root(rate: float, slope: float) -> float:
     """The unique real root of ``lam + rate - slope exp(-lam)``.
 
-    Positive when ``slope > rate`` (bisection on [0, slope]); zero at the
-    boundary; otherwise the negative real root is returned with a warning.
+    Positive when ``slope > rate`` (bisection on [0, slope] to a bracket
+    width of 1e-13); zero at the boundary; otherwise the negative real root
+    is returned with a warning.
     """
     if not (rate > 0 and slope > 0):
         raise ValueError("rate and slope must be positive")
@@ -147,7 +149,7 @@ def leading_real_root(rate: float, slope: float, tol: float = 1e-13) -> float:
             lo *= 2.0
         hi = 0.0
     flo = F(lo)
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         fm = F(mid)
         if flo * fm <= 0.0:
@@ -157,12 +159,12 @@ def leading_real_root(rate: float, slope: float, tol: float = 1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
-def complex_root_pairs(rate: float, slope: float, count: int = 5, max_iter: int = 200) -> list:
+def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
     """The first ``count`` conjugate root pairs, one per imaginary band.
 
     Newton iteration from the deterministic seed ``-rate + i(2j - 1/2)pi``;
-    if it leaves its band or stalls, the root is recovered from the phase
-    reduction of the imaginary part by bracketed root finding.
+    if it leaves its band or stalls within 200 steps, the root is recovered
+    from the phase reduction of the imaginary part by bracketed root finding.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -171,7 +173,7 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5, max_iter: int 
         lo_band, hi_band = (2 * j - 1) * math.pi, 2 * j * math.pi
         lam = complex(-rate, (2 * j - 0.5) * math.pi)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(200):
             f = _char(lam, rate, slope)
             fp = 1.0 + slope * cmath.exp(-lam)
             step = f / fp
@@ -241,8 +243,11 @@ def spectrum_report(rate: float, slope: float, count: int = 5) -> SpectrumReport
     )
 
 
-def solve_theta(c: float, j: int, tol: float = 1e-13) -> float:
-    """The unique root of ``theta + c tan(theta) = 0`` in ``(2j pi - pi/2, 2j pi)``."""
+def solve_theta(c: float, j: int) -> float:
+    """The unique root of ``theta + c tan(theta) = 0`` in ``(2j pi - pi/2, 2j pi)``.
+
+    Bisection to a bracket width of 1e-13.
+    """
     if c <= 0:
         raise ValueError("c must be positive")
     if j < 1:
@@ -258,7 +263,7 @@ def solve_theta(c: float, j: int, tol: float = 1e-13) -> float:
         a = lo + (a - lo) * 0.125
     b = hi
     fa = G(a)
-    while b - a > tol:
+    while b - a > 1e-13:
         mid = 0.5 * (a + b)
         fm = G(mid)
         if fa * fm <= 0.0:
@@ -300,7 +305,6 @@ class HopfData:
     xi1_n: float
     slope_n: float          # d * F'(xi1_n)
     omega_guess: float      # 2 pi / theta_n
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {

@@ -43,6 +43,8 @@ IN_D = "IN_D"
 HITS_ONE = "HITS_ONE"
 UNRESOLVED = "UNRESOLVED"
 
+_PROBE_N = 200  # steps per unit interval of every probe integration
+
 
 @dataclass(frozen=True)
 class ZClassification:
@@ -69,7 +71,7 @@ def _probe_below_threshold(c: float, d: float, k: float) -> Optional[float]:
     return interior_equilibrium(c, d, k)
 
 
-def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0, N: int = 200) -> ZClassification:
+def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZClassification:
     """Classify the probe started from the decay profile ``exp(-c t)``.
 
     The probe time axis has the profile on [0, 1]; internally the integration
@@ -78,8 +80,9 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0, N: int
     stops at the first unit that decides it: an up-crossing of the cutoff
     recorded by the march, or a whole delay segment below the interior
     equilibrium, certified once the last node at or above it lies more than
-    ``1 + 2/N`` before the unit's end.  Monotone trapping keeps the solution
-    below the equilibrium after such a segment, so that node is final.
+    ``1 + 2/N`` before the unit's end (``N = _PROBE_N`` steps per unit).
+    Monotone trapping keeps the solution below the equilibrium after such a
+    segment, so that node is final.
     """
     if not (c > 0 and d >= c):
         raise ValueError("need d >= c > 0")
@@ -90,7 +93,7 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0, N: int
     crossings: list = []
     max_val = 0.0
     last_above = 0.0  # time of the last node at or above xi1, 0 if none
-    for unit, (blk, _) in enumerate(_march(system, history, T, N, crossings)):
+    for unit, (blk, _) in enumerate(_march(system, history, T, _PROBE_N, crossings)):
         ts, xs = blk[0], blk[1]
         max_val = max(max_val, float(np.max(xs)))
         for tc, up in crossings:
@@ -100,7 +103,7 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0, N: int
             above = np.flatnonzero(xs >= xi1 * (1.0 - 1e-12))
             if above.size:
                 last_above = float(ts[above[-1]])
-            t_cert = last_above + 1.0 + 2.0 / N
+            t_cert = last_above + 1.0 + 2.0 / _PROBE_N
             if t_cert <= min(unit + 1.0, T):
                 return ZClassification(IN_D, c, d, certificate_time=t_cert + 1.0, max_value=max_val)
     return ZClassification(UNRESOLVED, c, d, max_value=max_val)
@@ -136,7 +139,6 @@ def find_dstar(
     tol: float = 1e-6,
     T_max: float = 400.0,
     k: float = 2.0,
-    N: int = 200,
 ) -> DStarResult:
     """Bisection bracket for the critical gain.
 
@@ -151,7 +153,7 @@ def find_dstar(
 
     def classify(d: float) -> str:
         for horizon in (T_max, 2.0 * T_max, 4.0 * T_max):
-            res = classify_zd(c, d, k=k, T_max=horizon, N=N)
+            res = classify_zd(c, d, k=k, T_max=horizon)
             history.append((d, res.verdict, horizon))
             if res.verdict != UNRESOLVED:
                 return res.verdict
@@ -212,9 +214,9 @@ class EnvelopeData:
 
     ``w0`` bounds sub-cutoff excursions from below (computed at the smaller
     gain ``d0``), ``w1`` bounds super-cutoff excursions from above (closed
-    form at ``d1``).  ``m0 <= x <= m1`` is the band, ``sigma`` the recurrence
-    gap for the limit system and ``sigma_n`` its finite-n counterpart with
-    the band ``[m0_n, m1_n]``.
+    form at ``d1``, which equals ``d``).  ``m0 <= x <= m1`` is the band,
+    ``sigma`` the recurrence gap for the limit system and ``sigma_n`` its
+    finite-n counterpart with the band ``[m0_n, m1_n]``.
     """
 
     c: float
@@ -250,22 +252,21 @@ class EnvelopeData:
         return out
 
 
-def envelopes(c: float, d: float, d0: float, d1: Optional[float] = None, k: float = 2.0, N: int = 200) -> EnvelopeData:
+def envelopes(c: float, d: float, d0: float, k: float = 2.0) -> EnvelopeData:
     """Build the envelope pair and the margin ledger for gains ``d > d0``.
 
     ``d0`` must exceed the critical gain (the lower envelope must reach the
-    cutoff); ``d1`` defaults to ``d``.
+    cutoff); the upper envelope is taken at ``d``.
     """
-    d1 = d if d1 is None else d1
     if not d > d0 > c:
         raise ValueError("need d > d0 > c (and d0 above the critical gain)")
     g = PowerCutoff(k=k)
-    res0 = classify_zd(c, d0, k=k, T_max=600.0, N=N)
+    res0 = classify_zd(c, d0, k=k, T_max=600.0)
     if res0.verdict != HITS_ONE:
         raise ValueError("lower envelope gain does not reach the cutoff; raise d0")
     tau0 = res0.tau0
     system0 = System.limit(c, d0, k=k)
-    traj0 = integrate(system0, HistoryFunction.exp_decay(c), tau0 - 1.0 + 0.5, N=N)
+    traj0 = integrate(system0, HistoryFunction.exp_decay(c), tau0 - 1.0 + 0.5, N=_PROBE_N)
 
     def w0(t):
         t = np.asarray(t, dtype=float)
@@ -275,13 +276,13 @@ def envelopes(c: float, d: float, d0: float, d1: Optional[float] = None, k: floa
         out[~early] = traj0.eval_many(t[~early] - 1.0)
         return out
 
-    tau1 = 1.0 + math.log((d1 / c) * (1.0 - math.exp(-c)) + math.exp(-c)) / c
+    tau1 = 1.0 + math.log((d / c) * (1.0 - math.exp(-c)) + math.exp(-c)) / c
 
     def w1(t):
         t = np.asarray(t, dtype=float)
         e = np.exp(-c * t)
-        rising = (d1 / c) * (1.0 - e) + e
-        top = (d1 / c) * (1.0 - math.exp(-c)) + math.exp(-c)
+        rising = (d / c) * (1.0 - e) + e
+        top = (d / c) * (1.0 - math.exp(-c)) + math.exp(-c)
         falling = np.exp(-c * (t - 1.0)) * top
         return np.where(t <= 1.0, rising, falling)
 
@@ -315,7 +316,7 @@ def envelopes(c: float, d: float, d0: float, d1: Optional[float] = None, k: floa
     nu1 = 1.0 + (2.0 / (c * delta)) * (2.0 * d / c - 1.0)
     ledger = {name: {"bound": val, "delta": delta, "ok": bool(delta < val)} for name, val in bounds.items()}
     return EnvelopeData(
-        c=c, d=d, d0=d0, d1=d1, tau0=tau0, tau1=tau1, m0=m0, m1=m1, sigma=sigma,
+        c=c, d=d, d0=d0, d1=d, tau0=tau0, tau1=tau1, m0=m0, m1=m1, sigma=sigma,
         delta=delta, big_delta=big_delta, k1=k1, k2=k2, nu1=nu1,
         m0_n=m0 / 2.0, m1_n=2.0 * d / c, sigma_n=max(tau0, nu1),
         ledger=ledger, w0=w0, w1=w1,

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from ddelab.nonlinearity import (
-    Hill,
-    PowerCutoff,
-    check_cutoff_conditions,
-    closeness_report,
-    feedback_from_json,
-    feedback_to_json,
-)
+from ddelab.nonlinearity import Hill, PowerCutoff, feedback_from_json, feedback_to_json
 
 
 class TestPowerCutoff:
@@ -38,21 +31,6 @@ class TestPowerCutoff:
         assert np.min(gap) > 0.0
 
 
-class TestCutoffConditions:
-    def test_quadratic_passes(self):
-        assert check_cutoff_conditions(PowerCutoff(k=2.0)).passed
-
-    def test_linear_fails_strict_inequality(self):
-        rep = check_cutoff_conditions(PowerCutoff(k=1.0))
-        assert not rep.passed
-        assert "strict_slope_gap" in rep.violated or "slope_at_origin" in rep.violated
-
-    def test_sublinear_fails_slope_at_origin(self):
-        rep = check_cutoff_conditions(PowerCutoff(k=0.5))
-        assert not rep.passed
-        assert "slope_at_origin" in rep.violated
-
-
 class TestHill:
     def test_value_at_origin(self):
         assert Hill(k=2.0, n=20).value(0.0) == 0.0
@@ -80,33 +58,6 @@ class TestHill:
     def test_no_overflow_for_large_arguments(self):
         f = Hill(k=2.0, n=400)
         assert np.isfinite(f.value(50.0)) and np.isfinite(f.deriv(50.0))
-
-
-class TestCloseness:
-    def test_sups_decrease_with_order(self):
-        g = PowerCutoff(k=2.0)
-        reports = [closeness_report(g, Hill(k=2.0, n=n), kappa=0.2) for n in (10, 20, 40)]
-        values = [r.sup_value_diff for r in reports]
-        derivs = [r.sup_deriv_diff for r in reports]
-        assert values[0] > values[1] > values[2]
-        assert derivs[0] > derivs[1] > derivs[2]
-
-    def test_identity_case_vanishes(self):
-        g = PowerCutoff(k=2.0)
-        rep = closeness_report(g, g, kappa=0.2)
-        assert rep.sup_value_diff == 0.0
-        assert rep.sup_deriv_diff == 0.0
-        assert rep.product(3) == 0.0
-
-    def test_product_decreases_with_order(self):
-        g = PowerCutoff(k=2.0)
-        p20 = closeness_report(g, Hill(k=2.0, n=20), kappa=0.2).product(3)
-        p40 = closeness_report(g, Hill(k=2.0, n=40), kappa=0.2).product(3)
-        assert p40 < p20
-
-    def test_kappa_domain_validated(self):
-        with pytest.raises(ValueError):
-            closeness_report(PowerCutoff(), Hill(), kappa=1.5)
 
 
 class TestSerialization:

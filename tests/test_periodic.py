@@ -6,14 +6,11 @@ import pytest
 from ddelab.dde import System, integrate, segment_at
 from ddelab.history import HistoryFunction
 from ddelab.periodic import (
-    _SEG_MESH,
     _interp_columns,
     contraction_factors,
     detect_periodic,
     hopf_orbit_search,
     monodromy_multipliers,
-    orbit_distance,
-    verify_attraction,
 )
 
 HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
@@ -98,22 +95,20 @@ class TestContraction:
 
 
 class TestAttraction:
-    def test_orbit_segment_is_at_zero_distance(self, x1_orbit_n100):
-        _, traj, orbit = x1_orbit_n100
-        seg = traj.eval_many(orbit.anchor + _SEG_MESH)
-        assert orbit_distance(seg, orbit) < 1e-9
-
     def test_constant_above_cutoff_converges(self, x1_orbit_n100):
+        """Histories in [1.3, 2 d/c] settle on the fixture's orbit within T = 120."""
         system, _, orbit = x1_orbit_n100
-        traj = integrate(system, HistoryFunction.constant(1.3), 120.0)
-        seg = traj.eval_many(traj.T + _SEG_MESH)
-        assert orbit_distance(seg, orbit) < 1e-3
-
-    def test_random_trials_above_cutoff(self, x1_orbit_n100):
-        system, _, orbit = x1_orbit_n100
-        rep = verify_attraction(system, orbit, eps=0.3, trials=8, T=120.0, seed=5)
-        assert rep.failures == ()
-        assert rep.passed == 8
+        rng = np.random.default_rng(5)
+        histories = [HistoryFunction.constant(1.3)]
+        for _ in range(2):
+            nodes = np.linspace(-1.0, 0.0, int(rng.integers(6, 14)))
+            histories.append(HistoryFunction.from_samples(nodes, rng.uniform(1.3, 2.0 * 7.38, size=nodes.size)))
+        for hist in histories:
+            found = detect_periodic(integrate(system, hist, 120.0, N=400), level=1.0)
+            assert found is not None
+            assert abs(found.omega - orbit.omega) / orbit.omega < 1e-8
+            assert abs(found.vmin - orbit.vmin) < 1e-5
+            assert abs(found.vmax - orbit.vmax) < 1e-5
 
 
 class TestHopfSearch:

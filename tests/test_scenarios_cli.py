@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ddelab.plotting import Series, emit_plot
-from ddelab.scenarios import _CSV_BLOCK, ScenarioError, _write_csv, run_scenario, validate_scenario
+from ddelab.scenarios import _CSV_BLOCK, _TOP_KEYS, ScenarioError, _write_csv, run_scenario, validate_scenario
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -48,6 +48,61 @@ class TestValidation:
         with pytest.raises(ScenarioError) as err:
             validate_scenario(doc)
         assert len(err.value.problems) >= 3
+
+
+# one valid document per task, and one bad value per top-level key
+_VALID = {
+    "simulate": SIM,
+    "threshold": {"name": "t", "task": "threshold", "c": 1.0},
+    "envelope": {"name": "e", "task": "envelope", "c": 1.0, "d": 7.38, "d0": 6.5},
+    "manifold": {"name": "m", "task": "manifold", "system": {"kind": "limit", "c": 1.0, "d": 7.38}, "branch": "plus"},
+    "spectrum": {"name": "s", "task": "spectrum", "rate": 1.0, "slope": 2.0},
+    "periodic": {"name": "p", "task": "periodic", "system": {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 100}},
+    "hopf": {"name": "h", "task": "hopf", "c": 1.0, "d": 7.38, "n": 100},
+    "diagram": {"name": "g", "task": "diagram", "c": 1.0, "d": 7.38, "n": 100},
+    "figure": {"name": "f", "task": "figure", "preset": "x1"},
+}
+_BAD_VALUE = {
+    "name": "", "task": "animate", "system": {"kind": "hill"}, "history": {"kind": "ramp"}, "branch": "up",
+    "preset": "x9", "c": -1.0, "d": 0, "d0": "6.5", "rate": math.nan, "slope": None, "n": 2.5, "k": 0,
+    "T": math.inf, "N": 2.5, "tol": 0, "T_max": 1.0, "bracket": "ab", "pairs": 0, "j": True, "kappa": -0.2,
+    "eps_seed": 1e-3, "transient": -1.0, "level": [1.0], "T_orbit": 0, "dstar": "high", "alpha_grid": [],
+    "plot": 1, "with_hopf": "yes",
+}
+_TASK_KEYS = [(task, key) for task in _TOP_KEYS for key in sorted(_TOP_KEYS[task])]
+
+
+def _names(problems, key):
+    return [p for p in problems if p.split(":")[0].split(".")[0].split("[")[0] == key]
+
+
+class TestTopLevelValidation:
+    @pytest.mark.parametrize("task", sorted(_VALID))
+    def test_valid_documents_pass(self, task):
+        validate_scenario(_VALID[task])
+
+    @pytest.mark.parametrize("task,key", _TASK_KEYS)
+    def test_bad_value_names_its_key(self, task, key):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(_VALID[task], **{key: _BAD_VALUE[key]}))
+        assert _names(err.value.problems, key), err.value.problems
+
+    @pytest.mark.parametrize("task,key,value", [
+        ("simulate", "N", 50),
+        ("threshold", "bracket", [3.0, 2.0]),
+        ("threshold", "bracket", [0.5, 2.0]),
+        ("manifold", "kappa", 1.0),
+        ("hopf", "alpha_grid", [0.2, -1.0]),
+    ])
+    def test_out_of_range_values(self, task, key, value):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(_VALID[task], **{key: value}))
+        assert _names(err.value.problems, key), err.value.problems
+
+    def test_seed_is_unknown_to_simulate(self):
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(SIM, seed=3))
+        assert err.value.problems == ["seed: unknown key for task 'simulate'"]
 
 
 _BAD_HISTORIES = [
@@ -217,6 +272,17 @@ class TestCli:
         assert proc.returncode == 3
         data = json.loads((tmp_path / "out" / "orbit.json").read_text())
         assert data == {"found": False}
+
+    def test_bad_scenario_field_exit_two(self, tmp_path):
+        path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 0})
+        proc = self.run_cli("threshold", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "error: tol:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_bad_direct_flag_exit_two(self):
+        proc = self.run_cli("threshold", "--c", "-1")
+        assert proc.returncode == 2, proc.stderr
+        assert "error: c:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_spectrum_direct_flags(self):
         proc = self.run_cli("spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
