@@ -34,6 +34,7 @@ __all__ = [
     "Trajectory",
     "BoundsReport",
     "DDEIntegrationError",
+    "ParameterError",
     "integrate",
     "segment_at",
     "check_bounds",
@@ -49,6 +50,14 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 class DDEIntegrationError(RuntimeError):
     pass
+
+
+class ParameterError(ValueError):
+    """A parameter value that fails a check needing computation; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dde import System, Trajectory, integrate
+from .dde import ParameterError, System, Trajectory, integrate
 from .history import HistoryFunction
 from .spectrum import leading_real_root, stationary_points
 
@@ -109,9 +109,9 @@ def shoot_branch(
     if kappa is None:
         kappa = 0.5 * (1.0 - xi_star) if branch == "plus" else -0.5 * xi_star
     if branch == "plus" and not 0.0 < kappa < 1.0 - xi_star:
-        raise ValueError("plus-branch marker must lie in (0, 1 - equilibrium)")
+        raise ParameterError("kappa", f"plus-branch marker must lie in (0, 1 - equilibrium) = (0, {1.0 - xi_star:.6g})")
     if branch == "minus" and not -xi_star < kappa < 0.0:
-        raise ValueError("minus-branch marker must lie in (-equilibrium, 0)")
+        raise ParameterError("kappa", f"minus-branch marker must lie in (-equilibrium, 0) = ({-xi_star:.6g}, 0)")
     if eps_seed is None:
         eps_seed = min(1e-4, abs(kappa) * math.exp(-15.0))
     if not 0.0 < eps_seed <= 1e-4:

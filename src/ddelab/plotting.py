@@ -66,7 +66,8 @@ def _panel(x_all, y_all, series_xy, x0: int, title: str, xlabel: str, ylabel: st
         )
     for xs, ys, role in series_xy:
         color = COLORS.get(role, COLORS["default"])
-        pts = " ".join(f"{px(x):.3f},{py(y):.3f}" for x, y in zip(xs, ys))
+        pxy = np.column_stack([px(xs), py(ys)])
+        pts = " ".join(["%.3f,%.3f"] * len(pxy)) % tuple(pxy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
     return "\n".join(parts)
 

@@ -4,7 +4,15 @@ A scenario is a single JSON document naming a task plus its parameters; the
 runner validates it (listing every offending field), dispatches to the right
 module, and writes CSV/JSON/SVG artifacts with fixed decimal formatting and a
 manifest that embeds the full scenario, so re-running from the manifest alone
-reproduces every data artifact byte for byte.
+reproduces every data artifact byte for byte.  A check that needs the run's
+own computation (a bracket end, a branch marker, the crossing-pair
+criticality) raises ``ParameterError`` in the runner, which is reported as a
+``ScenarioError`` naming the field.
+
+CSV values are written as ``%.12e`` text.  ``_format_values`` produces the
+same bytes as ``"%.12e" % v`` with numpy: the digits come from one float
+scaling of each value whenever a rounding margin proves them, and ``%``
+formats the few values the margin cannot decide.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dde import System, integrate
+from .dde import ParameterError, System, integrate
 from .history import HistoryFunction
 from .manifold import shoot_branch
 from .periodic import _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search, monodromy_multipliers
@@ -232,9 +240,11 @@ def validate_scenario(doc: dict) -> Scenario:
         if task == "threshold" and c is not None and _OPTIONAL_RULES["bracket"][0](bracket) and bracket[0] <= c:
             problems.append("bracket: lower end must exceed c")
     if task in ("envelope", "hopf", "diagram"):
-        _check_positive(problems, doc, "", "d")
+        d = _check_positive(problems, doc, "", "d")
     if task == "envelope":
-        _check_positive(problems, doc, "", "d0")
+        d0 = _check_positive(problems, doc, "", "d0")
+        if None not in (c, d, d0) and not c < d0 < d:
+            problems.append("d0: must lie in (c, d)")
     if task in ("hopf", "diagram"):
         if not _is_int(doc.get("n"), 2):
             problems.append("n: must be an integer >= 2")
@@ -251,17 +261,96 @@ def validate_scenario(doc: dict) -> Scenario:
 
 _CSV_BLOCK = 1 << 12  # rows formatted per write; bounds the text held at once
 
+# Tables for _format_values.  _SCALE_MUL[k + 22] is 10^k for 0 <= k <= 22 and
+# _SCALE_DIV[k + 22] is 10^-k for -22 <= k < 0 (exact doubles); the other
+# factor is 1, so a scaling by 10^k rounds once.
+_POW10 = np.concatenate([[1.0], np.cumprod(np.full(22, 10.0))])
+_SCALE_MUL = np.concatenate([np.ones(22), _POW10])
+_SCALE_DIV = np.concatenate([_POW10[:0:-1], np.ones(23)])
+# Little-endian 4-byte words of text: four digits (index 0..9999); a NUL or
+# "-" sign byte, a digit and "." (index d, or d + 10 when negative); and
+# "e+dd"/"e-dd" (index e + 99).
+_DIGITS4 = np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10
+_DIGITS4 = _DIGITS4.astype(np.uint8) + np.uint8(ord("0"))
+_WORD_DIGITS = _DIGITS4.view("<u4").ravel()
+_WORD_LEAD = (np.repeat([0, ord("-")], 10) | (np.tile(np.arange(10), 2) + ord("0")) << 8 | ord(".") << 16).astype("<u4")
+_EXPONENTS = np.arange(-99, 100)
+_WORD_EXP = np.column_stack(
+    [np.full(_EXPONENTS.size, ord("e")), np.where(_EXPONENTS < 0, ord("-"), ord("+")), _DIGITS4[np.abs(_EXPONENTS), 2:]]
+).astype(np.uint8).view("<u4").ravel()
+_LOG10_2 = 0.30102999566398120
+# Scaling to y = |v|·10^(12-e) takes at most three roundings (two powers of
+# ten, one decade fix), so |y - y_exact| < 3·2^-53·1e13 < 0.0034, and rint(y)
+# is the correctly rounded mantissa whenever y lies at least this far from
+# the nearest half-integer.
+_TIE_MARGIN = 0.01
+_TEXT_MAX = 20  # bytes of the longest %.12e text, -d.dddddddddddde-ddd
+
+
+def _format_values(vals: np.ndarray, ncols: int) -> bytes:
+    """The bytes of ``%.12e`` for each value, "," between columns and a newline after each row.
+
+    Each value fills six 4-byte words: the sign (NUL when positive), the
+    leading digit and ".", NUL, twelve digits, "e" with the exponent's sign
+    and two digits, then its separator and NULs.  The NULs are removed at the
+    end.  The digits of a value whose decimal exponent e lies within 44 of
+    12 are those of the integer nearest to y = |v|·10^(12-e), computed in
+    floats; values that the rounding margin cannot decide (near-ties, and
+    non-finite, subnormal or far-exponent values) are formatted by ``%``.
+    """
+    a = np.abs(vals)
+    # a lies in [2^(E-1), 2^E), so e is floor(log10 a) or one less
+    e = np.floor((np.frexp(a)[1] - 1) * _LOG10_2)
+    fast = (np.abs(12.0 - e) <= 44.0) & (a > 0.0)
+    k = np.where(fast, 12.0 - e, 0.0).astype(np.intp) + 22
+    k1 = np.clip(k, 0, 44)
+    k2 = k - k1 + 22
+    with np.errstate(invalid="ignore"):  # inf - inf in the margin test
+        y = a * _SCALE_MUL[k1] / _SCALE_DIV[k1] * _SCALE_MUL[k2] / _SCALE_DIV[k2]
+        high = y >= 1e13  # e was one below floor(log10 a)
+        y = np.where(high, y / 10.0, y)
+        decided = fast & (np.abs(y - np.floor(y) - 0.5) >= _TIE_MARGIN) | (a == 0.0)
+    m = np.rint(np.where(decided, y, 0.0))
+    carry = m == 1e13  # 9.9999999999995e... rounds up to the next decade
+    m = np.where(carry, 1e12, m)
+    e = np.where(fast & decided, e + high + carry, 0.0).astype(np.intp)
+    # m = (lead·1e4 + hi)·1e8 + mid·1e4 + lo = q·1e8 + r; a float quotient of
+    # integers below 2^53 by 1e8 or 1e4 floors to the integer quotient
+    q = np.floor(m / 1e8)
+    r = m - q * 1e8
+    lead = np.floor(q / 1e4)
+    mid = np.floor(r / 1e4)
+
+    words = np.empty((vals.size, 6), "<u4")
+    words[:, 0] = _WORD_LEAD[lead.astype(np.intp) + 10 * np.signbit(vals)]
+    words[:, 1] = _WORD_DIGITS[(q - lead * 1e4).astype(np.intp)]
+    words[:, 2] = _WORD_DIGITS[mid.astype(np.intp)]
+    words[:, 3] = _WORD_DIGITS[(r - mid * 1e4).astype(np.intp)]
+    words[:, 4] = _WORD_EXP[e + 99]
+    seps = words.reshape(-1, ncols, 6)[:, :, 5]
+    seps[:, :-1] = ord(",")
+    seps[:, -1] = ord("\n")
+    slots = words.view(np.uint8)
+    rest = np.flatnonzero(~decided)
+    if rest.size:
+        text = f"%-{_TEXT_MAX}.12e" * rest.size % tuple(vals[rest].tolist())
+        text = np.frombuffer(text.encode(), np.uint8).reshape(rest.size, _TEXT_MAX)
+        slots[rest, :_TEXT_MAX] = np.where(text == ord(" "), 0, text)
+    flat = slots.ravel()
+    return flat[flat != 0].tobytes()
+
 
 def _write_csv(path: str, columns: dict) -> None:
-    """Write the columns with every value as ``%.12e``, one block of rows per ``%``."""
+    """Write the columns with every value as ``%.12e``, one block of rows at a time.
+
+    The bytes are those of ``"%.12e" % v`` per value (see ``_format_values``).
+    """
     keys = list(columns)
     table = np.column_stack([np.asarray(columns[k], dtype=float) for k in keys])
-    row = ",".join(["%.12e"] * len(keys)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(keys) + "\n").encode())
         for r0 in range(0, len(table), _CSV_BLOCK):
-            block = table[r0 : r0 + _CSV_BLOCK]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_values(table[r0 : r0 + _CSV_BLOCK].ravel(), len(keys)))
 
 
 def _write_json(path: str, obj) -> None:
@@ -294,8 +383,10 @@ def run_scenario(path: str, out_dir: Optional[str] = None) -> RunResult:
     scenario = validate_scenario(doc)
     out_dir = out_dir or os.path.join(os.getcwd(), scenario.name)
     os.makedirs(out_dir, exist_ok=True)
-    runner = _RUNNERS[scenario.task]
-    artifacts, unresolved = runner(scenario, out_dir)
+    try:
+        artifacts, unresolved = _RUNNERS[scenario.task](scenario, out_dir)
+    except ParameterError as exc:
+        raise ScenarioError([f"{exc.field}: {exc}"]) from None
     manifest = {
         "scenario": scenario.to_json(),
         "artifacts": sorted(artifacts),

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .dde import System
+from .dde import ParameterError, System
 from .nonlinearity import Hill
 
 __all__ = [
@@ -349,7 +349,7 @@ def hopf_data(c: float, d: float, k: float, n: int, j: int = 1, alpha: float = 0
     theta = solve_theta(c, j)
     gap = abs(c - slope_limit * math.cos(theta))
     if gap > 1e-8:
-        raise ValueError(f"criticality violated: |c - slope*cos(theta_j)| = {gap:.3e}")
+        raise ParameterError("c", f"criticality violated: |c - slope*cos(theta_j)| = {gap:.3e}")
     smooth = System.smooth(c, d, k=k, n=n)
     xi1_n = stationary_points(smooth, ceiling=0.9).interior().value
     slope_n = d * Hill(k=k, n=n).deriv(xi1_n)

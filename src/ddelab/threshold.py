@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .dde import System, _march, integrate
+from .dde import ParameterError, System, _march, integrate
 from .history import HistoryFunction
 from .nonlinearity import Hill, PowerCutoff
 from .spectrum import interior_equilibrium
@@ -179,9 +179,9 @@ def find_dstar(
     else:
         lo, hi = bracket
         if classify(lo) != IN_D:
-            raise ValueError("lower bracket end does not certify collapse")
+            raise ParameterError("bracket", "lower end does not certify collapse")
         if classify(hi) != HITS_ONE:
-            raise ValueError("upper bracket end does not reach the cutoff")
+            raise ParameterError("bracket", "upper end does not reach the cutoff")
 
     while hi - lo > tol:
         width = hi - lo
@@ -263,7 +263,7 @@ def envelopes(c: float, d: float, d0: float, k: float = 2.0) -> EnvelopeData:
     g = PowerCutoff(k=k)
     res0 = classify_zd(c, d0, k=k, T_max=600.0)
     if res0.verdict != HITS_ONE:
-        raise ValueError("lower envelope gain does not reach the cutoff; raise d0")
+        raise ParameterError("d0", "lower envelope gain does not reach the cutoff")
     tau0 = res0.tau0
     system0 = System.limit(c, d0, k=k)
     traj0 = integrate(system0, HistoryFunction.exp_decay(c), tau0 - 1.0 + 0.5, N=_PROBE_N)

@@ -5,9 +5,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ddelab.plotting import Series, emit_plot
-from ddelab.scenarios import _CSV_BLOCK, _TOP_KEYS, ScenarioError, _write_csv, run_scenario, validate_scenario
+from ddelab.dde import System, integrate
+from ddelab.history import HistoryFunction
+from ddelab.plotting import _H, _PAD, _W, Series, emit_plot
+from ddelab.scenarios import (
+    _CSV_BLOCK,
+    _TOP_KEYS,
+    ScenarioError,
+    _traj_columns,
+    _write_csv,
+    run_scenario,
+    validate_scenario,
+)
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -93,6 +105,8 @@ class TestTopLevelValidation:
         ("threshold", "bracket", [0.5, 2.0]),
         ("manifold", "kappa", 1.0),
         ("hopf", "alpha_grid", [0.2, -1.0]),
+        ("envelope", "d0", 8.0),
+        ("envelope", "d0", 1.0),
     ])
     def test_out_of_range_values(self, task, key, value):
         with pytest.raises(ScenarioError) as err:
@@ -210,7 +224,85 @@ class TestCsv:
             assert path.read_bytes() == expected.encode(), rows
 
 
+def _step_ulps(v: float, n: int) -> float:
+    for _ in range(abs(n)):
+        v = math.nextafter(v, math.copysign(math.inf, n))
+    return v
+
+
+# decimal exponents across the double range, and those that the float path decides
+_EXPONENT = st.integers(-300, 300) | st.integers(-34, 58)
+_ULPS = st.integers(-4, 4)
+# the double nearest to (m + 1/2)·10^(e-12), a tie of 13 significant digits, moved by a few ulps
+_NEAR_TIE = st.builds(
+    lambda m, e, n, sign: sign * _step_ulps(float(f"{m}5e{e - 13}"), n),
+    st.integers(10**12, 10**13 - 1), _EXPONENT, _ULPS, st.sampled_from([1.0, -1.0]),
+)
+_NEAR_POWER = st.builds(
+    lambda e, n, sign: sign * _step_ulps(float(f"1e{e}"), n), _EXPONENT, _ULPS, st.sampled_from([1.0, -1.0])
+)
+
+
+def _per_value_csv(columns: dict) -> bytes:
+    keys = list(columns)
+    rows = len(columns[keys[0]])
+    lines = [",".join(f"{float(columns[k][i]):.12e}" for k in keys) + "\n" for i in range(rows)]
+    return (",".join(keys) + "\n" + "".join(lines)).encode()
+
+
+class TestCsvDigits:
+    @given(
+        values=st.lists(st.floats() | _NEAR_TIE | _NEAR_POWER, min_size=1, max_size=40),
+        rows=st.sampled_from([1, _CSV_BLOCK, _CSV_BLOCK + 1]),
+        ncols=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_per_value_formatting(self, tmp_path, values, rows, ncols):
+        table = np.resize(np.array(values), (rows, ncols))
+        columns = {f"c{j}": table[:, j] for j in range(ncols)}
+        path = tmp_path / "digits.csv"
+        _write_csv(str(path), columns)
+        assert path.read_bytes() == _per_value_csv(columns)
+
+    def test_limit_trajectory_matches_block_template(self, tmp_path):
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 400.0)
+        columns = _traj_columns(traj)
+        keys = list(columns)
+        table = np.column_stack([columns[k] for k in keys])
+        row = ",".join(["%.12e"] * len(keys)) + "\n"
+        expected = ",".join(keys) + "\n" + "".join(
+            row * len(table[r0 : r0 + 4096]) % tuple(table[r0 : r0 + 4096].ravel().tolist())
+            for r0 in range(0, len(table), 4096)
+        )
+        path = tmp_path / "trajectory.csv"
+        _write_csv(str(path), columns)
+        assert path.read_bytes() == expected.encode()
+
+
+def _per_point_polylines(series_xy, x_all, y_all):
+    """The polyline points of one panel, one f-string per point."""
+    xlo, xhi = float(np.min(x_all)), float(np.max(x_all))
+    ylo, yhi = float(np.min(y_all)), float(np.max(y_all))
+    ypad = 0.05 * (yhi - ylo)
+    ylo, yhi = ylo - ypad, yhi + ypad
+    out = []
+    for x0, xs, ys in series_xy:
+        px = [x0 + _PAD + (x - xlo) / (xhi - xlo) * (_W - 2 * _PAD) for x in xs]
+        py = [_H - _PAD - (y - ylo) / (yhi - ylo) * (_H - 2 * _PAD) for y in ys]
+        out.append(" ".join(f"{a:.3f},{b:.3f}" for a, b in zip(px, py)))
+    return out
+
+
 class TestPlot:
+    def test_polylines_match_per_point_formatting(self):
+        t = np.linspace(0.0, 200.0, 4001)
+        x, xd = np.sin(t) ** 3 + 1e-3 * t, np.cos(1.3 * t)
+        svg = emit_plot([Series(t, x, "plus"), Series(t, xd, "minus")], phase=[(x, xd, "plus")])
+        got = [ln.split('points="')[1].split('"')[0] for ln in svg.splitlines() if "<polyline" in ln]
+        expected = _per_point_polylines([(0, t, x), (0, t, xd)], np.concatenate([t, t]), np.concatenate([x, xd]))
+        expected += _per_point_polylines([(_W, x, xd)], x, xd)
+        assert got == expected
+
     def test_constant_series_is_horizontal_line(self):
         t = np.linspace(0.0, 1.0, 11)
         svg = emit_plot([Series(t, np.full_like(t, 2.0), "stationary")])
@@ -283,6 +375,19 @@ class TestCli:
         proc = self.run_cli("threshold", "--c", "-1")
         assert proc.returncode == 2, proc.stderr
         assert "error: c:" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"name": "h", "task": "hopf", "c": 1.0, "d": 7.38, "n": 100}, "c"),
+        ({"name": "t", "task": "threshold", "c": 1.0, "bracket": [1.01, 1.02]}, "bracket"),
+        ({"name": "m", "task": "manifold", "system": {"kind": "limit", "c": 1.0, "d": 7.38},
+          "branch": "plus", "kappa": 0.95}, "kappa"),
+        ({"name": "e", "task": "envelope", "c": 1.0, "d": 5.0, "d0": 1.2}, "d0"),
+    ])
+    def test_runner_check_names_its_field(self, tmp_path, doc, field):
+        path = write_scenario(tmp_path, doc)
+        proc = self.run_cli(doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_spectrum_direct_flags(self):
         proc = self.run_cli("spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
