@@ -31,7 +31,6 @@ from .threshold import HITS_ONE, IN_D, UNRESOLVED, classify_zd, envelopes
 
 __all__ = [
     "PeriodicOrbit",
-    "contraction_factors",
     "FloquetReport",
     "HopfSearchResult",
     "ConnectionDiagram",
@@ -77,6 +76,15 @@ class PeriodicOrbit:
 
 def _segment_distance(traj: Trajectory, t_a: float, t_b: float) -> float:
     return float(np.max(np.abs(traj.eval_many(t_a + _SEG_MESH) - traj.eval_many(t_b + _SEG_MESH))))
+
+
+def _layer_mesh(system: System, traj: Trajectory) -> int:
+    """Steps per unit that put two steps across the narrowest transition layer.
+
+    A Hill layer is about ``1 / (n |x'|)`` wide; ``|x'|`` is the largest
+    slope on the second half of ``traj``'s pieces, where it has settled.
+    """
+    return int(math.ceil(2.0 * system.feedback.n * float(np.max(np.abs(traj.dl[traj.dl.size // 2:])))))
 
 
 def detect_periodic(
@@ -258,11 +266,14 @@ def _dense_slope(traj: Trajectory, t: np.ndarray) -> np.ndarray:
 def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_int: Optional[int] = None) -> FloquetReport:
     """Floquet multipliers of an orbit from the discretized period map.
 
-    Hat functions on a uniform segment mesh are propagated through the
-    variational equation over one period; the resulting matrix is eigensolved
-    densely.  Requires the smooth system.  ``N_int`` (the integration mesh)
-    defaults to a value resolving the Hill transition layer, which narrows
-    like 1/n.
+    The hat functions on ``N`` steps of the segment mesh are propagated
+    through the variational equation over one period, along the orbit
+    integrated on ``N_int`` steps per unit (default ``max(400, 2N, 4n)``);
+    the resulting matrix is eigensolved densely.  Requires the smooth
+    system.  ``trivial_error`` measures how well the hat mesh resolves the
+    orbit: ``connection_diagram`` integrates on the mesh that detected the
+    orbit, raises ``N`` until the error clears 0.05, and reads no stability
+    from a matrix that never does.
 
     The trivial multiplier is picked by its eigenvector, the one closest in
     angle to the orbit's derivative on the mesh, not by its value: on long
@@ -307,76 +318,6 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
         unstable_eigvec=psi_u,
         mesh=mesh,
     )
-
-
-def contraction_factors(
-    system: System,
-    orbit: PeriodicOrbit,
-    periods: int = 6,
-    eps: float = 1e-9,
-    N: int = 400,
-    seed: int = 0,
-) -> list:
-    """Per-period growth of transversal perturbations, measured dynamically.
-
-    A finite-difference power iteration on the period map around the orbit
-    itself: integrate ``orbit.q0`` and a copy bumped by ``eps * v`` over one
-    period, difference, project out the phase direction, renormalize,
-    repeat.  The phase direction is the derivative of the reference
-    trajectory's dense output, so it matches the computed solution to the
-    integration's own resolution.  Requires the smooth system.
-
-    Long multi-bump orbits shift their phase by thousands of times the size
-    of a perturbation, and their transition layers are only ~1/(n |x'|)
-    wide.  Two things keep the measurement about contraction and not about
-    that phase slip:
-
-    * the integration mesh is ``N`` raised until the step is at most half
-      the narrowest layer; on a coarser mesh the discrete solution is no
-      longer invariant under time shifts (an orbit can lock its period to
-      the grid) and the derivative is no longer the neutral direction;
-    * ``eps`` keeps the phase shift well below the narrowest layer (on the
-      x2 orbit, a phase gain of ~2e4 and layers of 6e-4 put it near 1e-9).
-      Each period is measured at ``eps`` and at ``eps / 10``, and the sup
-      difference of the two projected quotients, which grows with the
-      second-order remainder and with rounding, is added to the factor: a
-      factor reads below 1 only if the measurement and its spread do.
-    """
-    if system.kind != "smooth":
-        raise ValueError("Floquet analysis needs the differentiable family")
-    omega = orbit.omega
-    ref = integrate(system, orbit.q0, omega, N=N)
-    fine = int(math.ceil(2.0 * system.feedback.n * float(np.max(np.abs(ref.dl)))))
-    if fine > N:
-        N = fine
-        ref = integrate(system, orbit.q0, omega, N=N)
-    mesh = np.linspace(-1.0, 0.0, 2001)
-    end_t = omega + mesh
-    ref_end = ref.eval_many(end_t)
-    phase = _dense_slope(ref, end_t)
-    phase /= np.linalg.norm(phase)
-
-    def transversal(v: np.ndarray, e: float) -> np.ndarray:
-        hist = HistoryFunction.from_callable(
-            lambda s: np.maximum(orbit.q0.eval(s) + e * np.interp(s, mesh, v), 0.0), kind="perturbed-orbit"
-        )
-        delta = (integrate(system, hist, omega, N=N).eval_many(end_t) - ref_end) / e
-        return delta - np.dot(delta, phase) * phase
-
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(-1.0, 1.0, size=mesh.size)
-    v -= np.dot(v, phase) * phase
-    v /= np.max(np.abs(v))
-    factors = []
-    for _ in range(periods):
-        delta = transversal(v, eps)
-        spread = float(np.max(np.abs(delta - transversal(v, 0.1 * eps))))
-        g = float(np.max(np.abs(delta)))
-        factors.append(g + spread)
-        if g < 1e-6:
-            break
-        v = delta / g
-    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +503,16 @@ def connection_diagram(
     ``dstar`` may be supplied from a previous bisection; otherwise the regime
     is certified by a single probe classification (contact with the cutoff
     means the gain is at or above critical).  The minus branch must collapse
-    to zero; the plus branch collapses below critical and reaches a periodic
-    orbit (sought on meshes from ``max(400, 4n)`` up) or, above critical, a
-    band-confined attractor whose returns to within 0.05 of the cutoff are
-    recorded.  With ``with_hopf`` the small saddle orbit (first band) is
-    computed and the fates of its unstable-disk samples are recorded.
+    to zero; the plus branch collapses below critical and, above it, reaches
+    a periodic orbit or a band-confined attractor whose returns to within
+    0.05 of the cutoff are recorded.  The orbit is sought over ``T_orbit`` on
+    ``max(400, 4n)`` steps per unit and, when none is found there, once more
+    on the layer mesh of that run (``_layer_mesh``).  It is kept only if the
+    Floquet matrix on its detection mesh resolves it: the hat mesh starts at
+    ``min(200, max(100, N))`` and doubles at most twice until the trivial
+    error is at most 0.05.  With ``with_hopf`` the small saddle orbit (first
+    band) is computed and the fates of its unstable-disk samples are
+    recorded.
     """
     from .manifold import shoot_branch
 
@@ -594,61 +540,45 @@ def connection_diagram(
     if minus_limit != "ZERO":
         unresolved.append("minus")
 
-    plus_ev: dict = {}
     orbit = None
     if regime == "below":
         plus = shoot_branch(system, "plus", T=max(60.0, 20.0 / c), N=N)
         ptail = plus.eval_many(np.linspace(plus.domain[1] - 3.0, plus.domain[1] - 0.5, 301))
-        if float(np.max(np.abs(ptail))) < 1e-5:
-            plus_limit = "ZERO"
-            plus_ev = {"tail_max": float(np.max(np.abs(ptail)))}
-        else:
-            plus_limit = "UNRESOLVED"
-            plus_ev = {"tail_max": float(np.max(np.abs(ptail)))}
+        plus_ev = {"tail_max": float(np.max(np.abs(ptail)))}
+        plus_limit = "ZERO" if plus_ev["tail_max"] < 1e-5 else "UNRESOLVED"
+        if plus_limit != "ZERO":
             unresolved.append("plus")
     else:
-        # the fine mesh keeps the return residual of converged orbits well
-        # below the detection tolerance for sharply kinked Hill families
-        plus = None
+        # a mesh that misses the transition layers can lock an orbit's period
+        # to the grid or push its return residual over the gate; when the
+        # first mesh finds no orbit, the branch is shot again on the layer mesh
+        plus = shoot_branch(system, "plus", T=T_orbit, N=N_orbit)
+        orbit = detect_periodic(plus.traj, level=1.0, transient=plus.shift + 0.6 * T_orbit)
         detect_mesh = N_orbit
-        for horizon, n_mesh in (
-            (T_orbit, N_orbit),
-            (2 * T_orbit, N_orbit),
-            (2 * T_orbit, 2 * N_orbit),
-            (2 * T_orbit, 4 * N_orbit),
-        ):
-            plus = shoot_branch(system, "plus", T=horizon, N=n_mesh)
-            orbit = detect_periodic(plus.traj, level=1.0, transient=plus.shift + 0.6 * horizon)
-            if orbit is not None:
-                detect_mesh = n_mesh
-                break
+        if orbit is None:
+            N_layer = _layer_mesh(system, plus.traj)
+            if N_layer > N_orbit:
+                detect_mesh = N_layer
+                plus = shoot_branch(system, "plus", T=T_orbit, N=N_layer)
+                orbit = detect_periodic(plus.traj, level=1.0, transient=plus.shift + 0.6 * T_orbit)
         t2 = plus.landmarks.t2
         band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
         plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
-        flo = None
-        contraction = None
         if orbit is not None:
-            flo = monodromy_multipliers(system, orbit, N=min(200, max(100, N)), N_int=detect_mesh)
-            if flo.trivial_error > 0.05:
-                # the hat mesh misses the derivative of long multi-bump
-                # orbits and their strong phase response moves the trivial
-                # multiplier far from 1; fall back to the dynamical
-                # contraction measurement
-                factors = contraction_factors(system, orbit, N=detect_mesh)
-                contraction = max(factors[-2:]) if len(factors) > 1 else factors[0]
-                if contraction >= 1.0:
-                    # neither diagnostic trusts the orbit (thin-torus case)
-                    orbit, flo = None, None
+            # stability is read from a matrix that resolves the orbit, or not
+            # at all: an orbit whose trivial multiplier stays off 1 is dropped
+            hat = min(200, max(100, N))
+            for hat_N in (hat, 2 * hat, 4 * hat):
+                flo = monodromy_multipliers(system, orbit, N=hat_N, N_int=detect_mesh)
+                if flo.trivial_error <= 0.05:
+                    break
+            else:
+                orbit = None
         if orbit is not None:
             plus_limit = "PERIODIC"
             plus_ev.update({"omega": orbit.omega, "orbit_min": orbit.vmin, "orbit_max": orbit.vmax,
-                            "floquet_trivial_error": flo.trivial_error})
-            if contraction is None:
-                plus_ev["floquet_leading_nontrivial"] = flo.leading_nontrivial
-                plus_ev["floquet_method"] = "variational-matrix"
-            else:
-                plus_ev["floquet_leading_nontrivial"] = contraction
-                plus_ev["floquet_method"] = "dynamic-power-iteration"
+                            "floquet_trivial_error": flo.trivial_error,
+                            "floquet_leading_nontrivial": flo.leading_nontrivial})
         else:
             hits = _recurrence_gap(plus, t2)
             plus_limit = "ATTRACTOR"

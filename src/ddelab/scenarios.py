@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +30,7 @@ from . import __version__
 from .dde import ParameterError, System, integrate
 from .history import HistoryFunction
 from .manifold import shoot_branch
-from .periodic import _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search, monodromy_multipliers
+from .periodic import _layer_mesh, _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search, monodromy_multipliers
 from .plotting import Series, emit_plot
 from .spectrum import spectrum_report
 from .threshold import UNRESOLVED, classify_zd, envelopes, find_dstar
@@ -382,10 +383,13 @@ def run_scenario(path: str, out_dir: Optional[str] = None) -> RunResult:
         doc = doc["scenario"]
     scenario = validate_scenario(doc)
     out_dir = out_dir or os.path.join(os.getcwd(), scenario.name)
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     try:
         artifacts, unresolved = _RUNNERS[scenario.task](scenario, out_dir)
     except ParameterError as exc:
+        if created:
+            shutil.rmtree(out_dir)
         raise ScenarioError([f"{exc.field}: {exc}"]) from None
     manifest = {
         "scenario": scenario.to_json(),
@@ -481,12 +485,18 @@ def _run_periodic(sc: Scenario, out: str):
     system = _system_from(sc.spec["system"])
     T = float(sc.spec.get("T", 500.0))
     N = int(sc.spec.get("N", 400))
+    level = float(sc.spec.get("level", 1.0))
+    transient = float(sc.spec.get("transient", 0.7 * T))
     traj = integrate(system, HistoryFunction.constant(1.2), T, N=N)
-    orbit = detect_periodic(
-        traj,
-        level=float(sc.spec.get("level", 1.0)),
-        transient=float(sc.spec.get("transient", 0.7 * T)),
-    )
+    orbit = detect_periodic(traj, level=level, transient=transient)
+    if orbit is None and system.kind == "smooth":
+        # a mesh that misses the transition layers leaves the return residual
+        # above the gate; integrate once more on the layer mesh
+        N_layer = _layer_mesh(system, traj)
+        if N_layer > N:
+            N = N_layer
+            traj = integrate(system, HistoryFunction.constant(1.2), T, N=N)
+            orbit = detect_periodic(traj, level=level, transient=transient)
     if orbit is None:
         _write_json(os.path.join(out, "orbit.json"), {"found": False})
         return ["orbit.json"], True

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,11 @@ from ddelab.dde import System, integrate, segment_at
 from ddelab.history import HistoryFunction
 from ddelab.periodic import (
     _interp_columns,
-    contraction_factors,
     detect_periodic,
     hopf_orbit_search,
     monodromy_multipliers,
 )
+from ddelab.scenarios import run_scenario
 
 HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
 
@@ -80,20 +81,6 @@ class TestMonodromy:
             assert got[:, i].tobytes() == np.interp(x, mesh, fp[:, i]).tobytes()
 
 
-class TestContraction:
-    def test_saddle_orbit_growth_matches_matrix(self):
-        found = hopf_orbit_search(HOPF_C, 25.0, 2.0, 100, j=1, alphas=(0.2,))
-        rep = monodromy_multipliers(found.system, found.orbit, N=120)
-        factors = contraction_factors(found.system, found.orbit)
-        assert rep.unstable_multiplier > 1.0
-        assert abs(factors[-1] - rep.unstable_multiplier) / rep.unstable_multiplier < 0.05
-
-    def test_stable_orbit_contracts(self, x1_orbit_n100):
-        system, _, orbit = x1_orbit_n100
-        factors = contraction_factors(system, orbit)
-        assert factors[-1] < 1.0
-
-
 class TestAttraction:
     def test_constant_above_cutoff_converges(self, x1_orbit_n100):
         """Histories in [1.3, 2 d/c] settle on the fixture's orbit within T = 120."""
@@ -159,3 +146,23 @@ class TestDiagramConsistency:
         doc = x1_diagram.to_dict()
         assert doc["minus"]["limit"] == "ZERO"
         assert doc["plus"]["limit"] == "PERIODIC"
+
+    def test_figure_orbits_clear_the_trivial_gate(self, x1_diagram, x2_diagram, hopf_diagram):
+        for diag in (x1_diagram, x2_diagram, hopf_diagram):
+            assert diag.plus_limit == "PERIODIC"
+            assert diag.plus_evidence["floquet_trivial_error"] <= 0.05
+            assert diag.plus_evidence["floquet_leading_nontrivial"] < 1.0
+            assert "floquet_method" not in diag.plus_evidence
+
+    def test_x4_period_is_not_locked_to_the_grid(self, hopf_diagram):
+        steps = hopf_diagram.plus_evidence["omega"] * 400
+        assert abs(steps - round(steps)) > 1e-3
+
+    def test_periodic_task_finds_the_diagram_orbit(self, x1_diagram, tmp_path):
+        doc = {"name": "x1-orbit", "task": "periodic", "system": {"kind": "smooth", "a": 1, "b": 7.38, "n": 200}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        res = run_scenario(str(path), out_dir=str(tmp_path / "out"))
+        got = json.loads((tmp_path / "out" / "orbit.json").read_text())
+        assert not res.unresolved and got["found"]
+        assert abs(got["omega"] / x1_diagram.orbit.omega - 1.0) < 1e-6

@@ -388,6 +388,7 @@ class TestCli:
         proc = self.run_cli(doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_spectrum_direct_flags(self):
         proc = self.run_cli("spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
