@@ -21,7 +21,7 @@ from .dde import (
 )
 from .history import HistoryFunction
 from .manifold import BranchSolution, convergence_table, exp_segment_check, shoot_branch
-from .nonlinearity import Hill, PowerCutoff, feedback_from_json, feedback_to_json
+from .nonlinearity import Hill, PowerCutoff
 from .periodic import (
     ConnectionDiagram,
     FloquetReport,

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from .dde import ParameterError
 from .scenarios import TASKS, ScenarioError, run_scenario, validate_scenario
 from .spectrum import spectrum_report
 from .threshold import find_dstar
@@ -69,7 +70,11 @@ def _spectrum_direct(args) -> int:
 
 
 def _threshold_direct(args) -> int:
-    res = find_dstar(args.c, tol=args.tol, T_max=args.Tmax)
+    try:
+        res = find_dstar(args.c, tol=args.tol, T_max=args.Tmax)
+    except ParameterError as exc:
+        print(f"error: {exc.field}: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"c": args.c, **res.to_dict()}, indent=1))
     return 3 if res.unresolved else 0
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .history import HistoryFunction
-from .nonlinearity import Feedback, Hill, PowerCutoff, feedback_to_json
+from .nonlinearity import Feedback, Hill, PowerCutoff
 
 __all__ = [
     "System",
@@ -86,14 +86,6 @@ class System:
     @classmethod
     def smooth(cls, a: float, b: float, k: float = 2.0, n: int = 100) -> "System":
         return cls("smooth", float(a), float(b), Hill(k=k, n=n))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "rate": self.rate,
-            "gain": self.gain,
-            "feedback": feedback_to_json(self.feedback),
-        }
 
 
 def _rk4_affine_coeffs(rate: float, h: float) -> tuple[float, float, float, float]:
@@ -177,26 +169,29 @@ def _eval_pieces(t: np.ndarray, ts, xs, dl, dr, side=None, rate: float = 0.0) ->
     return vals
 
 
-def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, width: np.ndarray, f):
+def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, f, tol: float, width: Optional[np.ndarray] = None):
     """Bracket the sign changes of sampled functions and bisect each bracket.
 
-    Row ``r`` of ``v`` holds ``g_r(thetas) - level``.  A sample exactly on
-    the level counts as below it, as the cutoff feedback takes its value at
-    1 from below; a bracket ``[thetas[j], thetas[j+1]]`` holds a crossing
-    when its two samples lie on different sides.  Each bracket is halved on
-    plain floats until ``(hi - lo) * width[r] <= _BISECT_TOL``; ``f(r,
-    theta)`` returns ``g_r(theta) - level`` as a float.  Returns the rows
-    (in row, then bracket order), the midpoints of the final brackets and
-    whether each crossing is upward.
+    The package's one halving loop: it locates the dense output's level
+    crossings, the stationary points and the scalar roots of the spectrum.
+    Row ``r`` of ``v`` holds ``g_r(thetas)``.  A sample exactly at zero
+    counts as below it, as the cutoff feedback takes its value at 1 from
+    below; a bracket ``[thetas[j], thetas[j+1]]`` holds a crossing when its
+    two samples lie on different sides.  Each bracket is halved on plain
+    floats until ``(hi - lo) * width[r] <= tol`` (``width`` defaults to
+    ones); ``f(r, theta)`` returns ``g_r(theta)`` as a float.  Returns the
+    rows (in row, then bracket order), the midpoints of the final brackets
+    and whether each crossing is upward.
     """
     va, vb = v[:, :-1], v[:, 1:]
     rows, j = np.nonzero((va > 0.0) != (vb > 0.0))
     up = vb[rows, j] > va[rows, j]
     th = thetas.tolist()
+    widths = np.ones(len(v)) if width is None else width
     mids = []
-    for r, k, flo, w in zip(rows.tolist(), j.tolist(), va[rows, j].tolist(), width[rows].tolist()):
+    for r, k, flo, w in zip(rows.tolist(), j.tolist(), va[rows, j].tolist(), widths[rows].tolist()):
         lo, hi = th[k], th[k + 1]
-        while (hi - lo) * w > _BISECT_TOL:
+        while (hi - lo) * w > tol:
             mid = 0.5 * (lo + hi)
             fm = f(r, mid)
             if flo * fm <= 0.0:
@@ -242,7 +237,8 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     v = _hermite_eval(_SAMPLE_THETAS, h[col], x0[col], d0[col], x1[col], d1[col]) - level
     hl, x0l, d0l, x1l, d1l = (a.tolist() for a in (h, x0, d0, x1, d1))
     rows, theta, up = _bisect_crossings(
-        v, _SAMPLE_THETAS, h, lambda r, th: _hermite_eval(th, hl[r], x0l[r], d0l[r], x1l[r], d1l[r]) - level
+        v, _SAMPLE_THETAS, lambda r, th: _hermite_eval(th, hl[r], x0l[r], d0l[r], x1l[r], d1l[r]) - level,
+        _BISECT_TOL, h,
     )
     t_herm = ts[ih[rows]] + theta * h[rows]
 
@@ -355,9 +351,7 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
 
     if limit:
         s, v = history.sampled(4001)
-        _, s_cross, ups = _bisect_crossings(
-            (v - 1.0)[None, :], s, np.ones(1), lambda _row, th: history.eval(th) - 1.0
-        )
+        _, s_cross, ups = _bisect_crossings((v - 1.0)[None, :], s, lambda _row, th: history.eval(th) - 1.0, _BISECT_TOL)
         record(s_cross.tolist(), ups.tolist())
 
     prev: Optional[tuple] = None  # the previous unit's pieces, for delayed lookups
@@ -483,11 +477,7 @@ def segment_at(traj: Trajectory, t: float) -> HistoryFunction:
         raise ValueError("segment time outside [0, T]")
     if t == 0.0:
         return traj.history
-    return HistoryFunction.from_callable(
-        lambda s: traj.eval_many(np.asarray(t + np.asarray(s, dtype=float))),
-        kind="segment",
-        t=t,
-    )
+    return HistoryFunction.from_callable(lambda s: traj.eval_many(np.asarray(t + np.asarray(s, dtype=float))))
 
 
 @dataclass(frozen=True)

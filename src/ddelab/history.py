@@ -1,8 +1,8 @@
 """Initial segments: continuous functions on [-1, 0] used to start integrations."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -16,38 +16,31 @@ _PROBE = np.linspace(-1.0, 0.0, 2001)
 class HistoryFunction:
     """A continuous function on [-1, 0].
 
-    Carries either a closed-form tag (constant, exponential ramp, the
-    super-cutoff start-up profile) or sampled data interpolated by a
-    shape-preserving cubic.  Instances are immutable and safe to share.
+    Built from a closed form (constant, exponential decay, the equilibrium
+    plus a leading-mode bump), from samples interpolated by a
+    shape-preserving cubic, or from any callable.  Instances are immutable
+    and safe to share.
     """
 
-    kind: str
     _fn: Callable[[np.ndarray], np.ndarray]
-    mesh: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
-    params: dict = field(default_factory=dict)
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def constant(cls, value: float) -> "HistoryFunction":
         v = float(value)
-        return cls(kind="constant", _fn=lambda s: np.full_like(s, v), params={"value": v})
+        return cls(lambda s: np.full_like(s, v))
 
     @classmethod
     def exp_decay(cls, c: float) -> "HistoryFunction":
         """``exp(-c (1 + s))``: value 1 at s = -1 decaying to ``exp(-c)`` at 0."""
         c = float(c)
-        return cls(kind="exp-decay", _fn=lambda s: np.exp(-c * (1.0 + s)), params={"c": c})
+        return cls(lambda s: np.exp(-c * (1.0 + s)))
 
     @classmethod
     def eigen_seed(cls, base: float, amp: float, rate: float) -> "HistoryFunction":
         """``base + amp * exp(rate * s)``: equilibrium plus a leading-mode bump."""
         base, amp, rate = float(base), float(amp), float(rate)
-        return cls(
-            kind="eigen-seed",
-            _fn=lambda s: base + amp * np.exp(rate * s),
-            params={"base": base, "amp": amp, "rate": rate},
-        )
+        return cls(lambda s: base + amp * np.exp(rate * s))
 
     @classmethod
     def from_samples(cls, mesh, values) -> "HistoryFunction":
@@ -59,12 +52,11 @@ class HistoryFunction:
             raise ValueError("mesh must cover [-1, 0]")
         if np.any(np.diff(mesh) <= 0):
             raise ValueError("mesh must be strictly increasing")
-        interp = PchipInterpolator(mesh, values, extrapolate=True)
-        return cls(kind="samples", _fn=lambda s: interp(s), mesh=mesh, values=values)
+        return cls(PchipInterpolator(mesh, values, extrapolate=True))
 
     @classmethod
-    def from_callable(cls, fn: Callable, kind: str = "callable", **params) -> "HistoryFunction":
-        return cls(kind=kind, _fn=lambda s: np.asarray(fn(s), dtype=float), params=params)
+    def from_callable(cls, fn: Callable) -> "HistoryFunction":
+        return cls(lambda s: np.asarray(fn(s), dtype=float))
 
     # -- evaluation --------------------------------------------------------
     def eval(self, s):

@@ -71,9 +71,6 @@ class BranchSolution:
     def eval(self, t: float) -> float:
         return float(self.eval_many(np.asarray([t]))[0])
 
-    def anchor_value(self) -> float:
-        return self.equilibrium + self.kappa
-
 
 def _interior_data(system: System) -> tuple[float, float]:
     if system.kind == "limit":
@@ -201,8 +198,6 @@ class ConvergenceTable:
     kappa: float
     m: int
     rows: tuple  # (n, sup_dist_on_[0,m], seed_segment_dist, window_ok)
-    limit_landmarks: Landmarks
-    knee: Optional[int] = None
 
     def first(self) -> float:
         return self.rows[0][1]
@@ -249,13 +244,4 @@ def convergence_table(c: float, d: float, k: float, n_grid) -> ConvergenceTable:
             wgrid = np.linspace(lm.t3, lm.t3 + 1.0, 501)
             window_ok = bool(np.min(y_sol.eval_many(wgrid)) >= 1.0 + lm.eps)
         rows.append((int(n), sup, seg, window_ok))
-
-    knee = None
-    for i in range(len(rows)):
-        tail = [r[1] for r in rows[i:] if math.isfinite(r[1])]
-        if len(tail) >= 2 and all(b <= a * (1 + 1e-9) for a, b in zip(tail, tail[1:])):
-            knee = rows[i][0]
-            break
-    return ConvergenceTable(
-        c=c, d=d, kappa=kappa, m=m, rows=tuple(rows), limit_landmarks=lm, knee=knee
-    )
+    return ConvergenceTable(c=c, d=d, kappa=kappa, m=m, rows=tuple(rows))

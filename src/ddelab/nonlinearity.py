@@ -21,8 +21,6 @@ __all__ = [
     "PowerCutoff",
     "Hill",
     "Feedback",
-    "feedback_to_json",
-    "feedback_from_json",
 ]
 
 
@@ -115,19 +113,3 @@ class Hill:
 
 Feedback = Union[PowerCutoff, Hill]
 
-
-def feedback_to_json(f: Feedback) -> dict:
-    if isinstance(f, PowerCutoff):
-        return {"kind": "power-cutoff", "k": f.k}
-    if isinstance(f, Hill):
-        return {"kind": "hill", "k": f.k, "n": int(f.n)}
-    raise TypeError(f"unsupported feedback: {type(f)!r}")
-
-
-def feedback_from_json(d: dict) -> Feedback:
-    kind = d.get("kind")
-    if kind == "power-cutoff":
-        return PowerCutoff(k=float(d["k"]))
-    if kind == "hill":
-        return Hill(k=float(d["k"]), n=int(d["n"]))
-    raise ValueError(f"unknown feedback kind: {kind!r}")

@@ -27,7 +27,7 @@ import numpy as np
 from .dde import System, Trajectory, _eval_pieces, _rk4_affine_steps, _stage_grid, integrate, segment_at
 from .history import HistoryFunction
 from .spectrum import HopfData, hopf_data, stationary_points
-from .threshold import HITS_ONE, IN_D, UNRESOLVED, classify_zd, envelopes
+from .threshold import HITS_ONE, IN_D, classify_zd
 
 __all__ = [
     "PeriodicOrbit",
@@ -58,10 +58,6 @@ class PeriodicOrbit:
     residual: float
     samples_t: np.ndarray = field(repr=False)
     samples_x: np.ndarray = field(repr=False)
-
-    @property
-    def amplitude(self) -> float:
-        return 0.5 * (self.vmax - self.vmin)
 
     def to_dict(self) -> dict:
         return {
@@ -271,7 +267,7 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
     integrated on ``N_int`` steps per unit (default ``max(400, 2N, 4n)``);
     the resulting matrix is eigensolved densely.  Requires the smooth
     system.  ``trivial_error`` measures how well the hat mesh resolves the
-    orbit: ``connection_diagram`` integrates on the mesh that detected the
+    orbit: ``_resolved_floquet`` integrates on the mesh that detected the
     orbit, raises ``N`` until the error clears 0.05, and reads no stability
     from a matrix that never does.
 
@@ -318,6 +314,19 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
         unstable_eigvec=psi_u,
         mesh=mesh,
     )
+
+
+def _resolved_floquet(system: System, orbit: PeriodicOrbit, N_int: int) -> Optional[FloquetReport]:
+    """The Floquet report on the first hat mesh of 200, 400 and 800 whose trivial error is at most 0.05.
+
+    ``N_int`` is the integration mesh that detected the orbit.  None when no
+    hat mesh resolves the orbit; then no stability may be read from it.
+    """
+    for hat_N in (200, 400, 800):
+        flo = monodromy_multipliers(system, orbit, N=hat_N, N_int=N_int)
+        if flo.trivial_error <= 0.05:
+            return flo
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +517,10 @@ def connection_diagram(
     0.05 of the cutoff are recorded.  The orbit is sought over ``T_orbit`` on
     ``max(400, 4n)`` steps per unit and, when none is found there, once more
     on the layer mesh of that run (``_layer_mesh``).  It is kept only if the
-    Floquet matrix on its detection mesh resolves it: the hat mesh starts at
-    ``min(200, max(100, N))`` and doubles at most twice until the trivial
-    error is at most 0.05.  With ``with_hopf`` the small saddle orbit (first
-    band) is computed and the fates of its unstable-disk samples are
-    recorded.
+    Floquet matrix on its detection mesh resolves it (``_resolved_floquet``:
+    hat mesh 200, 400 or 800, trivial error at most 0.05).  With
+    ``with_hopf`` the small saddle orbit (first band) is computed and the
+    fates of its unstable-disk samples are recorded.
     """
     from .manifold import shoot_branch
 
@@ -564,22 +572,15 @@ def connection_diagram(
         t2 = plus.landmarks.t2
         band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
         plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
-        if orbit is not None:
-            # stability is read from a matrix that resolves the orbit, or not
-            # at all: an orbit whose trivial multiplier stays off 1 is dropped
-            hat = min(200, max(100, N))
-            for hat_N in (hat, 2 * hat, 4 * hat):
-                flo = monodromy_multipliers(system, orbit, N=hat_N, N_int=detect_mesh)
-                if flo.trivial_error <= 0.05:
-                    break
-            else:
-                orbit = None
-        if orbit is not None:
+        # an orbit whose trivial multiplier stays off 1 on every hat mesh is dropped
+        flo = None if orbit is None else _resolved_floquet(system, orbit, detect_mesh)
+        if flo is not None:
             plus_limit = "PERIODIC"
             plus_ev.update({"omega": orbit.omega, "orbit_min": orbit.vmin, "orbit_max": orbit.vmax,
                             "floquet_trivial_error": flo.trivial_error,
                             "floquet_leading_nontrivial": flo.leading_nontrivial})
         else:
+            orbit = None
             hits = _recurrence_gap(plus, t2)
             plus_limit = "ATTRACTOR"
             plus_ev.update({"recurrence_max_gap": hits})

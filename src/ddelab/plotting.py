@@ -17,11 +17,10 @@ _W, _H, _PAD = 560, 400, 52
 
 
 class Series:
-    def __init__(self, t, values, role: str = "default", label: str = ""):
+    def __init__(self, t, values, role: str = "default"):
         self.t = np.asarray(t, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.role = role
-        self.label = label or role
         if self.t.size == 0 or self.t.shape != self.values.shape:
             raise ValueError("series needs matching nonempty t / value arrays")
 

@@ -30,10 +30,12 @@ from . import __version__
 from .dde import ParameterError, System, integrate
 from .history import HistoryFunction
 from .manifold import shoot_branch
-from .periodic import _layer_mesh, _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search, monodromy_multipliers
+from .periodic import (
+    _layer_mesh, _resolved_floquet, _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search,
+)
 from .plotting import Series, emit_plot
 from .spectrum import spectrum_report
-from .threshold import UNRESOLVED, classify_zd, envelopes, find_dstar
+from .threshold import envelopes, find_dstar
 
 __all__ = ["Scenario", "ScenarioError", "validate_scenario", "run_scenario", "FIGURE_PRESETS"]
 
@@ -427,7 +429,7 @@ def _run_simulate(sc: Scenario, out: str):
         sub = np.linspace(0.0, T, min(4001, 20 * int(T) + 1))
         vals = traj.eval_many(sub)
         svg = emit_plot(
-            [Series(sub, vals, "default", "x")],
+            [Series(sub, vals)],
             phase=[(vals, traj.eval_many(sub - 1.0), "default")],
             title=sc.name,
         )
@@ -501,12 +503,15 @@ def _run_periodic(sc: Scenario, out: str):
         _write_json(os.path.join(out, "orbit.json"), {"found": False})
         return ["orbit.json"], True
     doc = {"found": True, **orbit.to_dict()}
+    unresolved = False
     if system.kind == "smooth":
-        flo = monodromy_multipliers(system, orbit, N=200, N_int=N)
-        doc["floquet"] = flo.to_dict()
+        # null when no hat mesh resolves the orbit's trivial multiplier
+        flo = _resolved_floquet(system, orbit, N)
+        doc["floquet"] = None if flo is None else flo.to_dict()
+        unresolved = flo is None
     _write_json(os.path.join(out, "orbit.json"), doc)
     _write_csv(os.path.join(out, "orbit_samples.csv"), {"t": orbit.samples_t, "x": orbit.samples_x})
-    return ["orbit.json", "orbit_samples.csv"], False
+    return ["orbit.json", "orbit_samples.csv"], unresolved
 
 
 def _run_hopf(sc: Scenario, out: str):

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .dde import ParameterError, System
+from .dde import ParameterError, System, _bisect_crossings
 from .nonlinearity import Hill
 
 __all__ = [
@@ -55,7 +55,6 @@ class StationaryPoint:
 class StationarySet:
     points: tuple
     ceiling: float
-    closed_form_interior: Optional[float] = None
 
     def interior(self) -> StationaryPoint:
         inner = [p for p in self.points if p.value > 0.0]
@@ -74,8 +73,9 @@ def interior_equilibrium(c: float, d: float, k: float = 2.0) -> float:
 def stationary_points(system: System, ceiling: float) -> StationarySet:
     """All zeros of ``-rate xi + gain F(xi)`` on [0, ceiling].
 
-    Sign changes on a 10,000-point grid are refined by bisection to ~1e-12.
-    For the limit system the scan stops at the cutoff, where the map is
+    Exact zeros on a 10,000-point grid are roots, and each sign change
+    between grid points is halved to a bracket width of 1e-14.  For the
+    limit system the scan stops at the cutoff, where the map is
     discontinuous.
     """
     if ceiling <= 0:
@@ -88,22 +88,8 @@ def stationary_points(system: System, ceiling: float) -> StationarySet:
 
     grid = np.linspace(0.0, top, 10_000)
     vals = alpha(grid)
-    roots = [0.0]
-    for j in range(len(grid) - 1):
-        va, vb = vals[j], vals[j + 1]
-        if va == 0.0 and grid[j] > 0.0:
-            roots.append(grid[j])
-            continue
-        if va * vb < 0.0:
-            lo, hi, flo = grid[j], grid[j + 1], va
-            while hi - lo > 1e-14:
-                mid = 0.5 * (lo + hi)
-                fm = alpha(mid)
-                if flo * fm <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+    _, mids, _ = _bisect_crossings(vals[None, :], grid, lambda _row, xi: alpha(xi), 1e-14)
+    roots = [0.0, *grid[(vals == 0.0) & (grid > 0.0)].tolist(), *mids.tolist()]
     points = []
     for r in sorted(set(np.round(roots, 13))):
         slope = system.gain * fb.deriv(r)
@@ -115,10 +101,13 @@ def stationary_points(system: System, ceiling: float) -> StationarySet:
                 slope=float(slope),
             )
         )
-    closed = None
-    if system.kind == "limit" and system.gain > system.rate:
-        closed = interior_equilibrium(system.rate, system.gain, system.feedback.k)
-    return StationarySet(points=tuple(points), ceiling=ceiling, closed_form_interior=closed)
+    return StationarySet(points=tuple(points), ceiling=ceiling)
+
+
+def _halve(F, lo: float, hi: float, tol: float) -> float:
+    """The root of ``F`` in ``[lo, hi]``, whose ends lie on either side of 0, halved to width ``tol``."""
+    _, mids, _ = _bisect_crossings(np.array([[F(lo), F(hi)]]), np.array([lo, hi]), lambda _row, x: F(x), tol)
+    return float(mids[0])
 
 
 def _char(lam: complex, rate: float, slope: float) -> complex:
@@ -148,15 +137,7 @@ def leading_real_root(rate: float, slope: float) -> float:
         while F(lo) > 0.0:
             lo *= 2.0
         hi = 0.0
-    flo = F(lo)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        fm = F(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return _halve(F, lo, hi, 1e-13)
 
 
 def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
@@ -261,16 +242,7 @@ def solve_theta(c: float, j: int) -> float:
     a = lo + 1e-12 * max(1.0, lo)
     while G(a) > 0.0:  # push toward the asymptote until the sign is negative
         a = lo + (a - lo) * 0.125
-    b = hi
-    fa = G(a)
-    while b - a > 1e-13:
-        mid = 0.5 * (a + b)
-        fm = G(mid)
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return _halve(G, a, hi, 1e-13)
 
 
 def transversality(rate: float, theta: float) -> float:

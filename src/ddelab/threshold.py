@@ -131,6 +131,7 @@ class DStarResult:
 
 
 _BRACKET_LADDER = (1.1, 1.3, 1.6, 2.0, 2.5, 3.2, 4.0, 5.5, 8.0, 12.0, 20.0, 50.0, 100.0)
+_MIN_EXCESS = 0.1 * 2.0**-20  # the smallest d/c - 1 probed below the ladder
 
 
 def find_dstar(
@@ -145,6 +146,12 @@ def find_dstar(
     The bracket invariant (below: collapse certificate, above: cutoff
     contact) is maintained throughout; probes that stay unresolved after the
     horizon is doubled twice are logged and side-stepped by shifted probes.
+    Without ``bracket`` the gains ``c * _BRACKET_LADDER`` are probed until one
+    reaches the cutoff; the last rung below it that collapsed is the lower
+    end.  When none did (for small ``c`` already ``1.1c`` reaches the
+    cutoff), the excess ``d/c - 1`` is halved from 0.1 until a probe
+    collapses, down to ``_MIN_EXCESS``.  ``ParameterError("c")`` is raised
+    when no rung reaches the cutoff or no halving collapses.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -161,21 +168,28 @@ def find_dstar(
         return UNRESOLVED
 
     if bracket is None:
-        lo = None
-        hi = None
-        prev = None
+        lo = hi = None
         for mult in _BRACKET_LADDER:
             d = c * mult
             v = classify(d)
             if v == HITS_ONE:
-                if prev is None:
-                    raise RuntimeError("ladder starts above the critical gain")
-                lo, hi = prev, d
+                hi = d
                 break
             if v == IN_D:
-                prev = d
+                lo = d
+        if hi is None:
+            raise ParameterError("c", f"no probe gain up to {_BRACKET_LADDER[-1]:g}c reaches the cutoff")
+        excess = _BRACKET_LADDER[0] - 1.0
+        while lo is None and excess > _MIN_EXCESS:
+            excess *= 0.5
+            d = c * (1.0 + excess)
+            v = classify(d)
+            if v == IN_D:
+                lo = d
+            elif v == HITS_ONE:
+                hi = d
         if lo is None:
-            raise RuntimeError("no cutoff contact found on the probe ladder")
+            raise ParameterError("c", f"no probe gain down to c(1 + {_MIN_EXCESS:.3g}) certifies collapse")
     else:
         lo, hi = bracket
         if classify(lo) != IN_D:

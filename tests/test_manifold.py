@@ -10,7 +10,7 @@ from ddelab.manifold import convergence_table, exp_segment_check, shoot_branch
 class TestPlusBranch:
     def test_anchor_value(self, plus_branch_limit_1):
         sol = plus_branch_limit_1
-        assert abs(sol.eval(0.0) - sol.anchor_value()) < 1e-8
+        assert abs(sol.eval(0.0) - (sol.equilibrium + sol.kappa)) < 1e-8
 
     def test_second_crossing_identity(self, plus_branch_limit_1):
         sol = plus_branch_limit_1

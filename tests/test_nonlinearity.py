@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddelab.nonlinearity import Hill, PowerCutoff, feedback_from_json, feedback_to_json
+from ddelab.nonlinearity import Hill, PowerCutoff
 
 
 class TestPowerCutoff:
@@ -59,14 +59,3 @@ class TestHill:
         f = Hill(k=2.0, n=400)
         assert np.isfinite(f.value(50.0)) and np.isfinite(f.deriv(50.0))
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        for fb in (PowerCutoff(k=2.5), Hill(k=2.0, n=64)):
-            doc = feedback_to_json(fb)
-            assert doc["kind"] in ("power-cutoff", "hill")
-            assert feedback_from_json(doc) == fb
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            feedback_from_json({"kind": "sigmoid", "k": 2})

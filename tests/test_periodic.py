@@ -166,3 +166,26 @@ class TestDiagramConsistency:
         got = json.loads((tmp_path / "out" / "orbit.json").read_text())
         assert not res.unresolved and got["found"]
         assert abs(got["omega"] / x1_diagram.orbit.omega - 1.0) < 1e-6
+
+    def test_periodic_task_steps_its_hat_mesh_to_the_gate(self, tmp_path):
+        # the hat-200 matrix leaves the trivial multiplier 0.077 off 1 here
+        doc = {"name": "p", "task": "periodic", "system": {"kind": "smooth", "a": 2, "b": 10, "n": 200}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        res = run_scenario(str(path), out_dir=str(tmp_path / "out"))
+        got = json.loads((tmp_path / "out" / "orbit.json").read_text())
+        assert not res.unresolved and got["found"]
+        assert got["floquet"]["mesh_N"] == 400
+        assert got["floquet"]["trivial_error"] <= 0.05
+
+    def test_periodic_task_without_a_resolving_mesh_is_unresolved(self, tmp_path, monkeypatch):
+        from ddelab import scenarios
+
+        monkeypatch.setattr(scenarios, "_resolved_floquet", lambda system, orbit, N_int: None)
+        doc = {"name": "p", "task": "periodic", "system": {"kind": "smooth", "a": 2, "b": 10, "n": 200}}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        res = run_scenario(str(path), out_dir=str(tmp_path / "out"))
+        got = json.loads((tmp_path / "out" / "orbit.json").read_text())
+        assert res.unresolved and got["found"]
+        assert got["floquet"] is None

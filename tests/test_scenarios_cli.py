@@ -376,6 +376,13 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "error: c:" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_threshold_small_rate_exit_zero(self):
+        # the first ladder rung, 1.1c, already reaches the cutoff
+        proc = self.run_cli("threshold", "--c", "0.1")
+        assert proc.returncode == 0, proc.stderr
+        lo, hi = json.loads(proc.stdout)["bracket"]
+        assert 1.09 < lo / 0.1 < hi / 0.1 < 1.1
+
     @pytest.mark.parametrize("doc,field", [
         ({"name": "h", "task": "hopf", "c": 1.0, "d": 7.38, "n": 100}, "c"),
         ({"name": "t", "task": "threshold", "c": 1.0, "bracket": [1.01, 1.02]}, "bracket"),

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from ddelab import spectrum
 from ddelab.dde import System
 from ddelab.spectrum import (
     complex_root_pairs,
@@ -34,8 +37,7 @@ def test_frozen_leading_root_oracle():
 class TestStationaryPoints:
     def test_limit_closed_form(self):
         st = stationary_points(System.limit(1.0, 7.38), ceiling=0.9)
-        assert st.closed_form_interior == pytest.approx(1.0 / 7.38, abs=1e-15)
-        assert st.interior().value == pytest.approx(1.0 / 7.38, abs=1e-10)
+        assert st.interior().value == pytest.approx(interior_equilibrium(1.0, 7.38), abs=1e-10)
         assert st.points[0].value == 0.0
 
     def test_smooth_interior_matches_bracketing_oracle(self):
@@ -61,6 +63,23 @@ class TestStationaryPoints:
         by_value = {round(p.value, 3): p.classification for p in st.points}
         assert by_value[0.0] == "stable-candidate"
         assert by_value[round(st.interior().value, 3)] == "unstable"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(0.1, 5.0),
+        b=st.floats(0.1, 50.0),
+        n=st.integers(3, 300),
+    )
+    def test_scan_roots_are_sign_changes(self, a, b, n):
+        system = System.smooth(a, b, n=n)
+        scan = stationary_points(system, ceiling=2.0)
+        assert scan.points[0].value == 0.0
+
+        def alpha(xi):
+            return -a * xi + b * system.feedback.value(xi)
+
+        for p in scan.points[1:]:
+            assert alpha(p.value - 1e-12) * alpha(p.value + 1e-12) < 0.0
 
 
 class TestLeadingRealRoot:
@@ -101,6 +120,24 @@ class TestComplexRoots:
         pairs = complex_root_pairs(1.0, 2.0, count=3)
         res = [lam0] + [re for re, _ in pairs]
         assert all(b < a for a, b in zip(res, res[1:]))
+
+    def test_tiny_rates_take_the_phase_reduction(self, monkeypatch):
+        # Newton from the band seeds fails at rate = slope = 1e-4, so every
+        # band is recovered through _root_by_phase
+        entered = []
+        real = spectrum._root_by_phase
+
+        def counted(*args):
+            entered.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectrum, "_root_by_phase", counted)
+        pairs = complex_root_pairs(1e-4, 1e-4, 5)
+        assert len(entered) == 5
+        for j, (re, im) in enumerate(pairs, start=1):
+            assert (2 * j - 1) * math.pi < im < 2 * j * math.pi
+            lam = complex(re, im)
+            assert abs(lam + 1e-4 - 1e-4 * cmath.exp(-lam)) <= 1e-10
 
     def test_conjugate_symmetry(self):
         re, im = complex_root_pairs(1.0, 2.0, count=1)[0]

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddelab import threshold
-from ddelab.dde import System, integrate
+from ddelab.dde import ParameterError, System, integrate
 from ddelab.history import HistoryFunction
 from ddelab.nonlinearity import PowerCutoff
 from ddelab.spectrum import interior_equilibrium
@@ -230,3 +230,32 @@ class TestLedger:
         rep = check_n_ledger(1.0, 7.38, env.delta, 2.0, 200, env=env)
         assert set("1234").issubset(rep.items)
         assert all(rep.items[i]["ok"] for i in "1234")
+
+
+class TestSmallRates:
+    def test_bracket_ends_reclassify_to_their_sides(self):
+        # already 1.1c reaches the cutoff at c = 0.1, where d*/c is 1.0957
+        res = find_dstar(0.1, tol=1e-3)
+        horizon = {d: h for d, _, h in res.history}  # the deciding horizon of each gain
+        assert classify_zd(0.1, res.lo, T_max=horizon[res.lo]).verdict == IN_D
+        assert classify_zd(0.1, res.hi, T_max=horizon[res.hi]).verdict == HITS_ONE
+        assert res.lo < 1.0957 * 0.1 < res.hi
+        assert res.hi - res.lo <= 1e-3
+
+    def test_no_collapsing_probe_names_c(self, monkeypatch):
+        def hits(c, d, k=2.0, T_max=400.0):
+            return threshold.ZClassification(HITS_ONE, c, d, tau0=2.0)
+
+        monkeypatch.setattr(threshold, "classify_zd", hits)
+        with pytest.raises(ParameterError) as err:
+            find_dstar(0.1)
+        assert err.value.field == "c"
+
+    def test_no_contact_names_c(self, monkeypatch):
+        def collapses(c, d, k=2.0, T_max=400.0):
+            return threshold.ZClassification(IN_D, c, d, certificate_time=3.0)
+
+        monkeypatch.setattr(threshold, "classify_zd", collapses)
+        with pytest.raises(ParameterError) as err:
+            find_dstar(0.1)
+        assert err.value.field == "c"
