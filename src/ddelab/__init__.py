@@ -48,11 +48,9 @@ from .threshold import (
     DStarResult,
     EnvelopeData,
     ZClassification,
-    check_n_ledger,
     classify_zd,
     envelopes,
     find_dstar,
-    smallest_passing_n,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

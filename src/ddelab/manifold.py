@@ -73,11 +73,13 @@ class BranchSolution:
 
 
 def _interior_data(system: System) -> tuple[float, float]:
-    if system.kind == "limit":
-        pts = stationary_points(system, ceiling=0.999)
-    else:
-        pts = stationary_points(system, ceiling=0.9)
-    p = pts.interior()
+    ceiling = 0.999 if system.kind == "limit" else 0.9
+    pts = stationary_points(system, ceiling)
+    try:
+        p = pts.interior()
+    except ValueError:
+        gain = "system.d" if system.kind == "limit" else "system.b"
+        raise ParameterError(gain, f"no interior equilibrium below {ceiling}: gain too close to the rate") from None
     return p.value, p.slope
 
 
@@ -95,7 +97,10 @@ def shoot_branch(
     half the gap to the cutoff for the plus branch, minus half the
     equilibrium for the minus branch).  ``eps_seed`` defaults to the marker
     size scaled by ``exp(-15)`` so the seed contamination is negligible at
-    the anchor.  ``T`` is the forward horizon past the anchor.
+    the anchor.  ``T`` is the forward horizon past the anchor.  A system
+    with no interior equilibrium below the scan ceiling (0.999 for the
+    limit system, 0.9 for the smooth one) raises ``ParameterError`` naming
+    its gain.
     """
     if branch not in ("plus", "minus"):
         raise ValueError("branch must be 'plus' or 'minus'")

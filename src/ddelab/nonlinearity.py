@@ -106,10 +106,6 @@ class Hill:
         out[~low] = np.power(b, k - 1.0 - n) * (k * bn + (k - n)) / (bn + 1.0) ** 2
         return float(out) if scalar else out
 
-    def tail_value_bound(self, xi: float) -> float:
-        """``value(x) <= x**(k-n)`` for x >= xi; bound at the left endpoint."""
-        return xi ** (self.k - self.n)
-
 
 Feedback = Union[PowerCutoff, Hill]
 

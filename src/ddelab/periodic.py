@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dde import System, Trajectory, _eval_pieces, _rk4_affine_steps, _stage_grid, integrate, segment_at
+from .dde import ParameterError, System, Trajectory, _eval_pieces, _rk4_affine_steps, _stage_grid, integrate, segment_at
 from .history import HistoryFunction
+from .manifold import shoot_branch
 from .spectrum import HopfData, hopf_data, stationary_points
 from .threshold import HITS_ONE, IN_D, classify_zd
 
@@ -35,9 +36,11 @@ __all__ = [
     "HopfSearchResult",
     "ConnectionDiagram",
     "detect_periodic",
+    "find_orbit",
     "monodromy_multipliers",
     "hopf_orbit_search",
     "connection_diagram",
+    "unstable_disk_runs",
 ]
 
 _SEG_MESH = np.linspace(-1.0, 0.0, 201)
@@ -329,6 +332,30 @@ def _resolved_floquet(system: System, orbit: PeriodicOrbit, N_int: int) -> Optio
     return None
 
 
+def find_orbit(system: System, run, N: int, level: float = 1.0) -> tuple:
+    """The package's one orbit rule: detect, re-run on the layer mesh, gate by Floquet.
+
+    ``run(N)`` integrates on ``N`` steps per unit and returns ``(result,
+    traj, transient)``.  When ``traj`` shows no orbit of the smooth system,
+    ``run`` is called once more on ``_layer_mesh`` if that is finer.
+    Returns ``(result, orbit, floquet)`` of the last run; ``floquet`` is the
+    ``_resolved_floquet`` report on the detection mesh, None for the limit
+    system, without an orbit, or when no hat mesh resolves it.
+    """
+    result, traj, transient = run(N)
+    orbit = detect_periodic(traj, level=level, transient=transient)
+    if system.kind != "smooth":
+        return result, orbit, None
+    # a mesh that misses the transition layers can lock an orbit's period to
+    # the grid or push its return residual over the gate
+    N_layer = N if orbit is not None else _layer_mesh(system, traj)
+    if N_layer > N:
+        N = N_layer
+        result, traj, transient = run(N)
+        orbit = detect_periodic(traj, level=level, transient=transient)
+    return result, orbit, None if orbit is None else _resolved_floquet(system, orbit, N)
+
+
 # ---------------------------------------------------------------------------
 # small orbits near the interior equilibrium
 # ---------------------------------------------------------------------------
@@ -515,15 +542,12 @@ def connection_diagram(
     to zero; the plus branch collapses below critical and, above it, reaches
     a periodic orbit or a band-confined attractor whose returns to within
     0.05 of the cutoff are recorded.  The orbit is sought over ``T_orbit`` on
-    ``max(400, 4n)`` steps per unit and, when none is found there, once more
-    on the layer mesh of that run (``_layer_mesh``).  It is kept only if the
-    Floquet matrix on its detection mesh resolves it (``_resolved_floquet``:
-    hat mesh 200, 400 or 800, trivial error at most 0.05).  With
-    ``with_hopf`` the small saddle orbit (first band) is computed and the
-    fates of its unstable-disk samples are recorded.
+    ``max(400, 4n)`` steps per unit by ``find_orbit``, and kept only if the
+    Floquet matrix on its detection mesh resolves it.  With ``with_hopf``
+    the small saddle orbit (first band) is computed and the fates of its
+    unstable-disk runs are recorded.  ``ParameterError("d")`` is raised when
+    the smooth system has no interior equilibrium below 0.9.
     """
-    from .manifold import shoot_branch
-
     N_orbit = max(400, 4 * int(n))
     unresolved: list[str] = []
     if dstar is not None:
@@ -541,7 +565,10 @@ def connection_diagram(
 
     system = System.smooth(c, d, k=k, n=n)
 
-    minus = shoot_branch(system, "minus", T=max(40.0, 16.0 / c), N=N)
+    try:
+        minus = shoot_branch(system, "minus", T=max(40.0, 16.0 / c), N=N)
+    except ParameterError as exc:  # the default marker fits; only the gain can fail
+        raise ParameterError("d", str(exc)) from None
     tail = minus.eval_many(np.linspace(minus.domain[1] - 3.0, minus.domain[1] - 0.5, 301))
     minus_limit = "ZERO" if float(np.max(np.abs(tail))) < 1e-6 else "UNRESOLVED"
     minus_ev = {"tail_max": float(np.max(np.abs(tail)))}
@@ -557,23 +584,15 @@ def connection_diagram(
         if plus_limit != "ZERO":
             unresolved.append("plus")
     else:
-        # a mesh that misses the transition layers can lock an orbit's period
-        # to the grid or push its return residual over the gate; when the
-        # first mesh finds no orbit, the branch is shot again on the layer mesh
-        plus = shoot_branch(system, "plus", T=T_orbit, N=N_orbit)
-        orbit = detect_periodic(plus.traj, level=1.0, transient=plus.shift + 0.6 * T_orbit)
-        detect_mesh = N_orbit
-        if orbit is None:
-            N_layer = _layer_mesh(system, plus.traj)
-            if N_layer > N_orbit:
-                detect_mesh = N_layer
-                plus = shoot_branch(system, "plus", T=T_orbit, N=N_layer)
-                orbit = detect_periodic(plus.traj, level=1.0, transient=plus.shift + 0.6 * T_orbit)
+        def shoot(N_run):
+            sol = shoot_branch(system, "plus", T=T_orbit, N=N_run)
+            return sol, sol.traj, sol.shift + 0.6 * T_orbit
+
+        plus, orbit, flo = find_orbit(system, shoot, N_orbit)
         t2 = plus.landmarks.t2
         band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
         plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
         # an orbit whose trivial multiplier stays off 1 on every hat mesh is dropped
-        flo = None if orbit is None else _resolved_floquet(system, orbit, detect_mesh)
         if flo is not None:
             plus_limit = "PERIODIC"
             plus_ev.update({"omega": orbit.omega, "orbit_min": orbit.vmin, "orbit_max": orbit.vmax,
@@ -618,23 +637,25 @@ def _recurrence_gap(plus, t2: Optional[float]) -> Optional[float]:
     return float(max(lead, np.max(gaps) if gaps.size else 0.0))
 
 
-def _unstable_disk_seeds(system: System, orbit: PeriodicOrbit) -> tuple[FloquetReport, list]:
-    """Floquet report of a saddle orbit and histories on its unstable disk.
+def unstable_disk_runs(system: System, orbit: PeriodicOrbit, T: float, N: int) -> tuple[FloquetReport, list]:
+    """Floquet report of a saddle orbit and ``(side, traj)`` runs from its unstable disk.
 
-    The histories are the orbit's anchor segment pushed by ``+5e-3 psi``
-    (side "plus") and ``-5e-3 psi`` (side "minus"), clipped at zero, where
-    ``psi`` is the unstable eigenvector at hat mesh N=120; the list is empty
-    when no real multiplier lies above one.
+    Each run starts from the orbit's anchor segment pushed by ``+5e-3 psi``
+    (side "plus") or ``-5e-3 psi`` (side "minus"), clipped at zero, where
+    ``psi`` is the unstable eigenvector at hat mesh N=120, and is integrated
+    over ``T`` on ``N`` steps per unit.  The list is empty when no real
+    multiplier lies above one.
     """
     flo = monodromy_multipliers(system, orbit, N=120)
     if flo.unstable_eigvec is None:
         return flo, []
     psi = np.interp(_SEG_MESH, flo.mesh, flo.unstable_eigvec)
     q_vals = orbit.q0.eval(_SEG_MESH)
-    return flo, [
-        (side, HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * 5e-3 * psi, 0.0)))
-        for side, sgn in (("plus", 1.0), ("minus", -1.0))
-    ]
+    runs = []
+    for side, sgn in (("plus", 1.0), ("minus", -1.0)):
+        hist = HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * 5e-3 * psi, 0.0))
+        runs.append((side, integrate(system, hist, T, N=N)))
+    return flo, runs
 
 
 def _hopf_block(c, d, k, n, T_fate, N, alphas=None) -> dict:
@@ -644,7 +665,7 @@ def _hopf_block(c, d, k, n, T_fate, N, alphas=None) -> dict:
     if found is None:
         return {"orbit": None}
     orbit, system = found.orbit, found.system
-    flo, seeds = _unstable_disk_seeds(system, orbit)
+    flo, runs = unstable_disk_runs(system, orbit, T_fate, N)
     block = {
         "orbit": orbit.to_dict(),
         "alpha": found.alpha,
@@ -654,12 +675,12 @@ def _hopf_block(c, d, k, n, T_fate, N, alphas=None) -> dict:
         "unstable_multiplier": flo.unstable_multiplier,
         "disk_fates": {},
     }
-    if not seeds:
+    if not runs:
         block["disk_fates"] = {"note": "no real multiplier above one found"}
         return block
     fates = {}
-    for side, hist in seeds:
-        fate, ev = _fate_of_trajectory(integrate(system, hist, T_fate, N=N))
+    for side, traj in runs:
+        fate, ev = _fate_of_trajectory(traj)
         fates[side] = {"fate": fate, **ev}
     block["disk_fates"] = fates
     return block

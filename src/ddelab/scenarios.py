@@ -6,8 +6,9 @@ module, and writes CSV/JSON/SVG artifacts with fixed decimal formatting and a
 manifest that embeds the full scenario, so re-running from the manifest alone
 reproduces every data artifact byte for byte.  A check that needs the run's
 own computation (a bracket end, a branch marker, the crossing-pair
-criticality) raises ``ParameterError`` in the runner, which is reported as a
-``ScenarioError`` naming the field.
+criticality, an interior equilibrium below the scan ceiling) raises
+``ParameterError`` in the runner, which is reported as a ``ScenarioError``
+naming the field.
 
 CSV values are written as ``%.12e`` text.  ``_format_values`` produces the
 same bytes as ``"%.12e" % v`` with numpy: the digits come from one float
@@ -30,11 +31,9 @@ from . import __version__
 from .dde import ParameterError, System, integrate
 from .history import HistoryFunction
 from .manifold import shoot_branch
-from .periodic import (
-    _layer_mesh, _resolved_floquet, _unstable_disk_seeds, connection_diagram, detect_periodic, hopf_orbit_search,
-)
+from .periodic import connection_diagram, find_orbit, hopf_orbit_search, unstable_disk_runs
 from .plotting import Series, emit_plot
-from .spectrum import spectrum_report
+from .spectrum import spectrum_report, stationary_points
 from .threshold import envelopes, find_dstar
 
 __all__ = ["Scenario", "ScenarioError", "validate_scenario", "run_scenario", "FIGURE_PRESETS"]
@@ -91,23 +90,25 @@ _SYSTEM_KEYS = {"kind", "a", "b", "c", "d", "k", "n"}
 
 
 def _check_system(problems, spec, path="system"):
+    """Check a system object; returns its rate, its gain (None where invalid) and the gain's key."""
     if not isinstance(spec, dict):
         problems.append(f"{path}: must be an object")
-        return
+        return None, None, None
     kind = spec.get("kind")
     if kind not in ("limit", "smooth"):
         problems.append(f"{path}.kind: must be 'limit' or 'smooth'")
-        return
+        return None, None, None
     for key in spec:
         if key not in _SYSTEM_KEYS:
             problems.append(f"{path}.{key}: unknown key")
     rate_key, gain_key = ("c", "d") if kind == "limit" else ("a", "b")
-    _check_positive(problems, spec, path, rate_key)
-    _check_positive(problems, spec, path, gain_key)
+    rate = _check_positive(problems, spec, path, rate_key)
+    gain = _check_positive(problems, spec, path, gain_key)
     _check_positive(problems, spec, path, "k", required=False)
     if kind == "smooth":
         if not _is_int(spec.get("n"), 2):
             problems.append(f"{path}.n: must be an integer >= 2")
+    return rate, gain, f"{path}.{gain_key}"
 
 
 def _system_from(spec) -> System:
@@ -225,10 +226,13 @@ def validate_scenario(doc: dict) -> Scenario:
             problems.append(f"{key}: must be {_OPTIONAL_RULES[key][1]}")
 
     if task in ("simulate", "manifold", "periodic"):
-        _check_system(problems, doc.get("system"))
+        rate, gain, gain_key = _check_system(problems, doc.get("system"))
     if task == "simulate":
         _check_history(problems, doc.get("history"))
     if task == "manifold":
+        # the branches leave an interior equilibrium, which needs gain > rate
+        if None not in (rate, gain) and not gain > rate:
+            problems.append(f"{gain_key}: must exceed the system's rate")
         if doc.get("branch") not in ("plus", "minus"):
             problems.append("branch: must be 'plus' or 'minus'")
         elif "kappa" in doc:
@@ -244,6 +248,8 @@ def validate_scenario(doc: dict) -> Scenario:
             problems.append("bracket: lower end must exceed c")
     if task in ("envelope", "hopf", "diagram"):
         d = _check_positive(problems, doc, "", "d")
+    if task in ("hopf", "diagram") and None not in (c, d) and not d > c:
+        problems.append("d: must exceed c")
     if task == "envelope":
         d0 = _check_positive(problems, doc, "", "d0")
         if None not in (c, d, d0) and not c < d0 < d:
@@ -489,16 +495,12 @@ def _run_periodic(sc: Scenario, out: str):
     N = int(sc.spec.get("N", 400))
     level = float(sc.spec.get("level", 1.0))
     transient = float(sc.spec.get("transient", 0.7 * T))
-    traj = integrate(system, HistoryFunction.constant(1.2), T, N=N)
-    orbit = detect_periodic(traj, level=level, transient=transient)
-    if orbit is None and system.kind == "smooth":
-        # a mesh that misses the transition layers leaves the return residual
-        # above the gate; integrate once more on the layer mesh
-        N_layer = _layer_mesh(system, traj)
-        if N_layer > N:
-            N = N_layer
-            traj = integrate(system, HistoryFunction.constant(1.2), T, N=N)
-            orbit = detect_periodic(traj, level=level, transient=transient)
+
+    def run(N_run):
+        traj = integrate(system, HistoryFunction.constant(1.2), T, N=N_run)
+        return traj, traj, transient
+
+    _, orbit, flo = find_orbit(system, run, N, level=level)
     if orbit is None:
         _write_json(os.path.join(out, "orbit.json"), {"found": False})
         return ["orbit.json"], True
@@ -506,7 +508,6 @@ def _run_periodic(sc: Scenario, out: str):
     unresolved = False
     if system.kind == "smooth":
         # null when no hat mesh resolves the orbit's trivial multiplier
-        flo = _resolved_floquet(system, orbit, N)
         doc["floquet"] = None if flo is None else flo.to_dict()
         unresolved = flo is None
     _write_json(os.path.join(out, "orbit.json"), doc)
@@ -565,10 +566,6 @@ def _run_figure(sc: Scenario, out: str):
     arts = []
     series = []
     phase = []
-
-    from .spectrum import stationary_points
-
-    xi = stationary_points(system, 0.9).interior().value
     if sc.spec["preset"] in ("x1", "x2"):
         plus = shoot_branch(system, "plus", T=T, N=N)
         minus = shoot_branch(system, "minus", T=min(T, 40.0), N=N)
@@ -583,6 +580,7 @@ def _run_figure(sc: Scenario, out: str):
             arts.append(f"{name}.csv")
             series.append(Series(tt, vals, name))
         tt = np.linspace(0.0, T, 501)
+        xi = stationary_points(system, 0.9).interior().value
         _write_csv(os.path.join(out, "stationary.csv"), {"t": tt, "x": np.full_like(tt, xi)})
         arts.append("stationary.csv")
         series.append(Series(tt, np.full_like(tt, xi), "stationary"))
@@ -600,8 +598,7 @@ def _run_figure(sc: Scenario, out: str):
         _write_csv(os.path.join(out, "hopf_orbit.csv"), {"t": qt, "x": qx})
         arts.append("hopf_orbit.csv")
         series.append(Series(qt, qx, "hopf"))
-        for name, hist in _unstable_disk_seeds(sysn, orbit)[1]:
-            traj = integrate(sysn, hist, T, N=N)
+        for name, traj in unstable_disk_runs(sysn, orbit, T, N)[1]:
             tt = np.linspace(0.0, T, 4001)
             vals = traj.eval_many(tt)
             _write_csv(os.path.join(out, f"{name}.csv"), {"t": tt, "x": vals})

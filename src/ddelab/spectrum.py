@@ -74,9 +74,11 @@ def stationary_points(system: System, ceiling: float) -> StationarySet:
     """All zeros of ``-rate xi + gain F(xi)`` on [0, ceiling].
 
     Exact zeros on a 10,000-point grid are roots, and each sign change
-    between grid points is halved to a bracket width of 1e-14.  For the
-    limit system the scan stops at the cutoff, where the map is
-    discontinuous.
+    between grid points is halved to a bracket width of 1e-14.  0 is always
+    a root; the locator sees it with the sign of the map's slope there, the
+    sign the map takes just right of 0, so a root below the first grid point
+    is kept.  For the limit system the scan stops at the cutoff, where the
+    map is discontinuous.
     """
     if ceiling <= 0:
         raise ValueError("ceiling must be positive")
@@ -88,7 +90,9 @@ def stationary_points(system: System, ceiling: float) -> StationarySet:
 
     grid = np.linspace(0.0, top, 10_000)
     vals = alpha(grid)
-    _, mids, _ = _bisect_crossings(vals[None, :], grid, lambda _row, xi: alpha(xi), 1e-14)
+    signs = vals.copy()
+    signs[0] = np.sign(system.gain * fb.deriv(0.0) - system.rate)
+    _, mids, _ = _bisect_crossings(signs[None, :], grid, lambda _row, xi: alpha(xi), 1e-14)
     roots = [0.0, *grid[(vals == 0.0) & (grid > 0.0)].tolist(), *mids.tolist()]
     points = []
     for r in sorted(set(np.round(roots, 13))):

@@ -10,8 +10,8 @@ cutoff.  A probe is marched one unit interval at a time and stops at the
 unit that decides it.  Bisection on the gain brackets the critical value.
 
 The envelope functions bound every sub- and super-cutoff excursion of the
-plus branch, yielding the invariant band, the recurrence gap, and the margin
-ledger used to transfer the picture to the smooth family.
+plus branch, yielding the invariant band, the recurrence gap, and the
+envelope's margin ledger (items 1-4).
 """
 from __future__ import annotations
 
@@ -24,19 +24,16 @@ from scipy.integrate import quad
 
 from .dde import ParameterError, System, _march, integrate
 from .history import HistoryFunction
-from .nonlinearity import Hill, PowerCutoff
+from .nonlinearity import PowerCutoff
 from .spectrum import interior_equilibrium
 
 __all__ = [
     "ZClassification",
     "DStarResult",
     "EnvelopeData",
-    "LedgerReport",
     "classify_zd",
     "find_dstar",
     "envelopes",
-    "check_n_ledger",
-    "smallest_passing_n",
 ]
 
 IN_D = "IN_D"
@@ -335,74 +332,3 @@ def envelopes(c: float, d: float, d0: float, k: float = 2.0) -> EnvelopeData:
         m0_n=m0 / 2.0, m1_n=2.0 * d / c, sigma_n=max(tau0, nu1),
         ledger=ledger, w0=w0, w1=w1,
     )
-
-
-@dataclass(frozen=True)
-class LedgerReport:
-    """Per-item margin checks for one smooth family member."""
-
-    c: float
-    d: float
-    delta: float
-    n: int
-    a_n: float
-    b_n: float
-    items: dict
-    passed: bool  # the n-dependent items (5)-(9)
-
-
-def check_n_ledger(
-    c: float,
-    d: float,
-    delta: float,
-    k: float,
-    n: int,
-    a_n: Optional[float] = None,
-    b_n: Optional[float] = None,
-    env: Optional[EnvelopeData] = None,
-    feedback=None,
-    K: float = 100.0,
-) -> LedgerReport:
-    """Evaluate the margin ledger at one ``n``.
-
-    Items 5-9 depend on ``n`` and decide the verdict; items 1-4 need the
-    envelope context and are recorded informationally when ``env`` is given.
-    ``feedback`` may substitute any object with ``value``/``deriv`` (e.g. the
-    cutoff family itself, for which the closeness items vanish).
-    """
-    a_n = c if a_n is None else a_n
-    b_n = d if b_n is None else b_n
-    f = Hill(k=k, n=int(n)) if feedback is None else feedback
-    g = PowerCutoff(k=k)
-    items: dict = {}
-    if env is not None:
-        for name in ("1", "2", "3", "4"):
-            b = env.ledger[name]["bound"]
-            items[name] = {"lhs": delta, "rhs": b, "ok": bool(delta < b)}
-
-    grid_hi = np.concatenate([np.linspace(1.0 + delta, min(3.0, K), 4000), np.geomspace(min(3.0, K), K, 500)])
-    tail_sup = float(np.max(f.value(grid_hi)))
-    if isinstance(f, Hill):
-        tail_sup = max(tail_sup, f.tail_value_bound(K))
-    items["5"] = {
-        "lhs": max(abs(a_n - c), abs(b_n - d), d * abs(a_n - c)),
-        "rhs": delta,
-        "ok": bool(abs(a_n - c) < delta and abs(b_n - d) < delta and d * abs(a_n - c) < delta),
-    }
-    items["6"] = {"lhs": b_n * tail_sup, "rhs": delta, "ok": bool(b_n * tail_sup < delta)}
-    grid_lo = np.linspace(0.0, 1.0 - delta, 4000)
-    close_sup = float(np.max(np.abs(f.value(grid_lo) - g.value(grid_lo))))
-    items["7"] = {"lhs": d * close_sup, "rhs": delta, "ok": bool(d * close_sup < delta)}
-    ratio = b_n / a_n
-    items["8"] = {"lhs": ratio, "rhs": (1.0 + delta, 2.0 * d / c), "ok": bool(1.0 + delta < ratio < 2.0 * d / c)}
-    items["9"] = {"lhs": a_n, "rhs": c / 2.0, "ok": bool(a_n > c / 2.0)}
-    passed = all(items[i]["ok"] for i in ("5", "6", "7", "8", "9"))
-    return LedgerReport(c=c, d=d, delta=delta, n=int(n), a_n=a_n, b_n=b_n, items=items, passed=passed)
-
-
-def smallest_passing_n(c: float, d: float, delta: float, k: float, n_grid, **kw) -> Optional[int]:
-    """First grid ``n`` whose n-dependent ledger items all hold."""
-    for n in n_grid:
-        if check_n_ledger(c, d, delta, k, int(n), **kw).passed:
-            return int(n)
-    return None

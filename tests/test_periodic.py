@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ddelab import periodic
 from ddelab.dde import System, integrate, segment_at
 from ddelab.history import HistoryFunction
 from ddelab.periodic import (
@@ -179,9 +180,7 @@ class TestDiagramConsistency:
         assert got["floquet"]["trivial_error"] <= 0.05
 
     def test_periodic_task_without_a_resolving_mesh_is_unresolved(self, tmp_path, monkeypatch):
-        from ddelab import scenarios
-
-        monkeypatch.setattr(scenarios, "_resolved_floquet", lambda system, orbit, N_int: None)
+        monkeypatch.setattr(periodic, "_resolved_floquet", lambda system, orbit, N_int: None)
         doc = {"name": "p", "task": "periodic", "system": {"kind": "smooth", "a": 2, "b": 10, "n": 200}}
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
@@ -189,3 +188,39 @@ class TestDiagramConsistency:
         got = json.loads((tmp_path / "out" / "orbit.json").read_text())
         assert res.unresolved and got["found"]
         assert got["floquet"] is None
+
+
+def _spied_run(system, T, transient, calls, trajs):
+    """A ``find_orbit`` run from the constant history 1.2 that records its meshes and trajectories."""
+    def run(N):
+        calls.append(N)
+        trajs.append(integrate(system, HistoryFunction.constant(1.2), T, N=N))
+        return trajs[-1], trajs[-1], transient
+    return run
+
+
+class TestFindOrbit:
+    def test_missed_gate_reruns_once_on_the_layer_mesh(self, monkeypatch):
+        # x1 on 400 steps per unit leaves the return residual above the gate
+        system = System.smooth(1.0, 7.38, n=200)
+        calls, trajs, floquet_meshes = [], [], []
+        inner = periodic.monodromy_multipliers
+
+        def spy(system, orbit, N=200, N_int=None):
+            floquet_meshes.append(N_int)
+            return inner(system, orbit, N=N, N_int=N_int)
+
+        monkeypatch.setattr(periodic, "monodromy_multipliers", spy)
+        result, orbit, flo = periodic.find_orbit(system, _spied_run(system, 500.0, 350.0, calls, trajs), 400)
+        N_layer = periodic._layer_mesh(system, trajs[0])
+        assert N_layer > 400 and calls == [400, N_layer]
+        assert result is trajs[1] and orbit is not None
+        assert flo is not None and flo.trivial_error <= 0.05
+        assert set(floquet_meshes) == {N_layer}
+
+    def test_limit_system_runs_once_without_floquet(self):
+        system = System.limit(1.0, 7.38)
+        calls, trajs = [], []
+        _, orbit, flo = periodic.find_orbit(system, _spied_run(system, 200.0, 140.0, calls, trajs), 200)
+        assert calls == [200]
+        assert orbit is not None and flo is None

@@ -1,13 +1,17 @@
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ddelab import scenarios
+from ddelab.cli import main
 from ddelab.dde import System, integrate
 from ddelab.history import HistoryFunction
 from ddelab.plotting import _H, _PAD, _W, Series, emit_plot
@@ -401,3 +405,35 @@ class TestCli:
         proc = self.run_cli("spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
         assert proc.returncode == 0
         assert "0.374822528184" in proc.stdout
+
+
+# no interior equilibrium: d <= c fails validation; the rest fail the n = 100 scan below 0.9
+_NO_EQUILIBRIUM = [
+    ({"task": "diagram", "c": 2.0, "d": 1.0, "n": 100}, "d"),
+    ({"task": "diagram", "c": 1.0, "d": 1.05, "n": 100}, "d"),
+    ({"task": "hopf", "c": 2.0, "d": 1.0, "n": 100}, "d"),
+    ({"task": "hopf", "c": 2.0, "d": 2.0, "n": 100}, "d"),
+    ({"task": "manifold", "system": {"kind": "smooth", "a": 2.0, "b": 1.0, "n": 100}, "branch": "plus"}, "system.b"),
+    ({"task": "manifold", "system": {"kind": "limit", "c": 2.0, "d": 1.0}, "branch": "minus"}, "system.d"),
+    ({"task": "manifold", "system": {"kind": "smooth", "a": 1.0, "b": 1.05, "n": 100}, "branch": "plus"}, "system.b"),
+]
+
+
+@pytest.mark.parametrize("doc,field", _NO_EQUILIBRIUM)
+def test_no_interior_equilibrium_exits_two(tmp_path, capsys, doc, field):
+    path = write_scenario(tmp_path, {"name": "no-equilibrium", **doc})
+    assert main([doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenarios_import_no_private_ddelab_name():
+    tree = ast.parse(Path(scenarios.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("ddelab"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

@@ -48,6 +48,12 @@ class TestStationaryPoints:
         assert st.interior().value == pytest.approx(oracle, abs=1e-10)
         assert abs(st.interior().value - 1.0 / 7.38) < 1e-6
 
+    @pytest.mark.parametrize("c,d", [(0.001, 100.0), (1e-4, 7.38)])
+    def test_root_below_the_first_grid_point(self, c, d):
+        # the interior equilibrium c/d lies below the first grid point, 0.999/9999
+        st = stationary_points(System.limit(c, d), ceiling=0.999)
+        assert [p.value for p in st.points] == [0.0, pytest.approx(interior_equilibrium(c, d), rel=1e-9)]
+
     def test_scan_ceiling_two_reveals_second_zero(self):
         st = stationary_points(System.smooth(1.0, 7.38, n=100), ceiling=2.0)
         inner = [p.value for p in st.points if p.value > 0]

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from ddelab import threshold
 from ddelab.dde import ParameterError, System, integrate
 from ddelab.history import HistoryFunction
-from ddelab.nonlinearity import PowerCutoff
 from ddelab.spectrum import interior_equilibrium
 from ddelab.threshold import (
     HITS_ONE,
     IN_D,
     UNRESOLVED,
-    check_n_ledger,
     classify_zd,
     envelopes,
     find_dstar,
-    smallest_passing_n,
 )
 
 
@@ -205,31 +202,6 @@ class TestEnvelopes:
     def test_invalid_gain_ordering(self):
         with pytest.raises(ValueError):
             envelopes(1.0, 7.38, d0=8.0)
-
-
-class TestLedger:
-    def test_ratio_window_item(self):
-        rep = check_n_ledger(1.0, 7.38, 0.05, 2.0, 200)
-        lo, hi = rep.items["8"]["rhs"]
-        assert lo == pytest.approx(1.05) and hi == pytest.approx(2 * 7.38)
-        assert rep.items["8"]["ok"]
-
-    def test_cutoff_substitution_trivializes_closeness(self):
-        for delta in (0.5, 0.05, 1e-3):
-            rep = check_n_ledger(1.0, 7.38, delta, 2.0, 200, feedback=PowerCutoff(k=2.0))
-            assert rep.items["6"]["ok"] and rep.items["7"]["ok"]
-
-    def test_smallest_passing_order(self):
-        n = smallest_passing_n(1.0, 7.38, 0.05, 2.0, range(20, 401, 5))
-        assert n is not None and n <= 400
-        assert check_n_ledger(1.0, 7.38, 0.05, 2.0, n).passed
-        assert not check_n_ledger(1.0, 7.38, 0.05, 2.0, n - 15).passed
-
-    def test_envelope_context_recorded(self, dstar_c1):
-        env = envelopes(1.0, 7.38, d0=0.5 * (dstar_c1.estimate + 7.38))
-        rep = check_n_ledger(1.0, 7.38, env.delta, 2.0, 200, env=env)
-        assert set("1234").issubset(rep.items)
-        assert all(rep.items[i]["ok"] for i in "1234")
 
 
 class TestSmallRates:
