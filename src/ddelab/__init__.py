@@ -15,7 +15,6 @@ from .dde import (
     System,
     Trajectory,
     check_bounds,
-    integral_residual,
     integrate,
     segment_at,
 )

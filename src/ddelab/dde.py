@@ -38,14 +38,12 @@ __all__ = [
     "integrate",
     "segment_at",
     "check_bounds",
-    "integral_residual",
 ]
 
 _BISECT_TOL = 1e-12
 _GRAZE_TOL = 1e-9  # how near the level a piece must come to count as touching it
 _SAMPLE_THETAS = np.linspace(0.0, 1.0, 5)
 _CHUNK = 1 << 14  # pieces per prefilter pass; bounds its scratch arrays
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
 
 class DDEIntegrationError(RuntimeError):
@@ -516,32 +514,3 @@ def check_bounds(traj: Trajectory, band_tol: float = 1e-9) -> BoundsReport:
         lipschitz_bound=lip_bound,
         lipschitz_ok=bool(lip <= lip_bound + band_tol),
     )
-
-
-def integral_residual(traj: Trajectory, tau: float, t: float) -> float:
-    """Defect of the variation-of-constants identity between ``tau`` and ``t``.
-
-    The convolution integral is evaluated by fixed Gauss panels on the dense
-    mesh pieces, which never straddle a forcing switch; all panels are
-    evaluated together.
-    """
-    if not 0.0 <= tau < t <= traj.T + 1e-12:
-        raise ValueError("need 0 <= tau < t <= T")
-    sys_ = traj.system
-    i0 = np.searchsorted(traj.ts, tau, side="right") - 1
-    i1 = np.searchsorted(traj.ts, t, side="left") - 1
-    i = np.arange(max(i0, 0), min(i1, len(traj.ts) - 2) + 1)
-    a = np.maximum(traj.ts[i], tau)
-    b = np.minimum(traj.ts[i + 1], t)
-    i, a, b = i[b > a], a[b > a], b[b > a]
-    half = (0.5 * (b - a))[:, None]
-    s = 0.5 * (a + b)[:, None] + half * _GAUSS_NODES
-    xi = traj.eval_many(s - 1.0)
-    if sys_.kind == "limit":
-        # the stored one-sided forcing: off on pieces above the cutoff
-        forcing = np.where(traj.side[i][:, None] == 1, 0.0, sys_.gain * sys_.feedback.clamped_power(xi))
-    else:
-        forcing = sys_.gain * sys_.feedback.value(np.maximum(xi, 0.0))
-    total = float(np.sum(half * forcing * np.exp(-sys_.rate * (t - s)) * _GAUSS_WEIGHTS))
-    rhs = math.exp(-sys_.rate * (t - tau)) * traj.eval(tau) + total
-    return abs(traj.eval(t) - rhs)

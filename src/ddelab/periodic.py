@@ -381,11 +381,20 @@ def _newton_periodic(
     """Damped Newton solve of ``segment-map(u, omega) = u`` with a phase pin.
 
     At most 30 steps, each integrating one period at N=200, until the
-    residual falls below 1e-10.
+    residual falls below 1e-10.  A step moves ``u`` by at most a quarter of
+    its amplitude ``max|u - center|``.  The attempt is given up (None) as
+    soon as a capped step (``scale < 1``) leaves the amplitude below half of
+    ``amp0 = max|u0 - center|``: capped steps that shrink ``u`` are how an
+    attempt slides onto the equilibrium, which ``hopf_orbit_search`` rejects
+    anyway (``amp < 1e-4``).  So the stop turns such a failure into an
+    earlier one.  In the searches of the tests and the figure and diagram
+    presets, every attempt it stops converged without it to amplitude 3e-9
+    or less, and no successful attempt meets its condition.
     """
     N = len(mesh) - 1
     u = u0.copy()
     omega = omega0
+    amp0 = float(np.max(np.abs(u0 - center)))
     w = np.full(N + 1, 1.0 / N)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -416,6 +425,8 @@ def _newton_periodic(
         omega = omega + scale * float(step[N + 1])
         if not (0.05 < omega < 50.0) or not np.all(np.isfinite(u)):
             return None
+        if scale < 1.0 and float(np.max(np.abs(u - center))) < 0.5 * amp0:
+            return None
     return None
 
 
@@ -437,6 +448,10 @@ def hopf_orbit_search(
     it; the Newton solve replaces it.  Returns the first success with
     amplitude below 0.2; None when the whole grid yields only the
     equilibrium.  ``alphas=None`` scans the default grid.
+
+    An attempt sliding onto the equilibrium is given up after a few period
+    maps by ``_newton_periodic``'s half-amplitude stop, instead of being
+    converged (some 15 maps) and rejected here; the result is the same.
     """
     mesh = np.linspace(-1.0, 0.0, 101)
     for alpha in _HOPF_ALPHAS if alphas is None else alphas:
@@ -545,8 +560,10 @@ def connection_diagram(
     ``max(400, 4n)`` steps per unit by ``find_orbit``, and kept only if the
     Floquet matrix on its detection mesh resolves it.  With ``with_hopf``
     the small saddle orbit (first band) is computed and the fates of its
-    unstable-disk runs are recorded.  ``ParameterError("d")`` is raised when
-    the smooth system has no interior equilibrium below 0.9.
+    unstable-disk runs are recorded; no orbit adds ``hopf`` to
+    ``unresolved``, an UNRESOLVED disk fate ``hopf-disk``.
+    ``ParameterError("d")`` is raised when the smooth system has no
+    interior equilibrium below 0.9.
     """
     N_orbit = max(400, 4 * int(n))
     unresolved: list[str] = []
@@ -611,6 +628,8 @@ def connection_diagram(
         hopf_block = _hopf_block(c, d, k, n, T_fate, max(N, N_orbit), hopf_alphas)
         if hopf_block.get("orbit") is None:
             unresolved.append("hopf")
+        elif any(isinstance(f, dict) and f["fate"] == "UNRESOLVED" for f in hopf_block["disk_fates"].values()):
+            unresolved.append("hopf-disk")
 
     return ConnectionDiagram(
         c=c, d=d, n=n,

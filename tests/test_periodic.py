@@ -14,6 +14,7 @@ from ddelab.periodic import (
     monodromy_multipliers,
 )
 from ddelab.scenarios import run_scenario
+from ddelab.spectrum import hopf_data
 
 HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
 
@@ -113,6 +114,29 @@ class TestHopfSearch:
         assert big is not None and small is not None
         assert small.amplitude < big.amplitude
 
+    def test_attempts_sliding_onto_the_equilibrium_stop_early(self, monkeypatch):
+        attempts = []  # [gain, period maps] per Newton attempt
+        newton, period_map = periodic._newton_periodic, periodic._period_map_matrix
+
+        def counted_newton(system, *args):
+            attempts.append([system.gain, 0])
+            return newton(system, *args)
+
+        def counted_map(base, N):
+            attempts[-1][1] += 1
+            return period_map(base, N)
+
+        monkeypatch.setattr(periodic, "_newton_periodic", counted_newton)
+        monkeypatch.setattr(periodic, "_period_map_matrix", counted_map)
+        found = hopf_orbit_search(HOPF_C, 7.95, 2.0, 100)
+        assert found is not None and found.alpha == 0.02
+        assert found.newton_residual < 1e-10
+        assert sum(maps for _, maps in attempts) <= 20
+        # without the stop, each alpha = -0.02 attempt takes 14 to 19 maps to reach the equilibrium
+        gain = hopf_data(HOPF_C, 7.95, 2.0, 100, alpha=-0.02).b_n
+        sliding = [maps for g, maps in attempts if g == gain]
+        assert len(sliding) == 3 and max(sliding) <= 3
+
     def test_non_bifurcating_side_yields_nothing(self):
         assert hopf_orbit_search(HOPF_C, 25.0, 2.0, 100, j=1, alphas=(-0.05, -0.1)) is None
 
@@ -154,6 +178,9 @@ class TestDiagramConsistency:
             assert diag.plus_evidence["floquet_trivial_error"] <= 0.05
             assert diag.plus_evidence["floquet_leading_nontrivial"] < 1.0
             assert "floquet_method" not in diag.plus_evidence
+
+    def test_resolved_disk_fates_leave_nothing_unresolved(self, hopf_diagram):
+        assert hopf_diagram.unresolved == ()
 
     def test_x4_period_is_not_locked_to_the_grid(self, hopf_diagram):
         steps = hopf_diagram.plus_evidence["omega"] * 400

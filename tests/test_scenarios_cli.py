@@ -369,6 +369,18 @@ class TestCli:
         data = json.loads((tmp_path / "out" / "orbit.json").read_text())
         assert data == {"found": False}
 
+    def test_unresolved_disk_fate_exit_three(self, tmp_path):
+        # the plus side of the x4 saddle orbit's unstable disk neither dies
+        # nor passes orbit detection by T_fate on N = 400
+        doc = {"name": "x4", "task": "diagram", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)),
+               "d": 25.0, "n": 100, "with_hopf": True}
+        path = write_scenario(tmp_path, doc)
+        proc = self.run_cli("diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        data = json.loads((tmp_path / "out" / "diagram.json").read_text())
+        assert data["hopf"]["disk_fates"]["plus"]["fate"] == "UNRESOLVED"
+        assert data["unresolved"] == ["hopf-disk"]
+
     def test_bad_scenario_field_exit_two(self, tmp_path):
         path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 0})
         proc = self.run_cli("threshold", "--scenario", str(path), "--out", str(tmp_path / "out"))
