@@ -43,7 +43,7 @@ __all__ = [
 _BISECT_TOL = 1e-12
 _GRAZE_TOL = 1e-9  # how near the level a piece must come to count as touching it
 _SAMPLE_THETAS = np.linspace(0.0, 1.0, 5)
-_CHUNK = 1 << 14  # pieces per prefilter pass; bounds its scratch arrays
+_CHUNK = 1 << 14  # pieces per crossing-scan window, times per dense-output block
 
 
 class DDEIntegrationError(RuntimeError):
@@ -209,28 +209,26 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     only decay, so they cross downward, at the closed-form time.  Returns
     the crossing times and upward flags in piece order, and the midpoints of
     the pieces that come within ``_GRAZE_TOL`` of the level without their
-    ends changing side (tangential approaches).
+    ends changing side (tangential approaches).  When no piece is kept, the
+    three arrays (float, bool, float) come back empty at once.  The pieces
+    are scanned in one pass: callers bound their size (one unit interval, or
+    one ``_CHUNK`` window of a trajectory).
     """
-    n = len(ts) - 1
-    kept = [np.empty(0, dtype=np.intp)]
-    for c0 in range(0, n, _CHUNK):
-        c1 = min(c0 + _CHUNK, n)
-        x0, x1 = xs[c0:c1], xs[c0 + 1 : c1 + 1]
-        h = ts[c0 + 1 : c1 + 1] - ts[c0:c1]
-        p1 = x0 + h * dl[c0:c1] / 3.0
-        p2 = x1 - h * dr[c0:c1] / 3.0
-        below = np.minimum(np.minimum(x0, x1), np.minimum(p1, p2)) - level <= _GRAZE_TOL
-        above = np.maximum(np.maximum(x0, x1), np.maximum(p1, p2)) - level >= -_GRAZE_TOL
-        keep = np.where(side[c0:c1] == 1, (x0 > level) & (level >= x1), below & above)
-        kept.append(c0 + np.flatnonzero(keep))
-    i = np.concatenate(kept)
+    x0, x1 = xs[:-1], xs[1:]
+    h = ts[1:] - ts[:-1]
+    p1 = x0 + h * dl / 3.0
+    p2 = x1 - h * dr / 3.0
+    below = np.minimum(np.minimum(x0, x1), np.minimum(p1, p2)) - level <= _GRAZE_TOL
+    above = np.maximum(np.maximum(x0, x1), np.maximum(p1, p2)) - level >= -_GRAZE_TOL
+    i = np.flatnonzero(np.where(side == 1, (x0 > level) & (level >= x1), below & above))
+    if not i.size:
+        return np.empty(0), np.empty(0, dtype=bool), np.empty(0)
     expo = side[i] == 1
     ie, ih = i[expo], i[~expo]
     # scalar math.log: np.log can differ from it in the last bit
     t_exp = np.asarray([ts[k] + math.log(xs[k] / level) / rate for k in ie], dtype=float)
 
-    h = ts[ih + 1] - ts[ih]
-    x0, d0, x1, d1 = xs[ih], dl[ih], xs[ih + 1], dr[ih]
+    h, x0, d0, x1, d1 = h[ih], x0[ih], dl[ih], x1[ih], dr[ih]
     col = np.s_[:, None]
     v = _hermite_eval(_SAMPLE_THETAS, h[col], x0[col], d0[col], x1[col], d1[col]) - level
     hl, x0l, d0l, x1l, d1l = (a.tolist() for a in (h, x0, d0, x1, d1))
@@ -292,29 +290,51 @@ class Trajectory:
     def crossings(self, level: float, direction: str = "both", t_lo: float = 0.0, t_hi: Optional[float] = None) -> list:
         """Times in [t_lo, t_hi] where the solution crosses ``level``.
 
-        Returns a list of ``(t, dir)`` with dir in {"up", "down"}, located to
-        ~1e-12 by bisection on the dense interpolant (closed form on exact
-        exponential pieces).
+        Returns a list of ``(t, dir)`` in time order with dir in {"up",
+        "down"}, located to ~1e-12 by bisection on the dense interpolant
+        (closed form on exact exponential pieces).  A crossing within 1e-10
+        of the last one listed is dropped; then ``direction`` ("up", "down"
+        or "both") filters.
+        """
+        return list(self._walk_crossings(level, direction, t_lo, t_hi))
+
+    def first_crossing(
+        self, level: float, direction: str = "both", t_lo: float = 0.0, t_hi: Optional[float] = None
+    ) -> Optional[tuple]:
+        """The first entry of ``crossings(level, direction, t_lo, t_hi)``, or None.
+
+        The scan stops at the window of pieces that holds it, so a crossing
+        near ``t_lo`` costs one window, not the whole trajectory.
+        """
+        return next(self._walk_crossings(level, direction, t_lo, t_hi), None)
+
+    def _walk_crossings(self, level: float, direction: str, t_lo: float, t_hi: Optional[float]):
+        """Yield the crossings of ``crossings`` one at a time, scanning ``_CHUNK`` pieces per window.
+
+        Each window's crossings are located together, so a caller that stops
+        early leaves the later windows unscanned; every located time is the
+        one a whole-range scan gives, as each piece is scanned on its own.
         """
         t_hi = self.T if t_hi is None else t_hi
         i_lo = max(0, np.searchsorted(self.ts, t_lo, side="right") - 1)
         i_hi = min(len(self.ts) - 2, np.searchsorted(self.ts, t_hi, side="right") - 1)
-        pieces = slice(i_lo, i_hi + 1)
-        times, ups, _ = _level_crossings(
-            level, self.ts[i_lo : i_hi + 2], self.xs[i_lo : i_hi + 2], self.dl[pieces], self.dr[pieces],
-            self.side[pieces], self.system.rate,
-        )
-        out = []
-        for tc, up in sorted(zip(times.tolist(), ups.tolist())):
-            dirn = "up" if up else "down"
-            if not (t_lo - 1e-12 <= tc <= t_hi + 1e-12):
-                continue
-            if out and abs(tc - out[-1][0]) < 1e-10:
-                continue
-            if dirn != direction and direction != "both":
-                continue
-            out.append((tc, dirn))
-        return out
+        last = None  # time of the last crossing yielded
+        for c0 in range(i_lo, i_hi + 1, _CHUNK):
+            c1 = min(c0 + _CHUNK, i_hi + 1)
+            times, ups, _ = _level_crossings(
+                level, self.ts[c0 : c1 + 1], self.xs[c0 : c1 + 1], self.dl[c0:c1], self.dr[c0:c1],
+                self.side[c0:c1], self.system.rate,
+            )
+            for tc, up in sorted(zip(times.tolist(), ups.tolist())):
+                dirn = "up" if up else "down"
+                if not (t_lo - 1e-12 <= tc <= t_hi + 1e-12):
+                    continue
+                if last is not None and abs(tc - last) < 1e-10:
+                    continue
+                if dirn != direction and direction != "both":
+                    continue
+                last = tc
+                yield tc, dirn
 
 
 def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list):

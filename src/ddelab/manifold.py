@@ -127,8 +127,8 @@ def shoot_branch(
 
     target = xi_star + kappa
     direction = "up" if branch == "plus" else "down"
-    hits = traj.crossings(target, direction)
-    if not hits:
+    hit = traj.first_crossing(target, direction)
+    if hit is None:
         # wrong-side escape shows up as the solution never reaching the marker
         probe = traj.eval(min(5.0 / lam0, total))
         hint = "seed escaped toward the wrong equilibrium" if (probe - xi_star) * sign < 0 else "marker not reached; horizon too small or marker out of range"
@@ -141,7 +141,7 @@ def shoot_branch(
         eps_seed=eps_seed,
         equilibrium=xi_star,
         lambda0=lam0,
-        shift=hits[0][0],
+        shift=hit[0],
         traj=traj,
     )
     if branch == "plus":
@@ -151,7 +151,8 @@ def shoot_branch(
 
 def _plus_landmarks(sol: BranchSolution) -> Landmarks:
     traj, shift = sol.traj, sol.shift
-    hits = traj.crossings(1.0, "both", t_lo=shift)
+    # the lazy walk behind ``crossings``, left once the second landmark is found
+    hits = traj._walk_crossings(1.0, "both", shift, None)
     t1_raw = next((c for c, d in hits if d == "up"), None)
     if t1_raw is None:
         return Landmarks()

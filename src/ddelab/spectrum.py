@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dde import ParameterError, System, _bisect_crossings
 from .nonlinearity import Hill
@@ -149,7 +148,9 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
     Newton iteration from the deterministic seed ``-rate + i(2j - 1/2)pi``;
     if it leaves its band or stalls within 200 steps, the root is recovered
-    from the phase reduction of the imaginary part by bracketed root finding.
+    from the phase reduction of the imaginary part: a 4,001-sample scan of
+    the band brackets it and the shared halving loop narrows the bracket to
+    a width of 1e-14.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -188,7 +189,8 @@ def _root_by_phase(rate: float, slope: float, lo: float, hi: float) -> Optional[
     vals = np.array([G(y) for y in ys])
     for j in range(len(ys) - 1):
         if np.isfinite(vals[j]) and np.isfinite(vals[j + 1]) and vals[j] * vals[j + 1] < 0:
-            y = brentq(G, ys[j], ys[j + 1], xtol=1e-14)
+            # 1e-14, or the float spacing where that is wider (bands above 64), so the halving ends
+            y = _halve(G, float(ys[j]), float(ys[j + 1]), max(1e-14, math.ulp(hi)))
             x = math.log(slope / (-y / math.sin(y)))
             return complex(x, y)
     return None

@@ -367,6 +367,17 @@ class TestCrossingLocator:
         assert np.array_equal([tc for tc, _ in crossings], ref)
         assert [u for _, u in crossings] == up.tolist()
 
+    @settings(max_examples=100, deadline=None)
+    @given(dense_pieces(), st.booleans())
+    def test_level_outside_every_hull_finds_nothing(self, case, high):
+        (ts, xs, dl, dr, side), _ = case
+        h = np.diff(ts)
+        hull = np.concatenate([xs, xs[:-1] + h * dl / 3.0, xs[1:] - h * dr / 3.0])
+        level = np.max(hull) + 0.1 if high else np.min(hull) - 0.1
+        result = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
+        assert [a.size for a in result] == [0, 0, 0]
+        assert [a.dtype for a in result] == [np.float64, np.bool_, np.float64]
+
     @settings(max_examples=300, deadline=None)
     @given(dense_pieces())
     def test_one_root_per_sign_change(self, case):
@@ -402,6 +413,48 @@ class TestCrossingLocator:
         ]
         assert later
         assert later == located
+
+
+def listed_rule(times, ups, direction, t_lo, t_hi):
+    """The window, dedup and direction rule of ``Trajectory.crossings`` on one whole-range scan."""
+    out = []
+    for tc, up in sorted(zip(times.tolist(), ups.tolist())):
+        dirn = "up" if up else "down"
+        if not (t_lo - 1e-12 <= tc <= t_hi + 1e-12):
+            continue
+        if out and abs(tc - out[-1][0]) < 1e-10:
+            continue
+        if dirn == direction or direction == "both":
+            out.append((tc, dirn))
+    return out
+
+
+class TestWindowedScan:
+    @pytest.fixture(scope="class")
+    def long_limit(self):
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 400.0, N=200)
+        assert len(traj.ts) - 1 > 3 * dde._CHUNK
+        return traj
+
+    @pytest.mark.parametrize("direction", ["up", "down", "both"])
+    @pytest.mark.parametrize("level", [1.0, 0.3, 100.0])
+    def test_first_crossing_heads_the_list(self, long_limit, level, direction):
+        traj = long_limit
+        t_mid = float(traj.ts[dde._CHUNK + 1000])  # inside the second window
+        for window in [(0.0, None), (t_mid, 300.0)]:
+            listed = traj.crossings(level, direction, *window)
+            first = traj.first_crossing(level, direction, *window)
+            assert first == (listed[0] if listed else None)
+
+    @pytest.mark.parametrize("direction", ["up", "down", "both"])
+    def test_windows_match_one_whole_range_scan(self, long_limit, direction):
+        traj = long_limit
+        times, ups, _ = _level_crossings(1.0, traj.ts, traj.xs, traj.dl, traj.dr, traj.side, traj.system.rate)
+        t_mid = float(traj.ts[dde._CHUNK + 1000])
+        for t_lo, t_hi in [(0.0, traj.T), (t_mid, 300.0)]:
+            listed = traj.crossings(1.0, direction, t_lo, t_hi)
+            assert len(listed) > 20
+            assert listed == listed_rule(times, ups, direction, t_lo, t_hi)
 
 
 @st.composite

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ddelab.dde import System
-from ddelab.manifold import convergence_table, exp_segment_check, shoot_branch
+from ddelab.dde import System, Trajectory
+from ddelab.manifold import _plus_landmarks, convergence_table, exp_segment_check, shoot_branch
 
 
 class TestPlusBranch:
@@ -39,6 +39,18 @@ class TestPlusBranch:
         assert lm.t1 < lm.t3 and lm.t3 + 1.0 < lm.t2
         w = np.linspace(lm.t3, lm.t3 + 1.0, 501)
         assert np.min(plus_branch_limit_1.eval_many(w)) >= 1.0 + 2.0 * lm.eps - 1e-9
+
+
+@pytest.mark.parametrize("fixture", ["plus_branch_limit_1", "plus_branch_smooth_200"])
+def test_early_stopping_scans_match_the_full_lists(fixture, request, monkeypatch):
+    """The anchor and landmarks equal those read off the whole crossing lists."""
+    sol = request.getfixturevalue(fixture)
+    traj = sol.traj
+    assert sol.shift == traj.crossings(sol.equilibrium + sol.kappa, "up")[0][0]
+    walk = Trajectory._walk_crossings
+    monkeypatch.setattr(Trajectory, "_walk_crossings", lambda *args: iter(list(walk(*args))))
+    assert _plus_landmarks(sol) == sol.landmarks
+    assert sol.landmarks.t2 is not None
 
 
 class TestMinusBranch:

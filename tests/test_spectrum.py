@@ -145,6 +145,16 @@ class TestComplexRoots:
             lam = complex(re, im)
             assert abs(lam + 1e-4 - 1e-4 * cmath.exp(-lam)) <= 1e-10
 
+    def test_phase_reduction_matches_bracketing_oracle(self):
+        """Bands above y = 64, where floats lie further apart than 1e-14, included."""
+        G = lambda y: math.log(0.05 / (-y / math.sin(y))) + 0.1 + y / math.tan(y)
+        for j in range(1, 13):
+            lo, hi = (2 * j - 1) * math.pi, 2 * j * math.pi
+            lam = spectrum._root_by_phase(0.1, 0.05, lo, hi)
+            ys = np.linspace(lo + 1e-6, hi - 1e-6, 4001)
+            k = next(k for k in range(4000) if G(ys[k]) * G(ys[k + 1]) < 0)
+            assert abs(lam.imag - brentq(G, ys[k], ys[k + 1], xtol=1e-14)) < 1e-13
+
     def test_conjugate_symmetry(self):
         re, im = complex_root_pairs(1.0, 2.0, count=1)[0]
         lam = complex(re, -im)

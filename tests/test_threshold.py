@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddelab import threshold
+from ddelab import dde, threshold
 from ddelab.dde import ParameterError, System, integrate
 from ddelab.history import HistoryFunction
 from ddelab.spectrum import interior_equilibrium
@@ -105,6 +105,19 @@ class TestProbeMarch:
         res = classify_zd(1.0, 1.1)
         assert res.verdict == IN_D
         assert len(units) == math.ceil(res.certificate_time - 1.0)
+
+    def test_collapsing_probe_halves_only_the_history(self, monkeypatch):
+        """No unit of an IN_D probe comes near the cutoff, so its scans return before any halving."""
+        calls = []
+        halve = dde._bisect_crossings
+
+        def counted(*args):
+            calls.append(1)
+            return halve(*args)
+
+        monkeypatch.setattr(dde, "_bisect_crossings", counted)
+        assert classify_zd(1.0, 1.1).verdict == IN_D
+        assert len(calls) == 1
 
 
 class TestDStar:
