@@ -51,12 +51,15 @@ def _run_from_scenario(args, task: str) -> int:
 
 
 def _run_direct(args, fields: dict, run) -> int:
-    """Check the direct flags as the task's scenario fields, then ``run(args)``."""
+    """Check the direct flags as the task's scenario fields, then ``run(args)``; a ``ParameterError`` exits 2."""
     try:
         validate_scenario({"name": args.task, "task": args.task, **fields})
+        return run(args)
     except ScenarioError as exc:
         return _report(exc)
-    return run(args)
+    except ParameterError as exc:
+        print(f"error: {exc.field}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _spectrum_direct(args) -> int:
@@ -70,11 +73,7 @@ def _spectrum_direct(args) -> int:
 
 
 def _threshold_direct(args) -> int:
-    try:
-        res = find_dstar(args.c, tol=args.tol, T_max=args.Tmax)
-    except ParameterError as exc:
-        print(f"error: {exc.field}: {exc}", file=sys.stderr)
-        return 2
+    res = find_dstar(args.c, tol=args.tol, T_max=args.Tmax)
     print(json.dumps({"c": args.c, **res.to_dict()}, indent=1))
     return 3 if res.unresolved else 0
 

@@ -5,9 +5,9 @@ On each unit interval the delayed term is a known function, so the equation
 is affine in the current state.  The classical fourth-order Runge-Kutta step
 for an affine scalar equation is itself an affine map, which lets a whole
 interval be advanced as one linear recursion (``scipy.signal.lfilter``) over
-precomputed forcing samples.  The same stage grid and stepper advance the
+precomputed forcing samples.  The same unit-by-unit march advances the
 variational equation, whose forcing is known on each interval as well, for
-many solutions at once.
+many solutions at once, as the columns of one history.
 
 For the hard-cutoff ("limit") system, times where the solution crosses the
 cutoff level are located by bisection on the dense interpolant; integration
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.signal import lfilter
@@ -177,9 +177,10 @@ def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, f, tol: float, width: O
     below; a bracket ``[thetas[j], thetas[j+1]]`` holds a crossing when its
     two samples lie on different sides.  Each bracket is halved on plain
     floats until ``(hi - lo) * width[r] <= tol`` (``width`` defaults to
-    ones); ``f(r, theta)`` returns ``g_r(theta)`` as a float.  Returns the
-    rows (in row, then bracket order), the midpoints of the final brackets
-    and whether each crossing is upward.
+    ones) or its midpoint rounds to an end (one float spacing); ``f(r,
+    theta)`` returns ``g_r(theta)`` as a float.  Returns the rows (in row,
+    then bracket order), the midpoints of the final brackets and whether
+    each crossing is upward.
     """
     va, vb = v[:, :-1], v[:, 1:]
     rows, j = np.nonzero((va > 0.0) != (vb > 0.0))
@@ -191,6 +192,8 @@ def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, f, tol: float, width: O
         lo, hi = th[k], th[k + 1]
         while (hi - lo) * w > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             fm = f(r, mid)
             if flo * fm <= 0.0:
                 hi = mid
@@ -337,29 +340,35 @@ class Trajectory:
                 yield tc, dirn
 
 
-def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list):
+def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list, forcing: Optional[Callable] = None):
     """Advance the system to time ``T`` one unit interval at a time.
 
-    Yields ``(blk, touched)`` as each unit interval ends: its pieces
-    ``(ts, xs, dl, dr, side)``, whose first node is the last node of the
-    unit before, and the midpoints of its pieces that graze the cutoff.
-    For limit systems the cutoff crossings ``(t, upward)`` are appended to
-    ``crossings`` in time order as they are located, those of the history
-    first, so a caller that stops after any unit has seen every crossing up
-    to that unit's end.  Each unit looks up its delayed values in one call.
-    The march is causal: a unit depends only on the units before it, never
-    on ``T`` beyond its own end.
+    The package's one unit-by-unit loop.  Yields ``(blk, touched)`` as each
+    unit interval ends: its pieces ``(ts, xs, dl, dr, side)``, whose first
+    node is the last node of the unit before, and the midpoints of its
+    pieces that graze the cutoff.  For limit systems the cutoff crossings
+    ``(t, upward)`` are appended to ``crossings`` in time order as they are
+    located, those of the history first, so a caller that stops after any
+    unit has seen every crossing up to that unit's end.  Each unit looks up
+    its delayed values in one call.  The march is causal: a unit depends
+    only on the units before it, never on ``T`` beyond its own end.
+
+    A smooth system's history may return ``(k, m)`` values, ``m`` columns
+    that march together as a trailing axis of ``xs``, ``dl`` and ``dr``.
+    ``forcing(stages, delayed)``, which may overwrite ``delayed``, is the
+    forcing at a sub-interval's stages (default: the system's feedback
+    ``gain * F(x(t - 1))``).  The history's sign is the caller's to check.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
     if N < 100:
         raise ValueError("mesh refinement N must be at least 100")
-    if not history.is_nonnegative():
-        raise ValueError("history must be nonnegative")
     limit = system.kind == "limit"
-    rate, gain = system.rate, system.gain
-    fb = system.feedback
+    rate, gain, fb = system.rate, system.gain, system.feedback
     h = 1.0 / N
+    if forcing is None:
+        def forcing(_stages, xi: np.ndarray) -> np.ndarray:
+            return gain * (fb.clamped_power(xi) if limit else fb.value(np.maximum(xi, 0.0)))
 
     def record(times, ups) -> None:
         for tc, up in zip(times, ups):
@@ -373,51 +382,42 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
         record(s_cross.tolist(), ups.tolist())
 
     prev: Optional[tuple] = None  # the previous unit's pieces, for delayed lookups
+    x_cur = x_zero = history.eval(np.zeros(1))[0]  # a float, or one row of columns
 
     def delayed_eval(times: np.ndarray) -> np.ndarray:
-        out = np.empty_like(times)
-        past = times <= 1e-14
-        if np.any(past):
-            out[past] = history.eval(np.clip(times[past], -1.0, 0.0))
-        fut = ~past
-        if np.any(fut):
-            out[fut] = _eval_pieces(times[fut], *prev, rate)
+        if prev is None:  # the first unit looks up the history only
+            return history.eval(np.clip(times, -1.0, 0.0))
+        out = _eval_pieces(times, *prev, rate)
+        out[times <= 1e-14] = x_zero  # later units look back to 0 at the earliest
         return out
 
-    x_cur = float(history.eval(0.0))
     first = 0  # crossings before this index are four delays or more in the past
-    n_units = int(math.ceil(T - 1e-12))
-    for unit in range(n_units):
+    for unit in range(int(math.ceil(T - 1e-12))):
         t0 = float(unit)
         t1 = min(unit + 1.0, T)
-        bps: list[float] = []
+        sub_edges = [t0, t1]
         if limit:
             # a crossing at tc kinks the forcing at tc+1 and, one derivative
             # milder each delay later, up to tc+4; split all of them so no
             # step spans a loss of smoothness
             while first < len(crossings) and crossings[first][0] + 4.0 <= t0 + 1e-12:
                 first += 1
-            for tc, _dir in crossings[first:]:
-                for gen in range(1, 5):
-                    bp = tc + float(gen)
-                    if t0 + 1e-12 < bp < t1 - 1e-12:
-                        bps.append(bp)
-        bps = sorted(set(np.round(bps, 13)))
-        merged = []
-        for bp in bps:
-            if not merged or bp - merged[-1] > 1e-10:
-                merged.append(bp)
-        sub_edges = [t0] + merged + [t1]
+            bps = [tc + g for tc, _ in crossings[first:] for g in (1.0, 2.0, 3.0, 4.0)
+                   if t0 + 1e-12 < tc + g < t1 - 1e-12]
+            merged = []
+            for bp in sorted(set(np.round(bps, 13))):
+                if not merged or bp - merged[-1] > 1e-10:
+                    merged.append(bp)
+            sub_edges = [t0] + merged + [t1]
 
-        # per sub-interval (ts, xs, dl, dr, side), led by the unit's first node
-        parts = [(np.asarray([t0]), np.asarray([x_cur]), np.empty(0), np.empty(0), np.empty(0, dtype=np.int8))]
         spans = list(zip(sub_edges[:-1], sub_edges[1:]))
         grids = [_stage_grid(s0, s1, h) for s0, s1 in spans]
         # the stages of all sub-intervals, then (limit) their midpoints, whose
         # delayed values tell on which side of the cutoff the forcing lies
         mids = [0.5 * (s0 + s1) for s0, s1 in spans] if limit else []
         looked = delayed_eval(np.concatenate([g[0] for g in grids] + [mids]) - 1.0)
-        at_mid = looked[looked.size - len(mids) :]
+        at_mid = looked[len(looked) - len(mids) :]
+        pieces = []  # per sub-interval (ts, xs, dl, dr, side); neighbours share a node
         end = 0
         for k, (stages, h2) in enumerate(grids):
             nodes = stages[0::2]
@@ -429,19 +429,17 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
                 d0, d1 = -rate * node_vals[:-1], -rate * node_vals[1:]
                 sides = np.ones(M, dtype=np.int8)
             else:
-                if limit:
-                    B = gain * fb.clamped_power(xi)
-                else:
-                    B = gain * fb.value(np.maximum(xi, 0.0))
-                node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, B)
+                node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, forcing(stages, xi))
                 sides = np.zeros(M, dtype=np.int8)
-            parts.append((nodes[1:], node_vals[1:], d0, d1, sides))
-            x_cur = float(node_vals[-1])
+            pieces.append((nodes, node_vals, d0, d1, sides))
+            x_cur = node_vals[-1]
 
-        blk = tuple(np.concatenate(part) for part in zip(*parts))
-        finite = np.isfinite(blk[1])
-        if not np.all(finite):
-            raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][~finite][0]:.6f}")
+        blk = pieces[0] if len(pieces) == 1 else tuple(
+            np.concatenate([col[0]] + [a[1:] if i < 2 else a for a in col[1:]]) for i, col in enumerate(zip(*pieces))
+        )
+        if not np.all(np.isfinite(x_cur)):  # a non-finite node stays so to the unit's end
+            bad = ~np.isfinite(blk[1]).reshape(len(blk[1]), -1).all(axis=1)
+            raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][bad][0]:.6f}")
         prev = blk
 
         touched = np.empty(0)
@@ -463,6 +461,8 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     crossings within four delays before a unit are scanned for that unit's
     breakpoints.
     """
+    if not history.is_nonnegative():
+        raise ValueError("history must be nonnegative")
     crossings: list[tuple[float, bool]] = []
     blocks: list[tuple] = []
     grazes: list[float] = []

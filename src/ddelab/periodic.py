@@ -5,7 +5,7 @@ between increasing crossings propose a period, the state-space return
 residual confirms it, and sub-multiples are ruled out.  Floquet multipliers
 come from a dense discretization of the linearized period map: the hat
 functions on a segment mesh are propagated together through the variational
-equation along the orbit, by the integrator's own stepper, and the resulting
+equation along the orbit, by the integrator's own march, and the resulting
 matrix is eigensolved.
 
 Small orbits born near the interior equilibrium are of saddle type (the
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dde import ParameterError, System, Trajectory, _eval_pieces, _rk4_affine_steps, _stage_grid, integrate, segment_at
+from .dde import ParameterError, System, Trajectory, _eval_pieces, _march, integrate, segment_at
 from .history import HistoryFunction
 from .manifold import shoot_branch
 from .spectrum import HopfData, hopf_data, stationary_points
@@ -179,19 +179,24 @@ def _interp_columns(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray
     """``np.interp(x, xp, fp[:, i])`` for every column ``i`` at once, to the bit."""
     j = np.searchsorted(xp, x, side="right") - 1
     jj = np.clip(j, 0, xp.size - 2)
-    slope = (fp[jj + 1] - fp[jj]) / (xp[jj + 1] - xp[jj])[:, None]
-    inner = slope * (x - xp[jj])[:, None] + fp[jj]
-    return np.where(((j >= 0) & (j < xp.size - 1))[:, None], inner, fp[np.clip(j, 0, xp.size - 1)])
+    lo = fp[jj]
+    out = fp[jj + 1] - lo  # the slope, then the value, in place: np.interp's operations in its order
+    out /= (xp[jj + 1] - xp[jj])[:, None]
+    out *= (x - xp[jj])[:, None]
+    out += lo
+    outside = (j < 0) | (j >= xp.size - 1)
+    out[outside] = fp[np.clip(j[outside], 0, xp.size - 1)]
+    return out
 
 
 def _period_map_matrix(base: Trajectory, N: int) -> np.ndarray:
     """Dense (N+1)x(N+1) approximation of the linearized period map along ``base``.
 
     ``base`` is the orbit integrated over one period ``omega = base.T``.
-    Column i propagates the hat function on node i of the segment mesh
-    through ``v' = -rate v + beta(t) v(t-1)``, ``beta = gain F'(y(t-1))``,
-    on the stage grid of ``base``'s mesh, and reads it at ``omega + mesh``.
-    All columns are stepped together.
+    ``dde._march`` advances the hat functions of the segment mesh, the
+    columns of one history, on ``base``'s mesh through ``v' = -rate v +
+    beta(t) v(t-1)``, ``beta = gain F'(y(t-1))``; column i is hat i read at
+    ``omega + mesh``, each time off the last unit starting at or before it.
     """
     system, omega = base.system, base.T
     mesh = np.linspace(-1.0, 0.0, N + 1)
@@ -200,22 +205,16 @@ def _period_map_matrix(base: Trajectory, N: int) -> np.ndarray:
     past = end_times <= 0.0
     out = np.empty((N + 1, N + 1))
     out[past] = _interp_columns(end_times[past], mesh, hats)
-    n_units = int(math.ceil(omega - 1e-12))
-    start, v_cur, prev = 0.0, hats[-1], None
-    for unit in range(n_units):
-        stages, h2 = _stage_grid(float(unit), min(unit + 1.0, omega), 1.0 / base.N)
-        if prev is None:
-            B = _interp_columns(np.clip(stages - 1.0, -1.0, 0.0), mesh, hats)
-        else:
-            B = _eval_pieces(stages - 1.0, *prev)
-        B *= system.gain * system.feedback.deriv(np.maximum(base.eval_many(stages - 1.0), 0.0))[:, None]
-        node_vals, d0, d1 = _rk4_affine_steps(system.rate, h2, v_cur, B)
-        # the end values that fall on this unit's pieces, which (as in the
-        # whole solution) start at the previous unit's last node
-        ts = np.concatenate([[start], stages[2::2]])
-        here = ~past & (end_times >= start) & ((end_times < ts[-1]) | (unit == n_units - 1))
-        out[here] = _eval_pieces(end_times[here], ts, node_vals, d0, d1)
-        start, v_cur, prev = ts[-1], node_vals[-1], (stages[0::2], node_vals, d0, d1)
+
+    def forcing(stages, v):  # beta(t) v(t - 1), in place
+        v *= (system.gain * system.feedback.deriv(np.maximum(base.eval_many(stages - 1.0), 0.0)))[:, None]
+        return v
+
+    history = HistoryFunction.from_callable(lambda s: _interp_columns(s, mesh, hats))
+    for (ts, xs, dl, dr, _side), _touched in _march(system, history, omega, base.N, [], forcing):
+        if ts[0] + 1.0 >= end_times[0]:  # units ending before omega - 1 hold no end time
+            here = ~past & (end_times >= ts[0])
+            out[here] = _eval_pieces(end_times[here], ts, xs, dl, dr)
     return out
 
 

@@ -150,7 +150,7 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
     if it leaves its band or stalls within 200 steps, the root is recovered
     from the phase reduction of the imaginary part: a 4,001-sample scan of
     the band brackets it and the shared halving loop narrows the bracket to
-    a width of 1e-14.
+    a width of 1e-14.  A pair that neither recovers raises ``ParameterError("slope")``.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -170,7 +170,7 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
         if not ok:
             lam = _root_by_phase(rate, slope, lo_band, hi_band)
         if lam is None or abs(_char(lam, rate, slope)) > 1e-10:
-            raise RuntimeError(f"root pair {j} did not converge")
+            raise ParameterError("slope", f"root pair {j} did not converge")
         out.append((lam.real, abs(lam.imag)))
     return out
 
@@ -189,8 +189,7 @@ def _root_by_phase(rate: float, slope: float, lo: float, hi: float) -> Optional[
     vals = np.array([G(y) for y in ys])
     for j in range(len(ys) - 1):
         if np.isfinite(vals[j]) and np.isfinite(vals[j + 1]) and vals[j] * vals[j + 1] < 0:
-            # 1e-14, or the float spacing where that is wider (bands above 64), so the halving ends
-            y = _halve(G, float(ys[j]), float(ys[j + 1]), max(1e-14, math.ulp(hi)))
+            y = _halve(G, float(ys[j]), float(ys[j + 1]), 1e-14)
             x = math.log(slope / (-y / math.sin(y)))
             return complex(x, y)
     return None
@@ -233,7 +232,7 @@ def spectrum_report(rate: float, slope: float, count: int = 5) -> SpectrumReport
 def solve_theta(c: float, j: int) -> float:
     """The unique root of ``theta + c tan(theta) = 0`` in ``(2j pi - pi/2, 2j pi)``.
 
-    Bisection to a bracket width of 1e-13.
+    Bisection to a bracket width of 1e-13 (one float spacing from band 82 on).
     """
     if c <= 0:
         raise ValueError("c must be positive")

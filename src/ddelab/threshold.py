@@ -62,12 +62,6 @@ class ZClassification:
     max_value: Optional[float] = None
 
 
-def _probe_below_threshold(c: float, d: float, k: float) -> Optional[float]:
-    if d <= c * (1.0 + 1e-12):
-        return None
-    return interior_equilibrium(c, d, k)
-
-
 def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZClassification:
     """Classify the probe started from the decay profile ``exp(-c t)``.
 
@@ -85,13 +79,12 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZCl
         raise ValueError("need d >= c > 0")
     system = System.limit(c, d, k=k)
     history = HistoryFunction.exp_decay(c)
-    xi1 = _probe_below_threshold(c, d, k)
+    xi1 = interior_equilibrium(c, d, k) if d > c * (1.0 + 1e-12) else None
     T = T_max - 1.0
     crossings: list = []
     max_val = 0.0
     last_above = 0.0  # time of the last node at or above xi1, 0 if none
-    for unit, (blk, _) in enumerate(_march(system, history, T, _PROBE_N, crossings)):
-        ts, xs = blk[0], blk[1]
+    for unit, ((ts, xs, *_), _) in enumerate(_march(system, history, T, _PROBE_N, crossings)):
         max_val = max(max_val, float(np.max(xs)))
         for tc, up in crossings:
             if up and tc >= 0.0:
@@ -141,9 +134,12 @@ def find_dstar(
     """Bisection bracket for the critical gain.
 
     The bracket invariant (below: collapse certificate, above: cutoff
-    contact) is maintained throughout; probes that stay unresolved after the
-    horizon is doubled twice are logged and side-stepped by shifted probes.
-    Without ``bracket`` the gains ``c * _BRACKET_LADDER`` are probed until one
+    contact) is maintained throughout.  Each probe is marched once, to
+    ``4 T_max``; its ``history`` rows ``(d, verdict, horizon)`` at ``T_max``,
+    ``2 T_max`` and ``4 T_max`` read UNRESOLVED up to the first horizon that
+    reaches the deciding time.  The march is causal, so these are the rows
+    of restarts at each horizon.  Probes unresolved at ``4 T_max`` are
+    logged and side-stepped by shifted probes.  Without ``bracket`` the gains ``c * _BRACKET_LADDER`` are probed until one
     reaches the cutoff; the last rung below it that collapsed is the lower
     end.  When none did (for small ``c`` already ``1.1c`` reaches the
     cutoff), the excess ``d/c - 1`` is halved from 0.1 until a probe
@@ -156,11 +152,13 @@ def find_dstar(
     unresolved: list[float] = []
 
     def classify(d: float) -> str:
+        res = classify_zd(c, d, k=k, T_max=4.0 * T_max)
+        decided = res.tau0 if res.verdict == HITS_ONE else res.certificate_time
         for horizon in (T_max, 2.0 * T_max, 4.0 * T_max):
-            res = classify_zd(c, d, k=k, T_max=horizon)
-            history.append((d, res.verdict, horizon))
-            if res.verdict != UNRESOLVED:
-                return res.verdict
+            verdict = res.verdict if decided is not None and decided <= horizon else UNRESOLVED
+            history.append((d, verdict, horizon))
+            if verdict != UNRESOLVED:
+                return verdict
         unresolved.append(d)
         return UNRESOLVED
 

@@ -61,8 +61,25 @@ class TestIntegrate:
         assert np.max(np.abs(left - right) / scale) < 1e-11
 
     def test_negative_history_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="history must be nonnegative"):
             integrate(System.limit(1.0, 2.0), HistoryFunction.constant(-0.5), 1.0)
+
+    def test_non_finite_column_named_by_its_first_node(self):
+        history = HistoryFunction.from_callable(lambda s: np.ones((np.size(s), 3)))
+
+        def forcing(stages, v):  # one column's forcing blows up after t = 1.25
+            out = np.zeros_like(v)
+            out[stages > 1.25, 1] = np.inf
+            return out
+
+        with np.errstate(invalid="ignore"), pytest.raises(dde.DDEIntegrationError, match=r"near t = 1\.260000"):
+            list(_march(System.smooth(1.0, 7.38, n=20), history, 3.0, 100, [], forcing))
+
+    def test_march_takes_a_tangent_history_of_either_sign(self):
+        """Only ``integrate`` checks the sign: a variational history may dip below zero."""
+        history = HistoryFunction.from_callable(lambda s: np.sin(2.0 * np.pi * np.asarray(s)))
+        blocks = [blk for blk, _ in _march(System.smooth(1.0, 7.38, n=20), history, 2.0, 100, [])]
+        assert len(blocks) == 2 and np.all(np.isfinite(blocks[-1][1]))
 
     def test_coarse_mesh_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ddelab import periodic
-from ddelab.dde import System, integrate, segment_at
+from ddelab.dde import System, _march, integrate, segment_at
 from ddelab.history import HistoryFunction
 from ddelab.periodic import (
     _interp_columns,
@@ -81,6 +83,36 @@ class TestMonodromy:
         got = _interp_columns(x, mesh, fp)
         for i in range(fp.shape[1]):
             assert got[:, i].tobytes() == np.interp(x, mesh, fp[:, i]).tobytes()
+
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_hat_columns_march_together_as_alone(self, variational):
+        """Hat columns marched as one block give each column's lone scalar march, to the bit."""
+        system = System.smooth(1.0, 7.38, n=20)
+        mesh = np.linspace(-1.0, 0.0, 9)
+        hats = np.eye(9)[:, 2:7]
+
+        def forcing(s, v):  # a linear time-varying forcing, as the variational equation's
+            return v * np.cos(3.0 * s).reshape((-1,) + (1,) * (v.ndim - 1))
+
+        def march(history):
+            return list(_march(system, history, 3.5, 150, [], forcing if variational else None))
+
+        block = march(HistoryFunction.from_callable(lambda s: _interp_columns(s, mesh, hats)))
+        assert len(block) == 4
+        for i in range(hats.shape[1]):
+            alone = march(HistoryFunction.from_callable(lambda s: np.interp(s, mesh, hats[:, i])))
+            for (b, _), (a, _) in zip(block, alone, strict=True):
+                assert b[0].tobytes() == a[0].tobytes()
+                for k in (1, 2, 3):
+                    assert b[k][:, i].tobytes() == a[k].tobytes()
+
+
+def test_periodic_has_no_stepper_of_its_own():
+    """The period map marches through ``dde._march``, so periodic imports no stepping parts."""
+    tree = ast.parse(Path(periodic.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"_stage_grid", "_rk4_affine_steps"} == set()
+    assert "_march" in imported
 
 
 class TestAttraction:

@@ -331,6 +331,7 @@ class TestCli:
             [sys.executable, "-m", "ddelab.cli", *args],
             capture_output=True,
             text=True,
+            timeout=300,
         )
 
     def test_simulate_exit_zero(self, tmp_path):
@@ -405,12 +406,22 @@ class TestCli:
         ({"name": "m", "task": "manifold", "system": {"kind": "limit", "c": 1.0, "d": 7.38},
           "branch": "plus", "kappa": 0.95}, "kappa"),
         ({"name": "e", "task": "envelope", "c": 1.0, "d": 5.0, "d0": 1.2}, "d0"),
+        # band 100's angle, whose halving ends on the float spacing, is not critical
+        ({"name": "h", "task": "hopf", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)), "d": 7.95, "n": 100,
+          "j": 100}, "c"),
+        ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e300}, "slope"),
     ])
     def test_runner_check_names_its_field(self, tmp_path, doc, field):
         path = write_scenario(tmp_path, doc)
         proc = self.run_cli(doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_direct_unreachable_pair_exit_two(self, tmp_path):
+        proc = self.run_cli("spectrum", "--rate", "1", "--slope", "1e300", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "error: slope: root pair 2 did not converge" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_spectrum_direct_flags(self):

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ddelab import spectrum
-from ddelab.dde import System
+from ddelab.dde import ParameterError, System
 from ddelab.spectrum import (
     complex_root_pairs,
     hopf_angles,
@@ -236,3 +240,28 @@ class TestHopfData:
         for d in (1.5, 2.0, 7.38, 25.0, 100.0):
             xi = interior_equilibrium(1.0, d, 2.0)
             assert d * 2.0 * xi == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call,value", [
+    ("solve_theta(1.0, 82)", 513.6523457015494),
+    ("solve_theta(1.0, 100)", 626.7493299240246),
+    ("leading_real_root(1.0, 1e300)", 684.245750364634),
+])
+def test_halving_ends_at_one_float_spacing(call, value):
+    """Where the float spacing exceeds the tolerance, the halving stops at it instead of spinning.
+
+    Run in a subprocess with a timeout, so a halving that never ends fails the test.
+    """
+    src = str(Path(spectrum.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from ddelab.spectrum import *; print(repr({call}))"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == value
+
+
+def test_unrecoverable_pair_names_slope():
+    with pytest.raises(ParameterError, match="root pair 2 did not converge") as err:
+        complex_root_pairs(1.0, 1e300)
+    assert err.value.field == "slope"

@@ -244,3 +244,26 @@ class TestSmallRates:
         with pytest.raises(ParameterError) as err:
             find_dstar(0.1)
         assert err.value.field == "c"
+
+    def test_one_march_per_probe_gives_the_restart_rows(self, monkeypatch):
+        """Each probe is marched once; its rows are those of restarts at T_max, 2 T_max and 4 T_max."""
+        marched = []
+
+        def counted(c, d, **kwargs):
+            marched.append(d)
+            return classify_zd(c, d, **kwargs)
+
+        monkeypatch.setattr(threshold, "classify_zd", counted)
+        res = find_dstar(0.001, tol=1e-6)
+        probes = [d for i, (d, _, _) in enumerate(res.history) if i == 0 or res.history[i - 1][0] != d]
+        assert marched == probes
+        assert UNRESOLVED in [v for _, v, _ in res.history]  # some probes need the longer horizons
+
+        rows = []
+        for d in probes:
+            for horizon in (400.0, 800.0, 1600.0):
+                verdict = classify_zd(0.001, d, T_max=horizon).verdict
+                rows.append((d, verdict, horizon))
+                if verdict != UNRESOLVED:
+                    break
+        assert list(res.history) == rows
