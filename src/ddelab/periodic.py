@@ -86,6 +86,11 @@ def _layer_mesh(system: System, traj: Trajectory) -> int:
     return int(math.ceil(2.0 * system.feedback.n * float(np.max(np.abs(traj.dl[traj.dl.size // 2:])))))
 
 
+def _orbit_mesh(n: float) -> int:
+    """Steps per unit of an orbit run of the n-th Hill system: ``max(400, 4n)``."""
+    return max(400, 4 * int(n))
+
+
 def detect_periodic(
     traj: Trajectory,
     level: float = 1.0,
@@ -266,7 +271,7 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
 
     The hat functions on ``N`` steps of the segment mesh are propagated
     through the variational equation over one period, along the orbit
-    integrated on ``N_int`` steps per unit (default ``max(400, 2N, 4n)``);
+    integrated on ``N_int`` steps per unit (default ``max(400, 4n)``, ``_orbit_mesh``);
     the resulting matrix is eigensolved densely.  Requires the smooth
     system.  ``trivial_error`` measures how well the hat mesh resolves the
     orbit: ``_resolved_floquet`` integrates on the mesh that detected the
@@ -284,7 +289,7 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
         raise ValueError("Floquet analysis needs the differentiable family")
     if N < 20:
         raise ValueError("mesh too coarse; need N >= 20")
-    N_int = max(400, 2 * N, 4 * int(system.feedback.n)) if N_int is None else N_int
+    N_int = _orbit_mesh(system.feedback.n) if N_int is None else N_int
     base = integrate(system, orbit.q0, orbit.omega, N=N_int)
     M = _period_map_matrix(base, N)
     mesh = np.linspace(-1.0, 0.0, N + 1)
@@ -564,7 +569,7 @@ def connection_diagram(
     ``ParameterError("d")`` is raised when the smooth system has no
     interior equilibrium below 0.9.
     """
-    N_orbit = max(400, 4 * int(n))
+    N_orbit = _orbit_mesh(n)
     unresolved: list[str] = []
     if dstar is not None:
         regime = "above" if d > dstar * (1 + 1e-3) else ("below" if d < dstar * (1 - 1e-3) else "critical-or-unknown")

@@ -4,7 +4,8 @@ The linearization of ``x'(t) = -rate x(t) + gain F(x(t-1))`` at a stationary
 value has characteristic function ``lam + rate - slope * exp(-lam)`` with
 ``slope = gain * F'(xi)``.  In the positive-feedback regime ``slope > rate``
 there is a unique positive real root and complex conjugate pairs whose
-imaginary parts sit in the bands ``((2j-1)pi, 2j pi)``.
+imaginary parts sit in the bands ``((2j-1)pi, 2j pi)``.  Every complex root
+comes from the phase reduction ``_root_by_phase``, without Newton iteration.
 
 The oscillation-angle machinery solves ``theta = -c tan(theta)`` on
 ``(2j pi - pi/2, 2j pi)`` and packages the data used to place conjugate root
@@ -53,7 +54,6 @@ class StationaryPoint:
 @dataclass(frozen=True)
 class StationarySet:
     points: tuple
-    ceiling: float
 
     def interior(self) -> StationaryPoint:
         inner = [p for p in self.points if p.value > 0.0]
@@ -104,7 +104,7 @@ def stationary_points(system: System, ceiling: float) -> StationarySet:
                 slope=float(slope),
             )
         )
-    return StationarySet(points=tuple(points), ceiling=ceiling)
+    return StationarySet(points=tuple(points))
 
 
 def _halve(F, lo: float, hi: float, tol: float) -> float:
@@ -144,55 +144,41 @@ def leading_real_root(rate: float, slope: float) -> float:
 
 
 def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
-    """The first ``count`` conjugate root pairs, one per imaginary band.
+    """The first ``count`` conjugate root pairs ``(re, im)``, one per imaginary band.
 
-    Newton iteration from the deterministic seed ``-rate + i(2j - 1/2)pi``;
-    if it leaves its band or stalls within 200 steps, the root is recovered
-    from the phase reduction of the imaginary part: a 4,001-sample scan of
-    the band brackets it and the shared halving loop narrows the bracket to
-    a width of 1e-14.  A pair that neither recovers raises ``ParameterError("slope")``.
+    Each pair is the root of ``_root_by_phase`` in the band
+    ``((2j-1)pi, 2j pi)``, the j-th branch of the closed form
+    ``W_j(slope e^rate) - rate`` (Lambert W).  A pair whose residual exceeds
+    1e-10, or whose band holds no bracket, raises ``ParameterError("slope")``.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
-    out = []
-    for j in range(1, count + 1):
-        lo_band, hi_band = (2 * j - 1) * math.pi, 2 * j * math.pi
-        lam = complex(-rate, (2 * j - 0.5) * math.pi)
-        ok = False
-        for _ in range(200):
-            f = _char(lam, rate, slope)
-            fp = 1.0 + slope * cmath.exp(-lam)
-            step = f / fp
-            lam -= step
-            if abs(step) < 1e-14:
-                ok = lo_band < lam.imag < hi_band and abs(_char(lam, rate, slope)) < 1e-10
-                break
-        if not ok:
-            lam = _root_by_phase(rate, slope, lo_band, hi_band)
-        if lam is None or abs(_char(lam, rate, slope)) > 1e-10:
-            raise ParameterError("slope", f"root pair {j} did not converge")
-        out.append((lam.real, abs(lam.imag)))
-    return out
+    return [(lam.real, lam.imag) for lam in (_band_root(rate, slope, j) for j in range(1, count + 1))]
+
+
+def _band_root(rate: float, slope: float, j: int) -> complex:
+    lam = _root_by_phase(rate, slope, (2 * j - 1) * math.pi, 2 * j * math.pi)
+    if lam is None or abs(_char(lam, rate, slope)) > 1e-10:
+        raise ParameterError("slope", f"root pair {j} did not converge")
+    return lam
 
 
 def _root_by_phase(rate: float, slope: float, lo: float, hi: float) -> Optional[complex]:
-    # imaginary part: y + slope e^{-x} sin y = 0 gives slope e^{-x} = -y/sin(y);
-    # substitute into the real part and solve the scalar equation in y.
+    # imaginary part: y + slope e^{-x} sin y = 0 gives slope e^{-x} = -y/sin(y), positive
+    # in a band; substitute into the real part, bracket the scalar equation in y on 4,001
+    # samples and halve the first bracket to 1e-14 in the shared loop.
     def G(y):
         R = -y / math.sin(y)
-        if R <= 0:
-            return math.nan
-        x = math.log(slope / R)
-        return x + rate - R * math.cos(y)
+        return math.log(slope / R) + rate - R * math.cos(y)
 
     ys = np.linspace(lo + 1e-6, hi - 1e-6, 4001)
-    vals = np.array([G(y) for y in ys])
-    for j in range(len(ys) - 1):
-        if np.isfinite(vals[j]) and np.isfinite(vals[j + 1]) and vals[j] * vals[j + 1] < 0:
-            y = _halve(G, float(ys[j]), float(ys[j + 1]), 1e-14)
-            x = math.log(slope / (-y / math.sin(y)))
-            return complex(x, y)
-    return None
+    R = -ys / np.sin(ys)
+    vals = np.log(slope / R) + rate - R * np.cos(ys)
+    _, mids, _ = _bisect_crossings(vals[None, :], ys, lambda _row, y: G(y), 1e-14)
+    if not mids.size:
+        return None
+    y = float(mids[0])
+    return complex(math.log(slope / (-y / math.sin(y))), y)
 
 
 @dataclass(frozen=True)
@@ -256,16 +242,12 @@ def transversality(rate: float, theta: float) -> float:
 
 
 def track_crossing_root(rate: float, slope: float, theta: float, alpha: float) -> complex:
-    """Continue the root near ``i theta`` of ``lam + (1+alpha)(rate - slope e^(-lam))``."""
-    lam = complex(0.0, theta)
-    for _ in range(100):
-        f = lam + (1.0 + alpha) * (rate - slope * cmath.exp(-lam))
-        fp = 1.0 + (1.0 + alpha) * slope * cmath.exp(-lam)
-        step = f / fp
-        lam -= step
-        if abs(step) < 1e-15:
-            break
-    return lam
+    """The root in theta's band ``((2j-1)pi, 2j pi)`` of ``lam + (1+alpha)(rate - slope e^(-lam))``:
+    the band root at rate ``(1+alpha) rate`` and slope ``(1+alpha) slope``."""
+    j = math.ceil(theta / (2.0 * math.pi))
+    if not ((2 * j - 1) * math.pi < theta < 2 * j * math.pi and alpha > -1.0):
+        raise ValueError("need theta inside a band ((2j-1)pi, 2j pi) and alpha > -1")
+    return _band_root((1.0 + alpha) * rate, (1.0 + alpha) * slope, j)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ class DStarResult:
     estimate: float
     lo: float
     hi: float
-    history: tuple    # (d, verdict, horizon)
+    history: tuple    # one (d, verdict, deciding time or None) row per probe
     unresolved: tuple
 
     @property
@@ -135,16 +135,16 @@ def find_dstar(
 
     The bracket invariant (below: collapse certificate, above: cutoff
     contact) is maintained throughout.  Each probe is marched once, to
-    ``4 T_max``; its ``history`` rows ``(d, verdict, horizon)`` at ``T_max``,
-    ``2 T_max`` and ``4 T_max`` read UNRESOLVED up to the first horizon that
-    reaches the deciding time.  The march is causal, so these are the rows
-    of restarts at each horizon.  Probes unresolved at ``4 T_max`` are
-    logged and side-stepped by shifted probes.  Without ``bracket`` the gains ``c * _BRACKET_LADDER`` are probed until one
-    reaches the cutoff; the last rung below it that collapsed is the lower
-    end.  When none did (for small ``c`` already ``1.1c`` reaches the
-    cutoff), the excess ``d/c - 1`` is halved from 0.1 until a probe
-    collapses, down to ``_MIN_EXCESS``.  ``ParameterError("c")`` is raised
-    when no rung reaches the cutoff or no halving collapses.
+    ``4 T_max``, and logs one ``history`` row ``(d, verdict, t)``: ``t`` is
+    the time that decided it (``tau0`` or ``certificate_time``), None when
+    it is unresolved.  Unresolved probes are also listed in ``unresolved``
+    and side-stepped by shifted probes.  Without ``bracket`` the gains
+    ``c * _BRACKET_LADDER`` are probed until one reaches the cutoff; the
+    last rung below it that collapsed is the lower end.  When none did (for
+    small ``c`` already ``1.1c`` reaches the cutoff), the excess ``d/c - 1``
+    is halved from 0.1 until a probe collapses, down to ``_MIN_EXCESS``.
+    ``ParameterError("c")`` is raised when no rung reaches the cutoff or no
+    halving collapses.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -153,14 +153,10 @@ def find_dstar(
 
     def classify(d: float) -> str:
         res = classify_zd(c, d, k=k, T_max=4.0 * T_max)
-        decided = res.tau0 if res.verdict == HITS_ONE else res.certificate_time
-        for horizon in (T_max, 2.0 * T_max, 4.0 * T_max):
-            verdict = res.verdict if decided is not None and decided <= horizon else UNRESOLVED
-            history.append((d, verdict, horizon))
-            if verdict != UNRESOLVED:
-                return verdict
-        unresolved.append(d)
-        return UNRESOLVED
+        history.append((d, res.verdict, res.tau0 if res.verdict == HITS_ONE else res.certificate_time))
+        if res.verdict == UNRESOLVED:
+            unresolved.append(d)
+        return res.verdict
 
     if bracket is None:
         lo = hi = None

@@ -326,6 +326,8 @@ class TestPlot:
 
 
 class TestCli:
+    """Most tests call ``cli.main`` in this process; two run ``python -m ddelab.cli``."""
+
     def run_cli(self, *args):
         return subprocess.run(
             [sys.executable, "-m", "ddelab.cli", *args],
@@ -334,27 +336,33 @@ class TestCli:
             timeout=300,
         )
 
+    def main_cli(self, capsys, *args):
+        """``cli.main(args)`` with its exit code and captured output, shaped as ``run_cli`` returns them."""
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(args, code, out, err)
+
     def test_simulate_exit_zero(self, tmp_path):
         path = write_scenario(tmp_path, SIM)
         proc = self.run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert "trajectory.csv" in proc.stdout
 
-    def test_validation_failure_exit_two(self, tmp_path):
+    def test_validation_failure_exit_two(self, tmp_path, capsys):
         doc = {"name": "bad", "task": "simulate", "system": {"kind": "limit", "c": 1.0, "d": -7.38}}
         path = write_scenario(tmp_path, doc)
-        proc = self.run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        proc = self.main_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert "system.d" in proc.stderr
 
     @pytest.mark.parametrize("history,field", [_BAD_HISTORIES[i] for i in (0, 1, 6)])
-    def test_bad_history_exit_two(self, tmp_path, history, field):
+    def test_bad_history_exit_two(self, tmp_path, history, field, capsys):
         path = write_scenario(tmp_path, dict(SIM, history=history))
-        proc = self.run_cli("simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        proc = self.main_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert field in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_unresolved_exit_three(self, tmp_path):
+    def test_unresolved_exit_three(self, tmp_path, capsys):
         # a converging trajectory has no orbit to detect
         doc = {
             "name": "noorbit",
@@ -365,26 +373,26 @@ class TestCli:
             "N": 200,
         }
         path = write_scenario(tmp_path, doc)
-        proc = self.run_cli("periodic", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        proc = self.main_cli(capsys, "periodic", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3
         data = json.loads((tmp_path / "out" / "orbit.json").read_text())
         assert data == {"found": False}
 
-    def test_unresolved_disk_fate_exit_three(self, tmp_path):
+    def test_unresolved_disk_fate_exit_three(self, tmp_path, capsys):
         # the plus side of the x4 saddle orbit's unstable disk neither dies
         # nor passes orbit detection by T_fate on N = 400
         doc = {"name": "x4", "task": "diagram", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)),
                "d": 25.0, "n": 100, "with_hopf": True}
         path = write_scenario(tmp_path, doc)
-        proc = self.run_cli("diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        proc = self.main_cli(capsys, "diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3, proc.stderr
         data = json.loads((tmp_path / "out" / "diagram.json").read_text())
         assert data["hopf"]["disk_fates"]["plus"]["fate"] == "UNRESOLVED"
         assert data["unresolved"] == ["hopf-disk"]
 
-    def test_bad_scenario_field_exit_two(self, tmp_path):
+    def test_bad_scenario_field_exit_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 0})
-        proc = self.run_cli("threshold", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        proc = self.main_cli(capsys, "threshold", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "error: tol:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -393,9 +401,9 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "error: c:" in proc.stderr and "Traceback" not in proc.stderr
 
-    def test_threshold_small_rate_exit_zero(self):
+    def test_threshold_small_rate_exit_zero(self, capsys):
         # the first ladder rung, 1.1c, already reaches the cutoff
-        proc = self.run_cli("threshold", "--c", "0.1")
+        proc = self.main_cli(capsys, "threshold", "--c", "0.1")
         assert proc.returncode == 0, proc.stderr
         lo, hi = json.loads(proc.stdout)["bracket"]
         assert 1.09 < lo / 0.1 < hi / 0.1 < 1.1
@@ -411,23 +419,33 @@ class TestCli:
           "j": 100}, "c"),
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e300}, "slope"),
     ])
-    def test_runner_check_names_its_field(self, tmp_path, doc, field):
+    def test_runner_check_names_its_field(self, tmp_path, doc, field, capsys):
         path = write_scenario(tmp_path, doc)
-        proc = self.run_cli(doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
+        proc = self.main_cli(capsys, doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_spectrum_direct_unreachable_pair_exit_two(self, tmp_path):
-        proc = self.run_cli("spectrum", "--rate", "1", "--slope", "1e300", "--out", str(tmp_path / "out"))
+    def test_spectrum_direct_unreachable_pair_exit_two(self, tmp_path, capsys):
+        proc = self.main_cli(capsys, "spectrum", "--rate", "1", "--slope", "1e300", "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "error: slope: root pair 2 did not converge" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_spectrum_direct_flags(self):
-        proc = self.run_cli("spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
+    def test_spectrum_direct_flags(self, capsys):
+        proc = self.main_cli(capsys, "spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
         assert proc.returncode == 0
         assert "0.374822528184" in proc.stdout
+
+    def test_spectrum_overflow_input_exit_zero(self, tmp_path, capsys):
+        # a Newton iteration from the band seeds overflows exp(-lam) at this input
+        doc = {"name": "s", "task": "spectrum", "rate": 0.0022985779227651477, "slope": 3.224590545296398,
+               "pairs": 12}
+        path = write_scenario(tmp_path, doc)
+        proc = self.main_cli(capsys, "spectrum", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+        assert len(data["pairs"]) == 12 and max(data["residuals"]) <= 1e-10
 
 
 # no interior equilibrium: d <= c fails validation; the rest fail the n = 100 scan below 0.9

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from ddelab import spectrum
 from ddelab.dde import ParameterError, System
@@ -30,6 +31,9 @@ HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
 
 # frozen from an independent bracketing solve of  x + 1 - 2 exp(-x) = 0
 LAMBDA0_1_2 = 0.3748225281839233
+
+# found in a rate x slope sweep: Newton from the band seeds overflows here from 6 pairs on
+OVERFLOW_RATE, OVERFLOW_SLOPE = 0.0022985779227651477, 3.224590545296398
 
 
 def test_frozen_leading_root_oracle():
@@ -132,8 +136,8 @@ class TestComplexRoots:
         assert all(b < a for a, b in zip(res, res[1:]))
 
     def test_tiny_rates_take_the_phase_reduction(self, monkeypatch):
-        # Newton from the band seeds fails at rate = slope = 1e-4, so every
-        # band is recovered through _root_by_phase
+        # every band comes from _root_by_phase, also at rate = slope = 1e-4,
+        # where a Newton iteration from the band seeds -rate + i(2j - 1/2)pi fails
         entered = []
         real = spectrum._root_by_phase
 
@@ -170,6 +174,52 @@ class TestComplexRoots:
         assert doc["lambda0"] == pytest.approx(LAMBDA0_1_2, abs=1e-10)
         assert len(doc["pairs"]) == 3
         assert doc["beta_window"][0] < doc["beta_window"][1]
+
+    @pytest.mark.parametrize("count", range(6, 13))
+    def test_overflow_input_gives_every_pair(self, count):
+        pairs = complex_root_pairs(OVERFLOW_RATE, OVERFLOW_SLOPE, count)
+        assert len(pairs) == count
+        for re, im in pairs:
+            lam = complex(re, im)
+            assert abs(lam + OVERFLOW_RATE - OVERFLOW_SLOPE * cmath.exp(-lam)) <= 1e-10
+
+
+_W_RATES = (0.01, 0.5, 1.0, 3.0, 30.0)
+_W_SLOPES = (0.05, 2.0, 7.38, 25.0, 1000.0)
+
+
+def _lambert_root(rate: float, slope: float, j: int) -> complex:
+    """Root of ``lam + rate - slope exp(-lam)`` on branch j of Lambert W, imaginary part positive.
+
+    ``w = lam + rate`` solves ``w exp(w) = slope exp(rate)`` (Corless et al.,
+    Adv. Comput. Math. 5 (1996) 329-359).
+    """
+    lam = complex(lambertw(slope * math.exp(rate), j)) - rate
+    return complex(lam.real, abs(lam.imag))
+
+
+class TestLambertReference:
+    @pytest.mark.parametrize("rate", _W_RATES)
+    def test_pairs_match_lambert_w(self, rate):
+        for slope in _W_SLOPES:
+            for j, (re, im) in enumerate(complex_root_pairs(rate, slope, 12), start=1):
+                ref = _lambert_root(rate, slope, j)
+                assert abs(complex(re, im) - ref) <= 1e-13 * abs(ref), (slope, j)
+
+    @pytest.mark.parametrize("rate", _W_RATES)
+    def test_crossing_root_matches_lambert_w(self, rate):
+        for slope in _W_SLOPES:
+            for j in (1, 2, 5):
+                for alpha in (-0.05, 0.0, 1e-5, 0.05):
+                    lam = track_crossing_root(rate, slope, (2 * j - 0.5) * math.pi, alpha)
+                    ref = _lambert_root((1.0 + alpha) * rate, (1.0 + alpha) * slope, j)
+                    assert abs(lam - ref) <= 1e-13 * abs(ref), (slope, j, alpha)
+
+    def test_crossing_root_needs_a_band_angle(self):
+        with pytest.raises(ValueError, match="theta inside a band"):
+            track_crossing_root(1.0, 2.0, 0.5 * math.pi, 0.0)
+        with pytest.raises(ValueError, match="alpha > -1"):
+            track_crossing_root(1.0, 2.0, 1.5 * math.pi, -1.0)
 
 
 class TestTheta:

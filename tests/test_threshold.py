@@ -221,9 +221,9 @@ class TestSmallRates:
     def test_bracket_ends_reclassify_to_their_sides(self):
         # already 1.1c reaches the cutoff at c = 0.1, where d*/c is 1.0957
         res = find_dstar(0.1, tol=1e-3)
-        horizon = {d: h for d, _, h in res.history}  # the deciding horizon of each gain
-        assert classify_zd(0.1, res.lo, T_max=horizon[res.lo]).verdict == IN_D
-        assert classify_zd(0.1, res.hi, T_max=horizon[res.hi]).verdict == HITS_ONE
+        # the probes march to 4 T_max = 1600
+        assert classify_zd(0.1, res.lo, T_max=1600.0).verdict == IN_D
+        assert classify_zd(0.1, res.hi, T_max=1600.0).verdict == HITS_ONE
         assert res.lo < 1.0957 * 0.1 < res.hi
         assert res.hi - res.lo <= 1e-3
 
@@ -245,8 +245,8 @@ class TestSmallRates:
             find_dstar(0.1)
         assert err.value.field == "c"
 
-    def test_one_march_per_probe_gives_the_restart_rows(self, monkeypatch):
-        """Each probe is marched once; its rows are those of restarts at T_max, 2 T_max and 4 T_max."""
+    def test_one_march_and_one_row_per_probe(self, monkeypatch):
+        """Each probe is marched once, to 4 T_max, and logs one row: its verdict and the time that decided it."""
         marched = []
 
         def counted(c, d, **kwargs):
@@ -255,15 +255,12 @@ class TestSmallRates:
 
         monkeypatch.setattr(threshold, "classify_zd", counted)
         res = find_dstar(0.001, tol=1e-6)
-        probes = [d for i, (d, _, _) in enumerate(res.history) if i == 0 or res.history[i - 1][0] != d]
-        assert marched == probes
-        assert UNRESOLVED in [v for _, v, _ in res.history]  # some probes need the longer horizons
+        assert marched == [d for d, _, _ in res.history]
+        assert any(t is not None and t > 400.0 for _, _, t in res.history)  # some probes need the longer march
 
         rows = []
-        for d in probes:
-            for horizon in (400.0, 800.0, 1600.0):
-                verdict = classify_zd(0.001, d, T_max=horizon).verdict
-                rows.append((d, verdict, horizon))
-                if verdict != UNRESOLVED:
-                    break
+        for d in marched:
+            cls = classify_zd(0.001, d, T_max=1600.0)
+            rows.append((d, cls.verdict, cls.tau0 if cls.verdict == HITS_ONE else cls.certificate_time))
         assert list(res.history) == rows
+        assert list(res.unresolved) == [d for d, v, _ in rows if v == UNRESOLVED]
