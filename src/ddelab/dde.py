@@ -210,10 +210,8 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     ``_GRAZE_TOL``), which contains the cubic; the kept pieces are sampled at
     five points and their sign changes bisected.  Exact-exponential pieces
     only decay, so they cross downward, at the closed-form time.  Returns
-    the crossing times and upward flags in piece order, and the midpoints of
-    the pieces that come within ``_GRAZE_TOL`` of the level without their
-    ends changing side (tangential approaches).  When no piece is kept, the
-    three arrays (float, bool, float) come back empty at once.  The pieces
+    the crossing times and upward flags in piece order.  When no piece is
+    kept, the two arrays (float, bool) come back empty at once.  The pieces
     are scanned in one pass: callers bound their size (one unit interval, or
     one ``_CHUNK`` window of a trajectory).
     """
@@ -225,7 +223,7 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     above = np.maximum(np.maximum(x0, x1), np.maximum(p1, p2)) - level >= -_GRAZE_TOL
     i = np.flatnonzero(np.where(side == 1, (x0 > level) & (level >= x1), below & above))
     if not i.size:
-        return np.empty(0), np.empty(0, dtype=bool), np.empty(0)
+        return np.empty(0), np.empty(0, dtype=bool)
     expo = side[i] == 1
     ie, ih = i[expo], i[~expo]
     # scalar math.log: np.log can differ from it in the last bit
@@ -244,9 +242,7 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     order = np.argsort(np.concatenate([ie, ih[rows]]), kind="stable")
     times = np.concatenate([t_exp, t_herm])[order]
     ups = np.concatenate([np.zeros(ie.size, dtype=bool), up])[order]
-    near = np.min(np.abs(v), axis=1, initial=np.inf)
-    graze = (near > 0.0) & (near < _GRAZE_TOL) & ((x0 - level) * (x1 - level) > 0.0)
-    return times, ups, 0.5 * (ts[ih[graze]] + ts[ih[graze] + 1])
+    return times, ups
 
 
 @dataclass
@@ -269,7 +265,6 @@ class Trajectory:
     dr: np.ndarray          # left-sided derivative at the right node of each piece
     side: np.ndarray        # per piece: 1 if the delayed argument exceeds the cutoff
     events: list = field(default_factory=list)       # {t, kind}: forcing switches
-    grazes: list = field(default_factory=list)       # midpoints of pieces touching the cutoff
 
     # -- evaluation --------------------------------------------------------
     def eval_many(self, t) -> np.ndarray:
@@ -324,7 +319,7 @@ class Trajectory:
         last = None  # time of the last crossing yielded
         for c0 in range(i_lo, i_hi + 1, _CHUNK):
             c1 = min(c0 + _CHUNK, i_hi + 1)
-            times, ups, _ = _level_crossings(
+            times, ups = _level_crossings(
                 level, self.ts[c0 : c1 + 1], self.xs[c0 : c1 + 1], self.dl[c0:c1], self.dr[c0:c1],
                 self.side[c0:c1], self.system.rate,
             )
@@ -343,10 +338,9 @@ class Trajectory:
 def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list, forcing: Optional[Callable] = None):
     """Advance the system to time ``T`` one unit interval at a time.
 
-    The package's one unit-by-unit loop.  Yields ``(blk, touched)`` as each
-    unit interval ends: its pieces ``(ts, xs, dl, dr, side)``, whose first
-    node is the last node of the unit before, and the midpoints of its
-    pieces that graze the cutoff.  For limit systems the cutoff crossings
+    The package's one unit-by-unit loop.  Yields the pieces ``(ts, xs, dl,
+    dr, side)`` of each unit interval as it ends; their first node is the
+    last node of the unit before.  For limit systems the cutoff crossings
     ``(t, upward)`` are appended to ``crossings`` in time order as they are
     located, those of the history first, so a caller that stops after any
     unit has seen every crossing up to that unit's end.  Each unit looks up
@@ -442,11 +436,10 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
             raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][bad][0]:.6f}")
         prev = blk
 
-        touched = np.empty(0)
         if limit:
-            times, ups, touched = _level_crossings(1.0, *blk, rate)
+            times, ups = _level_crossings(1.0, *blk, rate)
             record(times.tolist(), ups.tolist())
-        yield blk, touched
+        yield blk
 
 
 def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) -> Trajectory:
@@ -464,11 +457,7 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     if not history.is_nonnegative():
         raise ValueError("history must be nonnegative")
     crossings: list[tuple[float, bool]] = []
-    blocks: list[tuple] = []
-    grazes: list[float] = []
-    for blk, touched in _march(system, history, T, N, crossings):
-        blocks.append(blk)
-        grazes.extend(touched.tolist())
+    blocks = list(_march(system, history, T, N, crossings))
     events: list[dict] = []
     for tc, up in crossings:
         bp = tc + 1.0
@@ -485,7 +474,6 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
         dr=np.concatenate([np.empty(0)] + [blk[3] for blk in blocks]),
         side=np.concatenate([np.empty(0, dtype=np.int8)] + [blk[4] for blk in blocks]),
         events=sorted(events, key=lambda e: e["t"]),
-        grazes=grazes,
     )
 
 

@@ -12,7 +12,7 @@ The two families used throughout the package are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -36,7 +36,6 @@ class PowerCutoff:
     """Power feedback with a hard cutoff: ``xi**k`` on [0, 1], zero above."""
 
     k: float = 2.0
-    cutoff: float = field(default=1.0, init=False)
 
     def __post_init__(self):
         if not self.k > 0:

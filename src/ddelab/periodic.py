@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 _SEG_MESH = np.linspace(-1.0, 0.0, 201)
+# a non-return differs on the scale of the oscillation amplitude, a true return
+# sits at the integration noise floor; period structure is decided at a coarse
+# tolerance in between, and the final return residual gate is strict
+_COARSE_TOL = 1e-3
+_RETURN_TOL = 1e-6
 _HOPF_ALPHAS = (-0.02, 0.02, -0.05, 0.05, -0.1, 0.1, -0.15, 0.15, -0.2, 0.2)
 
 
@@ -91,18 +96,13 @@ def _orbit_mesh(n: float) -> int:
     return max(400, 4 * int(n))
 
 
-def detect_periodic(
-    traj: Trajectory,
-    level: float = 1.0,
-    transient: Optional[float] = None,
-    resid_tol: float = 1e-6,
-) -> Optional[PeriodicOrbit]:
+def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[float] = None) -> Optional[PeriodicOrbit]:
     """Detect a periodic orbit in the tail of a trajectory.
 
     Increasing crossings of ``level`` after the transient propose the period
     (directly if the gaps agree to 1e-4 relative, otherwise by constant
     multi-crossing return lags).  The candidate must pass the
-    segment-return residual at ``resid_tol``; sub-multiples that also pass
+    segment-return residual ``_RETURN_TOL``; sub-multiples that also pass
     replace it.  Returns None when fewer than 4 crossings exist or the gaps
     drift.
     """
@@ -112,10 +112,6 @@ def detect_periodic(
     if len(ups_all) < 4:
         return None
     ups_all = np.asarray(ups_all)
-    # a non-return differs on the scale of the oscillation amplitude, a true
-    # return sits at the integration noise floor; period structure is decided
-    # at a coarse tolerance in between, the final gate below is strict
-    coarse = max(100.0 * resid_tol, 1e-3)
     omega = None
     anchor = None
     # long transients can poison the front of the window; retry on later parts
@@ -135,7 +131,7 @@ def detect_periodic(
                     if i < 0:
                         break
                     a = float(ups[i])
-                if a + med <= traj.T and _segment_distance(traj, a, a + med) < coarse:
+                if a + med <= traj.T and _segment_distance(traj, a, a + med) < _COARSE_TOL:
                     omega, anchor = med, a
                     break
         if omega is not None:
@@ -147,7 +143,7 @@ def detect_periodic(
         changed = False
         for mdiv in (2, 3):
             cand = omega / mdiv
-            if cand > 0.05 and anchor + cand <= traj.T and _segment_distance(traj, anchor, anchor + cand) < coarse:
+            if cand > 0.05 and anchor + cand <= traj.T and _segment_distance(traj, anchor, anchor + cand) < _COARSE_TOL:
                 omega = cand
                 changed = True
                 break
@@ -158,7 +154,7 @@ def detect_periodic(
         resid = max(resid, _segment_distance(traj, anchor - omega, anchor))
     elif anchor + 2 * omega <= traj.T:
         resid = max(resid, _segment_distance(traj, anchor + omega, anchor + 2 * omega))
-    if resid >= resid_tol:
+    if resid >= _RETURN_TOL:
         return None
     ts = np.linspace(anchor, anchor + omega, max(256, int(64 * omega)), endpoint=False)
     xs = traj.eval_many(ts)
@@ -216,7 +212,7 @@ def _period_map_matrix(base: Trajectory, N: int) -> np.ndarray:
         return v
 
     history = HistoryFunction.from_callable(lambda s: _interp_columns(s, mesh, hats))
-    for (ts, xs, dl, dr, _side), _touched in _march(system, history, omega, base.N, [], forcing):
+    for ts, xs, dl, dr, _side in _march(system, history, omega, base.N, [], forcing):
         if ts[0] + 1.0 >= end_times[0]:  # units ending before omega - 1 hold no end time
             here = ~past & (end_times >= ts[0])
             out[here] = _eval_pieces(end_times[here], ts, xs, dl, dr)
@@ -531,14 +527,22 @@ class ConnectionDiagram:
         return out
 
 
-def _fate_of_trajectory(traj: Trajectory) -> tuple[str, dict]:
-    tail = traj.eval_many(np.linspace(traj.T - 5.0, traj.T, 501))
-    if float(np.max(np.abs(tail))) < 1e-3:
-        return "ZERO", {"tail_max": float(np.max(np.abs(tail)))}
-    det = detect_periodic(traj, level=1.0, transient=max(0.0, traj.T - 60.0), resid_tol=1e-4)
-    if det is not None:
-        return "ORBIT", {"omega": det.omega}
-    return "UNRESOLVED", {"tail_max": float(np.max(np.abs(tail)))}
+def _disk_fate(system: System, seed: HistoryFunction, T: float, N: int) -> dict:
+    """The fate of one unstable-disk seed, run over ``T`` from ``N`` steps per unit.
+
+    ORBIT when ``find_orbit`` (transient ``0.6 T``, as for the plus branch)
+    returns a Floquet report; otherwise ZERO when the last run's ``max|x|``
+    on ``[T - 5, T]`` is below 1e-3, and UNRESOLVED when it is not.
+    """
+    def run(N_run):
+        traj = integrate(system, seed, T, N=N_run)
+        return traj, traj, 0.6 * T
+
+    traj, orbit, flo = find_orbit(system, run, N)
+    if flo is not None:
+        return {"fate": "ORBIT", "omega": orbit.omega}
+    tail_max = float(np.max(np.abs(traj.eval_many(np.linspace(T - 5.0, T, 501)))))
+    return {"fate": "ZERO" if tail_max < 1e-3 else "UNRESOLVED", "tail_max": tail_max}
 
 
 def connection_diagram(
@@ -563,9 +567,10 @@ def connection_diagram(
     0.05 of the cutoff are recorded.  The orbit is sought over ``T_orbit`` on
     ``max(400, 4n)`` steps per unit by ``find_orbit``, and kept only if the
     Floquet matrix on its detection mesh resolves it.  With ``with_hopf``
-    the small saddle orbit (first band) is computed and the fates of its
-    unstable-disk runs are recorded; no orbit adds ``hopf`` to
-    ``unresolved``, an UNRESOLVED disk fate ``hopf-disk``.
+    the small saddle orbit (first band) is computed, and each of its two
+    unstable-disk seeds is run over ``T_fate`` by the same rule,
+    ``find_orbit`` from ``max(N, max(400, 4n))`` steps per unit; no orbit
+    adds ``hopf`` to ``unresolved``, an UNRESOLVED disk fate ``hopf-disk``.
     ``ParameterError("d")`` is raised when the smooth system has no
     interior equilibrium below 0.9.
     """
@@ -660,13 +665,13 @@ def _recurrence_gap(plus, t2: Optional[float]) -> Optional[float]:
     return float(max(lead, np.max(gaps) if gaps.size else 0.0))
 
 
-def unstable_disk_runs(system: System, orbit: PeriodicOrbit, T: float, N: int) -> tuple[FloquetReport, list]:
-    """Floquet report of a saddle orbit and ``(side, traj)`` runs from its unstable disk.
+def unstable_disk_runs(system: System, orbit: PeriodicOrbit) -> tuple[FloquetReport, list]:
+    """Floquet report of a saddle orbit and the ``(side, seed)`` histories of its unstable disk.
 
-    Each run starts from the orbit's anchor segment pushed by ``+5e-3 psi``
-    (side "plus") or ``-5e-3 psi`` (side "minus"), clipped at zero, where
-    ``psi`` is the unstable eigenvector at hat mesh N=120, and is integrated
-    over ``T`` on ``N`` steps per unit.  The list is empty when no real
+    Each seed is the orbit's anchor segment pushed by ``+5e-3 psi`` (side
+    "plus") or ``-5e-3 psi`` (side "minus"), clipped at zero, where ``psi``
+    is the unstable eigenvector at hat mesh N=120.  The caller integrates
+    each seed on its own horizon and mesh.  The list is empty when no real
     multiplier lies above one.
     """
     flo = monodromy_multipliers(system, orbit, N=120)
@@ -674,11 +679,10 @@ def unstable_disk_runs(system: System, orbit: PeriodicOrbit, T: float, N: int) -
         return flo, []
     psi = np.interp(_SEG_MESH, flo.mesh, flo.unstable_eigvec)
     q_vals = orbit.q0.eval(_SEG_MESH)
-    runs = []
-    for side, sgn in (("plus", 1.0), ("minus", -1.0)):
-        hist = HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * 5e-3 * psi, 0.0))
-        runs.append((side, integrate(system, hist, T, N=N)))
-    return flo, runs
+    return flo, [
+        (side, HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * 5e-3 * psi, 0.0)))
+        for side, sgn in (("plus", 1.0), ("minus", -1.0))
+    ]
 
 
 def _hopf_block(c, d, k, n, T_fate, N, alphas=None) -> dict:
@@ -688,22 +692,14 @@ def _hopf_block(c, d, k, n, T_fate, N, alphas=None) -> dict:
     if found is None:
         return {"orbit": None}
     orbit, system = found.orbit, found.system
-    flo, runs = unstable_disk_runs(system, orbit, T_fate, N)
-    block = {
+    flo, seeds = unstable_disk_runs(system, orbit)
+    fates = {side: _disk_fate(system, seed, T_fate, N) for side, seed in seeds}
+    return {
         "orbit": orbit.to_dict(),
         "alpha": found.alpha,
         "amplitude": found.amplitude,
         "omega_reference": found.data.omega_guess,
         "a_n": found.data.a_n, "b_n": found.data.b_n,
         "unstable_multiplier": flo.unstable_multiplier,
-        "disk_fates": {},
+        "disk_fates": fates or {"note": "no real multiplier above one found"},
     }
-    if not runs:
-        block["disk_fates"] = {"note": "no real multiplier above one found"}
-        return block
-    fates = {}
-    for side, traj in runs:
-        fate, ev = _fate_of_trajectory(traj)
-        fates[side] = {"fate": fate, **ev}
-    block["disk_fates"] = fates
-    return block

@@ -181,7 +181,8 @@ _POSITIVE = (_is_positive, "a positive number")
 
 # the optional top-level keys: the rule a value must meet, and its wording
 _OPTIONAL_RULES = {
-    "k": _POSITIVE,
+    # threshold, envelope, hopf, diagram: the equilibrium (c/d)^(1/(k-1)) is below the cutoff only for k > 1
+    "k": (lambda v: _is_finite(v) and v > 1, "a number above 1"),
     "T": _POSITIVE,
     "N": (lambda v: _is_int(v, 100), "an integer >= 100"),
     "tol": _POSITIVE,
@@ -598,7 +599,8 @@ def _run_figure(sc: Scenario, out: str):
         _write_csv(os.path.join(out, "hopf_orbit.csv"), {"t": qt, "x": qx})
         arts.append("hopf_orbit.csv")
         series.append(Series(qt, qx, "hopf"))
-        for name, traj in unstable_disk_runs(sysn, orbit, T, N)[1]:
+        for name, seed in unstable_disk_runs(sysn, orbit)[1]:
+            traj = integrate(sysn, seed, T, N=N)
             tt = np.linspace(0.0, T, 4001)
             vals = traj.eval_many(tt)
             _write_csv(os.path.join(out, f"{name}.csv"), {"t": tt, "x": vals})

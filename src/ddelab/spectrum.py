@@ -63,9 +63,14 @@ class StationarySet:
 
 
 def interior_equilibrium(c: float, d: float, k: float = 2.0) -> float:
-    """Closed-form interior zero of ``-c xi + d xi**k``: ``(c/d)**(1/(k-1))``."""
+    """Closed-form interior zero of ``-c xi + d xi**k``: ``(c/d)**(1/(k-1))``.
+
+    It lies in (0, 1), below the cutoff, only for ``k > 1``.
+    """
     if not d > c > 0:
         raise ValueError("need d > c > 0")
+    if not k > 1:
+        raise ValueError("need k > 1")
     return (c / d) ** (1.0 / (k - 1.0))
 
 
@@ -158,7 +163,11 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
 def _band_root(rate: float, slope: float, j: int) -> complex:
     lam = _root_by_phase(rate, slope, (2 * j - 1) * math.pi, 2 * j * math.pi)
-    if lam is None or abs(_char(lam, rate, slope)) > 1e-10:
+    try:
+        converged = lam is not None and abs(_char(lam, rate, slope)) <= 1e-10
+    except OverflowError:  # exp(-lam) beyond the float range: a real part below -709
+        converged = False
+    if not converged:
         raise ParameterError("slope", f"root pair {j} did not converge")
     return lam
 

@@ -84,7 +84,7 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZCl
     crossings: list = []
     max_val = 0.0
     last_above = 0.0  # time of the last node at or above xi1, 0 if none
-    for unit, ((ts, xs, *_), _) in enumerate(_march(system, history, T, _PROBE_N, crossings)):
+    for unit, (ts, xs, *_) in enumerate(_march(system, history, T, _PROBE_N, crossings)):
         max_val = max(max_val, float(np.max(xs)))
         for tc, up in crossings:
             if up and tc >= 0.0:

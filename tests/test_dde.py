@@ -78,7 +78,7 @@ class TestIntegrate:
     def test_march_takes_a_tangent_history_of_either_sign(self):
         """Only ``integrate`` checks the sign: a variational history may dip below zero."""
         history = HistoryFunction.from_callable(lambda s: np.sin(2.0 * np.pi * np.asarray(s)))
-        blocks = [blk for blk, _ in _march(System.smooth(1.0, 7.38, n=20), history, 2.0, 100, [])]
+        blocks = list(_march(System.smooth(1.0, 7.38, n=20), history, 2.0, 100, []))
         assert len(blocks) == 2 and np.all(np.isfinite(blocks[-1][1]))
 
     def test_coarse_mesh_rejected(self):
@@ -361,7 +361,7 @@ class TestCrossingLocator:
     def test_matches_batched_halving(self, case):
         """Bitwise the crossings of the batched array halving, closed-form decays merged in piece order."""
         (ts, xs, dl, dr, side), level = case
-        times, ups, _ = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
+        times, ups = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
         ih = np.flatnonzero(side == 0)
         coef = (ts[ih + 1] - ts[ih], xs[ih], dl[ih], xs[ih + 1], dr[ih])
         v = _hermite_eval(_SAMPLE_THETAS, *(c[:, None] for c in coef)) - level
@@ -392,14 +392,14 @@ class TestCrossingLocator:
         hull = np.concatenate([xs, xs[:-1] + h * dl / 3.0, xs[1:] - h * dr / 3.0])
         level = np.max(hull) + 0.1 if high else np.min(hull) - 0.1
         result = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
-        assert [a.size for a in result] == [0, 0, 0]
-        assert [a.dtype for a in result] == [np.float64, np.bool_, np.float64]
+        assert [a.size for a in result] == [0, 0]
+        assert [a.dtype for a in result] == [np.float64, np.bool_]
 
     @settings(max_examples=300, deadline=None)
     @given(dense_pieces())
     def test_one_root_per_sign_change(self, case):
         (ts, xs, dl, dr, side), level = case
-        times, ups, _ = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
+        times, ups = _level_crossings(level, ts, xs, dl, dr, side, DECAY)
         if times.size:
             assert np.max(np.abs(_eval_pieces(times, ts, xs, dl, dr, side, DECAY) - level)) < 1e-9
         for i in range(len(ts) - 1):
@@ -466,7 +466,7 @@ class TestWindowedScan:
     @pytest.mark.parametrize("direction", ["up", "down", "both"])
     def test_windows_match_one_whole_range_scan(self, long_limit, direction):
         traj = long_limit
-        times, ups, _ = _level_crossings(1.0, traj.ts, traj.xs, traj.dl, traj.dr, traj.side, traj.system.rate)
+        times, ups = _level_crossings(1.0, traj.ts, traj.xs, traj.dl, traj.dr, traj.side, traj.system.rate)
         t_mid = float(traj.ts[dde._CHUNK + 1000])
         for t_lo, t_hi in [(0.0, traj.T), (t_mid, 300.0)]:
             listed = traj.crossings(1.0, direction, t_lo, t_hi)

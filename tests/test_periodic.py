@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import math
 from pathlib import Path
@@ -101,7 +102,7 @@ class TestMonodromy:
         assert len(block) == 4
         for i in range(hats.shape[1]):
             alone = march(HistoryFunction.from_callable(lambda s: np.interp(s, mesh, hats[:, i])))
-            for (b, _), (a, _) in zip(block, alone, strict=True):
+            for b, a in zip(block, alone, strict=True):
                 assert b[0].tobytes() == a[0].tobytes()
                 for k in (1, 2, 3):
                     assert b[k][:, i].tobytes() == a[k].tobytes()
@@ -113,6 +114,21 @@ def test_periodic_has_no_stepper_of_its_own():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported & {"_stage_grid", "_rk4_affine_steps"} == set()
     assert "_march" in imported
+
+
+def test_one_orbit_rule():
+    """In the package, only ``find_orbit`` calls ``detect_periodic``, which takes no tolerance."""
+    callers = set()
+    for path in Path(periodic.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and "detect_periodic" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                    ):
+                        callers.add(fn.name)
+    assert callers == {"find_orbit"}
+    assert list(inspect.signature(detect_periodic).parameters) == ["traj", "level", "transient"]
 
 
 class TestAttraction:
@@ -216,6 +232,10 @@ class TestDiagramConsistency:
 
     def test_x4_period_is_not_locked_to_the_grid(self, hopf_diagram):
         steps = hopf_diagram.plus_evidence["omega"] * 400
+        assert abs(steps - round(steps)) > 1e-3
+
+    def test_disk_orbit_is_not_locked_to_the_grid(self, hopf_diagram):
+        steps = hopf_diagram.hopf["disk_fates"]["plus"]["omega"] * 400
         assert abs(steps - round(steps)) > 1e-3
 
     def test_periodic_task_finds_the_diagram_orbit(self, x1_diagram, tmp_path):

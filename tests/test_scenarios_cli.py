@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import math
 import subprocess
@@ -14,6 +15,7 @@ from ddelab import scenarios
 from ddelab.cli import main
 from ddelab.dde import System, integrate
 from ddelab.history import HistoryFunction
+from ddelab.periodic import connection_diagram
 from ddelab.plotting import _H, _PAD, _W, Series, emit_plot
 from ddelab.scenarios import (
     _CSV_BLOCK,
@@ -111,6 +113,12 @@ class TestTopLevelValidation:
         ("hopf", "alpha_grid", [0.2, -1.0]),
         ("envelope", "d0", 8.0),
         ("envelope", "d0", 1.0),
+        # k <= 1 puts the interior equilibrium (c/d)^(1/(k-1)) at or above the cutoff
+        ("threshold", "k", 1),
+        ("threshold", "k", 0.5),
+        ("envelope", "k", 1.0),
+        ("hopf", "k", 0.5),
+        ("diagram", "k", 1.0),
     ])
     def test_out_of_range_values(self, task, key, value):
         with pytest.raises(ScenarioError) as err:
@@ -378,17 +386,35 @@ class TestCli:
         data = json.loads((tmp_path / "out" / "orbit.json").read_text())
         assert data == {"found": False}
 
-    def test_unresolved_disk_fate_exit_three(self, tmp_path, capsys):
-        # the plus side of the x4 saddle orbit's unstable disk neither dies
-        # nor passes orbit detection by T_fate on N = 400
+    def test_unresolved_disk_fate_exit_three(self, tmp_path, capsys, monkeypatch):
+        # at alpha = 0.2 and T_fate = 20 the plus side of the x4 saddle orbit's
+        # unstable disk still swings (tail about 3) and shows no orbit on either mesh
+        monkeypatch.setattr(scenarios, "connection_diagram", functools.partial(connection_diagram, T_fate=20.0))
         doc = {"name": "x4", "task": "diagram", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)),
-               "d": 25.0, "n": 100, "with_hopf": True}
+               "d": 25.0, "n": 100, "with_hopf": True, "alpha_grid": [0.2]}
         path = write_scenario(tmp_path, doc)
         proc = self.main_cli(capsys, "diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 3, proc.stderr
         data = json.loads((tmp_path / "out" / "diagram.json").read_text())
-        assert data["hopf"]["disk_fates"]["plus"]["fate"] == "UNRESOLVED"
+        fates = data["hopf"]["disk_fates"]
+        assert fates["plus"]["fate"] == "UNRESOLVED" and fates["plus"]["tail_max"] > 1.0
+        assert fates["minus"]["fate"] == "ZERO"
         assert data["unresolved"] == ["hopf-disk"]
+
+    def test_default_x4_disk_fates_resolve_exit_zero(self, tmp_path, capsys):
+        # the plus side of the x4 saddle orbit's unstable disk reaches the
+        # rescaled system's stable orbit, found on the layer mesh; the minus side dies
+        doc = {"name": "x4", "task": "diagram", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)),
+               "d": 25.0, "n": 100, "with_hopf": True}
+        path = write_scenario(tmp_path, doc)
+        proc = self.main_cli(capsys, "diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads((tmp_path / "out" / "diagram.json").read_text())
+        fates = data["hopf"]["disk_fates"]
+        assert fates["plus"]["fate"] == "ORBIT"
+        assert abs(fates["plus"]["omega"] / 7.67087162967465 - 1.0) < 1e-8
+        assert fates["minus"]["fate"] == "ZERO"
+        assert data["unresolved"] == []
 
     def test_bad_scenario_field_exit_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 0})
@@ -418,6 +444,9 @@ class TestCli:
         ({"name": "h", "task": "hopf", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)), "d": 7.95, "n": 100,
           "j": 100}, "c"),
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e300}, "slope"),
+        # exp(-lam) of pair 1 overflows there
+        ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-308}, "slope"),
+        ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-310}, "slope"),
     ])
     def test_runner_check_names_its_field(self, tmp_path, doc, field, capsys):
         path = write_scenario(tmp_path, doc)

@@ -315,3 +315,17 @@ def test_unrecoverable_pair_names_slope():
     with pytest.raises(ParameterError, match="root pair 2 did not converge") as err:
         complex_root_pairs(1.0, 1e300)
     assert err.value.field == "slope"
+
+
+@pytest.mark.parametrize("slope", [1e-308, 1e-310])
+def test_slope_near_the_float_floor_names_slope(slope):
+    """Pair 1's real part lies below -709 there, so exp(-lam) overflows in the residual gate."""
+    with pytest.raises(ParameterError, match="root pair 1 did not converge") as err:
+        complex_root_pairs(1.0, slope)
+    assert err.value.field == "slope"
+
+
+@pytest.mark.parametrize("k", [1.0, 0.5])
+def test_interior_equilibrium_needs_k_above_one(k):
+    with pytest.raises(ValueError, match="k > 1"):
+        interior_equilibrium(1.0, 7.38, k)
