@@ -27,7 +27,7 @@ import numpy as np
 from .dde import ParameterError, System, Trajectory, _eval_pieces, _march, integrate, segment_at
 from .history import HistoryFunction
 from .manifold import shoot_branch
-from .spectrum import HopfData, hopf_data, stationary_points
+from .spectrum import HopfData, hopf_data
 from .threshold import HITS_ONE, IN_D, classify_zd
 
 __all__ = [
@@ -61,7 +61,6 @@ class PeriodicOrbit:
     vmin: float
     vmax: float
     level: float
-    direction: str
     anchor: float
     residual: float
     samples_t: np.ndarray = field(repr=False)
@@ -73,7 +72,7 @@ class PeriodicOrbit:
             "min": self.vmin,
             "max": self.vmax,
             "level": self.level,
-            "direction": self.direction,
+            "direction": "up",  # the period is read off upward crossings of the level
             "residual": self.residual,
         }
 
@@ -156,6 +155,14 @@ def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[fl
         resid = max(resid, _segment_distance(traj, anchor + omega, anchor + 2 * omega))
     if resid >= _RETURN_TOL:
         return None
+    return _orbit_record(traj, anchor, omega, level, resid)
+
+
+def _orbit_record(traj: Trajectory, anchor: float, omega: float, level: float, residual: float) -> PeriodicOrbit:
+    """The package's one ``PeriodicOrbit``: one period of ``traj`` from ``anchor``.
+
+    ``q0`` is the segment at ``anchor``; the period is sampled ``max(256, 64 omega)`` times.
+    """
     ts = np.linspace(anchor, anchor + omega, max(256, int(64 * omega)), endpoint=False)
     xs = traj.eval_many(ts)
     return PeriodicOrbit(
@@ -164,9 +171,8 @@ def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[fl
         vmin=float(np.min(xs)),
         vmax=float(np.max(xs)),
         level=level,
-        direction="up",
         anchor=anchor,
-        residual=resid,
+        residual=residual,
         samples_t=ts - anchor,
         samples_x=xs,
     )
@@ -237,7 +243,6 @@ class FloquetReport:
     leading_nontrivial: float   # largest magnitude excluding the trivial one
     unstable_multiplier: Optional[float] = None
     unstable_eigvec: Optional[np.ndarray] = field(default=None, repr=False)
-    mesh: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -315,7 +320,6 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
         leading_nontrivial=leading_nt,
         unstable_multiplier=lam_u,
         unstable_eigvec=psi_u,
-        mesh=mesh,
     )
 
 
@@ -367,7 +371,6 @@ class HopfSearchResult:
     system: System
     data: HopfData
     amplitude: float      # max |q - equilibrium|
-    newton_residual: float
 
 
 def _newton_periodic(
@@ -447,7 +450,9 @@ def hopf_orbit_search(
     (the strong real instability survives), so forward simulation cannot find
     it; the Newton solve replaces it.  Returns the first success with
     amplitude below 0.2; None when the whole grid yields only the
-    equilibrium.  ``alphas=None`` scans the default grid.
+    equilibrium.  ``alphas=None`` scans the default grid.  The equilibrium
+    is ``hopf_data``'s ``xi1_n`` (the rescale keeps b/a); the orbit starts on
+    the last Newton base, whose history is ``q0``, with the Newton residual.
 
     An attempt sliding onto the equilibrium is given up after a few period
     maps by ``_newton_periodic``'s half-amplitude stop, instead of being
@@ -457,7 +462,7 @@ def hopf_orbit_search(
     for alpha in _HOPF_ALPHAS if alphas is None else alphas:
         hd = hopf_data(c, d, k, n, j=j, alpha=alpha)
         system = System.smooth(hd.a_n, hd.b_n, k=k, n=n)
-        xi = stationary_points(system, 0.9).interior().value
+        xi = hd.xi1_n
         ref_dphase = -np.sin(hd.theta_n * mesh) * hd.theta_n
         for A0 in (0.03, 0.06, 0.1):
             u0 = xi + A0 * np.cos(hd.theta_n * mesh)
@@ -470,29 +475,9 @@ def hopf_orbit_search(
                 continue
             if not 0.5 * hd.omega_guess < omega < 2.0 * hd.omega_guess:
                 continue
-            orbit = _orbit_from_solution(system, u, mesh, omega, base, level=xi, resid=res)
-            return HopfSearchResult(
-                orbit=orbit, alpha=alpha, system=system, data=hd,
-                amplitude=amp, newton_residual=res,
-            )
+            orbit = _orbit_record(base, 0.0, omega, xi, res)
+            return HopfSearchResult(orbit=orbit, alpha=alpha, system=system, data=hd, amplitude=amp)
     return None
-
-
-def _orbit_from_solution(system, u, mesh, omega, base: Trajectory, level: float, resid: float) -> PeriodicOrbit:
-    ts = np.linspace(0.0, omega, 256, endpoint=False)
-    xs = base.eval_many(ts)
-    return PeriodicOrbit(
-        q0=HistoryFunction.from_samples(mesh, u),
-        omega=float(omega),
-        vmin=float(np.min(xs)),
-        vmax=float(np.max(xs)),
-        level=level,
-        direction="up",
-        anchor=0.0,
-        residual=resid,
-        samples_t=ts,
-        samples_x=xs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +655,14 @@ def unstable_disk_runs(system: System, orbit: PeriodicOrbit) -> tuple[FloquetRep
 
     Each seed is the orbit's anchor segment pushed by ``+5e-3 psi`` (side
     "plus") or ``-5e-3 psi`` (side "minus"), clipped at zero, where ``psi``
-    is the unstable eigenvector at hat mesh N=120.  The caller integrates
-    each seed on its own horizon and mesh.  The list is empty when no real
-    multiplier lies above one.
+    is the unstable eigenvector at hat mesh N=120 (nodes ``linspace(-1, 0,
+    121)``).  The caller integrates each seed on its own horizon and mesh.
+    The list is empty when no real multiplier lies above one.
     """
     flo = monodromy_multipliers(system, orbit, N=120)
     if flo.unstable_eigvec is None:
         return flo, []
-    psi = np.interp(_SEG_MESH, flo.mesh, flo.unstable_eigvec)
+    psi = np.interp(_SEG_MESH, np.linspace(-1.0, 0.0, flo.mesh_N + 1), flo.unstable_eigvec)
     q_vals = orbit.q0.eval(_SEG_MESH)
     return flo, [
         (side, HistoryFunction.from_samples(_SEG_MESH, np.maximum(q_vals + sgn * 5e-3 * psi, 0.0)))

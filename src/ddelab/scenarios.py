@@ -33,7 +33,7 @@ from .history import HistoryFunction
 from .manifold import shoot_branch
 from .periodic import connection_diagram, find_orbit, hopf_orbit_search, unstable_disk_runs
 from .plotting import Series, emit_plot
-from .spectrum import spectrum_report, stationary_points
+from .spectrum import spectrum_report
 from .threshold import envelopes, find_dstar
 
 __all__ = ["Scenario", "ScenarioError", "validate_scenario", "run_scenario", "FIGURE_PRESETS"]
@@ -104,11 +104,16 @@ def _check_system(problems, spec, path="system"):
     rate_key, gain_key = ("c", "d") if kind == "limit" else ("a", "b")
     rate = _check_positive(problems, spec, path, rate_key)
     gain = _check_positive(problems, spec, path, gain_key)
-    _check_positive(problems, spec, path, "k", required=False)
+    k = _check_positive(problems, spec, path, "k") if "k" in spec else 2.0
     if kind == "smooth":
-        if not _is_int(spec.get("n"), 2):
-            problems.append(f"{path}.n: must be an integer >= 2")
+        _check_hill_order(problems, f"{path}.n", spec.get("n"), k)
     return rate, gain, f"{path}.{gain_key}"
+
+
+def _check_hill_order(problems, where, n, k):
+    """The Hill order: an integer >= 2 above the power ``k`` (None when ``k`` is invalid and named)."""
+    if not (_is_int(n, 2) and (k is None or n > k)):
+        problems.append(f"{where}: must be an integer >= 2" + ("" if k is None else f" above k = {k:g}"))
 
 
 def _system_from(spec) -> System:
@@ -256,14 +261,17 @@ def validate_scenario(doc: dict) -> Scenario:
         if None not in (c, d, d0) and not c < d0 < d:
             problems.append("d0: must lie in (c, d)")
     if task in ("hopf", "diagram"):
-        if not _is_int(doc.get("n"), 2):
-            problems.append("n: must be an integer >= 2")
+        k = doc.get("k", 2.0)
+        _check_hill_order(problems, "n", doc.get("n"), k if _OPTIONAL_RULES["k"][0](k) else None)
     if task == "spectrum":
         _check_positive(problems, doc, "", "rate")
         _check_positive(problems, doc, "", "slope")
     if task == "figure":
         if doc.get("preset") not in FIGURE_PRESETS:
             problems.append(f"preset: must be one of {', '.join(sorted(FIGURE_PRESETS))}")
+        elif doc["preset"] in ("x3", "x4") and _is_positive(doc.get("T")) and doc["T"] < 1.0:
+            # the phase plot of the disk run draws x(t) against x(t - 1) from t = 1
+            problems.append("T: must be at least 1 for presets x3 and x4")
     if problems:
         raise ScenarioError(problems)
     return Scenario(name=name, task=task, spec=dict(doc))
@@ -531,7 +539,7 @@ def _run_hopf(sc: Scenario, out: str):
         "found": True,
         "alpha": found.alpha,
         "amplitude": found.amplitude,
-        "newton_residual": found.newton_residual,
+        "newton_residual": found.orbit.residual,
         "orbit": found.orbit.to_dict(),
         "angles": found.data.to_dict(),
     }
@@ -581,7 +589,7 @@ def _run_figure(sc: Scenario, out: str):
             arts.append(f"{name}.csv")
             series.append(Series(tt, vals, name))
         tt = np.linspace(0.0, T, 501)
-        xi = stationary_points(system, 0.9).interior().value
+        xi = plus.equilibrium
         _write_csv(os.path.join(out, "stationary.csv"), {"t": tt, "x": np.full_like(tt, xi)})
         arts.append("stationary.csv")
         series.append(Series(tt, np.full_like(tt, xi), "stationary"))

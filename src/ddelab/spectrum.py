@@ -127,13 +127,16 @@ def leading_real_root(rate: float, slope: float) -> float:
 
     Positive when ``slope > rate`` (bisection on [0, slope] to a bracket
     width of 1e-13); zero at the boundary; otherwise the negative real root
-    is returned with a warning.
+    is returned with a warning, with ``slope exp(-lam)`` taken in logs below -512.
     """
     if not (rate > 0 and slope > 0):
         raise ValueError("rate and slope must be positive")
 
     def F(lam):
-        return lam + rate - slope * math.exp(-lam)
+        try:
+            return lam + rate - (slope * math.exp(-lam) if lam >= -512.0 else math.exp(math.log(slope) - lam))
+        except OverflowError:  # slope exp(-lam) beyond every float, so beyond lam + rate
+            return -math.inf
 
     if slope == rate:
         return 0.0
@@ -154,7 +157,8 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
     Each pair is the root of ``_root_by_phase`` in the band
     ``((2j-1)pi, 2j pi)``, the j-th branch of the closed form
     ``W_j(slope e^rate) - rate`` (Lambert W).  A pair whose residual exceeds
-    1e-10, or whose band holds no bracket, raises ``ParameterError("slope")``.
+    ``max(1e-10, 16 eps |lam|^2)``, or whose band holds no bracket, raises
+    ``ParameterError("slope")``.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -163,8 +167,9 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
 def _band_root(rate: float, slope: float, j: int) -> complex:
     lam = _root_by_phase(rate, slope, (2 * j - 1) * math.pi, 2 * j * math.pi)
+    # a root good to eps |lam| leaves a residual near eps |lam|^2: gate at 16 eps |lam|^2 from |lam| ~ 168
     try:
-        converged = lam is not None and abs(_char(lam, rate, slope)) <= 1e-10
+        converged = lam is not None and abs(_char(lam, rate, slope)) <= max(1e-10, 2.0**-48 * abs(lam) ** 2)
     except OverflowError:  # exp(-lam) beyond the float range: a real part below -709
         converged = False
     if not converged:

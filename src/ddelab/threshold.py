@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dde import ParameterError, System, _march, integrate
 from .history import HistoryFunction
@@ -307,7 +306,9 @@ def envelopes(c: float, d: float, d0: float, k: float = 2.0) -> EnvelopeData:
     k1 = 4.0 + 2.0 * d * g.sup_deriv_unit()
     k2 = 2.0 + big_delta * k1
 
-    integral = quad(lambda s: math.exp(c * s) * g.value(math.exp(-c * (s - 1.0))), 1.0, 1.0 + big_delta)[0]
+    # bound 3 integrates e^{cs} g(e^{-c(s-1)}) over [1, 1 + Delta], where g(x) = x^k
+    # (x <= 1): the integrand is e^{ck} e^{c(1-k)s}, and interior_equilibrium required k > 1
+    integral = math.exp(c) * math.expm1(c * (1.0 - k) * big_delta) / (c * (1.0 - k))
     bounds = {
         "1": (d - d0) * g.value(m0 / 2.0) / k1,
         "2": (d - d0) * g.value(math.exp(-c * big_delta)) / (2.0 * k1),

@@ -116,19 +116,30 @@ def test_periodic_has_no_stepper_of_its_own():
     assert "_march" in imported
 
 
+def _callers(path: Path, name: str) -> set:
+    """The functions (methods included) in ``path`` whose bodies call ``name``."""
+    callers = set()
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(fn.name)
+    return callers
+
+
 def test_one_orbit_rule():
     """In the package, only ``find_orbit`` calls ``detect_periodic``, which takes no tolerance."""
-    callers = set()
-    for path in Path(periodic.__file__).parent.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, ast.FunctionDef):
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and "detect_periodic" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)
-                    ):
-                        callers.add(fn.name)
+    callers = set().union(*(_callers(path, "detect_periodic") for path in Path(periodic.__file__).parent.glob("*.py")))
     assert callers == {"find_orbit"}
     assert list(inspect.signature(detect_periodic).parameters) == ["traj", "level", "transient"]
+
+
+def test_one_orbit_record():
+    """Only ``_orbit_record`` builds a ``PeriodicOrbit``, and no orbit path re-scans for the equilibrium."""
+    package = Path(periodic.__file__).parent
+    assert set().union(*(_callers(path, "PeriodicOrbit") for path in package.glob("*.py"))) == {"_orbit_record"}
+    for module in ("periodic.py", "scenarios.py"):
+        assert _callers(package / module, "stationary_points") == set()
 
 
 class TestAttraction:
@@ -154,7 +165,7 @@ class TestHopfSearch:
         assert found is not None
         assert found.amplitude < 0.2
         assert abs(found.orbit.omega - found.data.omega_guess) / found.data.omega_guess < 0.2
-        assert found.newton_residual < 1e-10
+        assert found.orbit.residual < 1e-10
 
     def test_amplitude_shrinks_with_detuning(self):
         big = hopf_orbit_search(HOPF_C, 25.0, 2.0, 100, j=1, alphas=(0.05,))
@@ -178,12 +189,31 @@ class TestHopfSearch:
         monkeypatch.setattr(periodic, "_period_map_matrix", counted_map)
         found = hopf_orbit_search(HOPF_C, 7.95, 2.0, 100)
         assert found is not None and found.alpha == 0.02
-        assert found.newton_residual < 1e-10
+        assert found.orbit.residual < 1e-10
         assert sum(maps for _, maps in attempts) <= 20
         # without the stop, each alpha = -0.02 attempt takes 14 to 19 maps to reach the equilibrium
         gain = hopf_data(HOPF_C, 7.95, 2.0, 100, alpha=-0.02).b_n
         sliding = [maps for g, maps in attempts if g == gain]
         assert len(sliding) == 3 and max(sliding) <= 3
+
+    def test_orbit_starts_on_its_newton_base(self, monkeypatch):
+        """``q0`` is the last Newton base's own history, and the samples are read off that base."""
+        bases = []
+        newton = periodic._newton_periodic
+
+        def kept(*args):
+            got = newton(*args)
+            if got is not None:
+                bases.append(got[2])
+            return got
+
+        monkeypatch.setattr(periodic, "_newton_periodic", kept)
+        found = hopf_orbit_search(HOPF_C, 25.0, 2.0, 100, j=1, alphas=(0.2,))
+        base = bases[-1]
+        assert found.orbit.q0 is base.history
+        assert found.orbit.anchor == 0.0 and found.orbit.level == found.data.xi1_n
+        assert found.orbit.samples_t.size == 256
+        assert found.orbit.samples_x.tobytes() == base.eval_many(found.orbit.samples_t).tobytes()
 
     def test_non_bifurcating_side_yields_nothing(self):
         assert hopf_orbit_search(HOPF_C, 25.0, 2.0, 100, j=1, alphas=(-0.05, -0.1)) is None

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import lambertw
 
 from ddelab import scenarios
 from ddelab.cli import main
@@ -119,6 +120,13 @@ class TestTopLevelValidation:
         ("envelope", "k", 1.0),
         ("hopf", "k", 0.5),
         ("diagram", "k", 1.0),
+        # the Hill order must exceed the power k (default 2)
+        ("simulate", "system", {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 2}),
+        ("manifold", "system", {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 2}),
+        ("periodic", "system", {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 2}),
+        ("periodic", "system", {"kind": "smooth", "a": 1.0, "b": 7.38, "k": 3, "n": 3}),
+        ("hopf", "n", 2),
+        ("diagram", "n", 2),
     ])
     def test_out_of_range_values(self, task, key, value):
         with pytest.raises(ScenarioError) as err:
@@ -443,7 +451,8 @@ class TestCli:
         # band 100's angle, whose halving ends on the float spacing, is not critical
         ({"name": "h", "task": "hopf", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)), "d": 7.95, "n": 100,
           "j": 100}, "c"),
-        ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e300}, "slope"),
+        # pair 1's real part needs sin(y) near 1e-300, past what its imaginary part y resolves
+        ({"name": "s", "task": "spectrum", "rate": 1e300, "slope": 1.0}, "slope"),
         # exp(-lam) of pair 1 overflows there
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-308}, "slope"),
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-310}, "slope"),
@@ -456,9 +465,35 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_spectrum_direct_unreachable_pair_exit_two(self, tmp_path, capsys):
-        proc = self.main_cli(capsys, "spectrum", "--rate", "1", "--slope", "1e300", "--out", str(tmp_path / "out"))
+        # the negative real root (about -690.8) is found; the pairs are not
+        proc = self.main_cli(capsys, "spectrum", "--rate", "1e300", "--slope", "1", "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
-        assert "error: slope: root pair 2 did not converge" in proc.stderr and "Traceback" not in proc.stderr
+        assert "error: slope: root pair 1 did not converge" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_spectrum_large_roots_exit_zero(self, tmp_path, capsys):
+        # pairs near |lam| = 684 whose residuals (up to 1.4e-10) sit at the float floor
+        doc = {"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e300, "pairs": 6}
+        path = write_scenario(tmp_path, doc)
+        proc = self.main_cli(capsys, "spectrum", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+        for j, (re, im) in enumerate(data["pairs"], start=1):
+            ref = complex(lambertw(1e300 * math.e, j)) - 1.0
+            assert abs(complex(re, im) - ref) <= 1e-15 * abs(ref), j
+
+    @pytest.mark.parametrize("doc,field", [
+        # Hill(k=2, n=2) cannot be built, and the runner would fail after making --out
+        ({"task": "simulate", "system": {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 2}}, "system.n"),
+        # the phase plot draws x(t) against x(t - 1) from t = 1
+        ({"task": "figure", "preset": "x3", "T": 0.5}, "T"),
+        ({"task": "figure", "preset": "x4", "T": 0.5}, "T"),
+    ])
+    def test_inputs_that_crashed_exit_two(self, tmp_path, capsys, doc, field):
+        path = write_scenario(tmp_path, {"name": "crash", **doc})
+        proc = self.main_cli(capsys, doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_spectrum_direct_flags(self, capsys):

@@ -312,9 +312,30 @@ def test_halving_ends_at_one_float_spacing(call, value):
 
 
 def test_unrecoverable_pair_names_slope():
-    with pytest.raises(ParameterError, match="root pair 2 did not converge") as err:
-        complex_root_pairs(1.0, 1e300)
+    """At rate 1e300 a pair's real part is log(slope / R) with R = -y / sin(y) near 1e300, past what y resolves."""
+    with pytest.raises(ParameterError, match="root pair 1 did not converge") as err:
+        complex_root_pairs(1e300, 1.0)
     assert err.value.field == "slope"
+
+
+@pytest.mark.parametrize("slope", [1e300, 1e-300])
+def test_large_roots_clear_the_scaled_residual_gate(slope):
+    """Near |lam| = 690 a residual of eps |lam|^2 (up to 3.3e-10 here) is the float floor, not a failed root."""
+    pairs = complex_root_pairs(1.0, slope, 6)
+    for j, (re, im) in enumerate(pairs, start=1):
+        ref = _lambert_root(1.0, slope, j)
+        assert abs(complex(re, im) - ref) <= 1e-15 * abs(ref), j
+    assert max(abs(spectrum._char(complex(*p), 1.0, slope)) for p in pairs) > 1e-10
+
+
+@pytest.mark.parametrize("rate,slope", [(1e300, 1.0), (1e298, 1.0), (1e300, 1e-300)])
+def test_negative_root_past_the_exp_range(rate, slope):
+    """The root lies below -512 (about -690.8 at rate 1e300), where exp(-lam) alone overflows from -709."""
+    with pytest.warns(UserWarning, match="negative real root"):
+        lam = leading_real_root(rate, slope)
+    # lam + rate = slope exp(-lam), in logs
+    assert abs(math.log(lam + rate) - (math.log(slope) - lam)) <= 1e-12
+    assert lam < -512.0
 
 
 @pytest.mark.parametrize("slope", [1e-308, 1e-310])

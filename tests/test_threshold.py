@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from ddelab import dde, threshold
 from ddelab.dde import ParameterError, System, integrate
 from ddelab.history import HistoryFunction
+from ddelab.nonlinearity import PowerCutoff
 from ddelab.spectrum import interior_equilibrium
 from ddelab.threshold import (
     HITS_ONE,
@@ -215,6 +217,17 @@ class TestEnvelopes:
     def test_invalid_gain_ordering(self):
         with pytest.raises(ValueError):
             envelopes(1.0, 7.38, d0=8.0)
+
+    @pytest.mark.parametrize("c,d,d0,k", [
+        (1.0, 7.38, 6.5, 2.0), (1.0, 5.0, 4.0, 2.0), (0.7, 6.0, 5.5, 3.0), (2.0, 14.0, 12.0, 2.0), (1.0, 7.38, 6.5, 1.5),
+    ])
+    def test_ledger_integral_matches_quadrature(self, c, d, d0, k):
+        """Bound 3's integral, in closed form, against adaptive quadrature of e^{cs} g(e^{-c(s-1)}) on [1, 1 + Delta]."""
+        env = envelopes(c, d, d0, k=k)
+        g = PowerCutoff(k=k)
+        integral = quad(lambda s: math.exp(c * s) * g.value(math.exp(-c * (s - 1.0))), 1.0, 1.0 + env.big_delta)[0]
+        bound = (d - d0) / env.k2 * math.exp(-c * (1.0 + env.big_delta)) * integral
+        assert env.ledger["3"]["bound"] == pytest.approx(bound, rel=1e-14)
 
 
 class TestSmallRates:
