@@ -68,7 +68,7 @@ def _spectrum_direct(args) -> int:
     print(f"{'real':>10} {rep.lambda0:>18.12f} {0.0:>18.12f} {'-':>12}")
     for i, ((re, im), res) in enumerate(zip(rep.pairs, rep.residuals), start=1):
         print(f"{'pair ' + str(i):>10} {re:>18.12f} {im:>18.12f} {res:>12.2e}")
-    print(f"window: ({rep.beta_window[0]:.12f}, {rep.beta_window[1]:.12f})")
+    print(f"window: ({rep.beta_window[0]:.12e}, {rep.beta_window[1]:.12e})")
     return 0
 
 

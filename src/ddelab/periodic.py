@@ -1,12 +1,12 @@
 """Periodic orbits: detection, Floquet diagnostics, and connection diagrams.
 
-Orbit detection is a level-crossing return test on a long trajectory: gaps
-between increasing crossings propose a period, the state-space return
-residual confirms it, and sub-multiples are ruled out.  Floquet multipliers
-come from a dense discretization of the linearized period map: the hat
-functions on a segment mesh are propagated together through the variational
-equation along the orbit, by the integrator's own march, and the resulting
-matrix is eigensolved.
+Orbit detection is one pass of a level-crossing return test on a long
+trajectory: the smallest crossing lag with constant laps proposes the
+period, and the state-space return residual at two anchors confirms it.
+Floquet multipliers come from a dense discretization of the linearized
+period map: the hat functions on a segment mesh are propagated together
+through the variational equation along the orbit, by the integrator's own
+march, and the resulting matrix is eigensolved.
 
 Small orbits born near the interior equilibrium are of saddle type (the
 equilibrium's strong real instability persists as a Floquet multiplier above
@@ -98,57 +98,34 @@ def _orbit_mesh(n: float) -> int:
 def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[float] = None) -> Optional[PeriodicOrbit]:
     """Detect a periodic orbit in the tail of a trajectory.
 
-    Increasing crossings of ``level`` after the transient propose the period
-    (directly if the gaps agree to 1e-4 relative, otherwise by constant
-    multi-crossing return lags).  The candidate must pass the
-    segment-return residual ``_RETURN_TOL``; sub-multiples that also pass
-    replace it.  Returns None when fewer than 4 crossings exist or the gaps
-    drift.
+    One pass over the increasing crossings of ``level`` after the transient:
+    the period is the median lap of the smallest crossing lag whose laps
+    agree to 1e-4 relative and whose state returns within ``_COARSE_TOL``
+    from the anchor.  The anchor is the crossing 70% into the window, or the
+    last one a period before the horizon if that is earlier.  The return must
+    then close within ``_RETURN_TOL`` at two anchors a period apart.  Returns
+    None when fewer than 4 crossings exist, when no lag passes, or when the
+    return residual fails.
     """
     transient = 0.5 * traj.T if transient is None else transient
-    t_hi = traj.T - 1.0
-    ups_all = [t for t, _ in traj.crossings(level, "up", t_lo=transient, t_hi=t_hi)]
-    if len(ups_all) < 4:
+    ups = np.asarray([t for t, _ in traj.crossings(level, "up", t_lo=transient, t_hi=traj.T - 1.0)])
+    if ups.size < 4:
         return None
-    ups_all = np.asarray(ups_all)
-    omega = None
-    anchor = None
-    # long transients can poison the front of the window; retry on later parts
-    for skip in (0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0):
-        ups = ups_all[int(skip * len(ups_all)):]
-        if len(ups) < 4:
-            break
-        for lag in range(1, len(ups) // 2 + 1):
-            laps = ups[lag:] - ups[:-lag]
-            med = float(np.median(laps))
-            if med <= 0:
-                continue
-            if float(np.max(laps) - np.min(laps)) <= 1e-4 * med:
-                a = float(ups[min(int(0.7 * (len(ups) - 1)), len(ups) - 2)])
-                while a + med > traj.T and a > ups[0]:
-                    i = int(np.searchsorted(ups, a)) - 1
-                    if i < 0:
-                        break
-                    a = float(ups[i])
-                if a + med <= traj.T and _segment_distance(traj, a, a + med) < _COARSE_TOL:
-                    omega, anchor = med, a
-                    break
-        if omega is not None:
-            break
-    if omega is None:
-        return None
-    changed = True
-    while changed:
-        changed = False
-        for mdiv in (2, 3):
-            cand = omega / mdiv
-            if cand > 0.05 and anchor + cand <= traj.T and _segment_distance(traj, anchor, anchor + cand) < _COARSE_TOL:
-                omega = cand
-                changed = True
+    for lag in range(1, ups.size // 2 + 1):
+        laps = ups[lag:] - ups[:-lag]
+        omega = float(np.median(laps))
+        if float(np.max(laps) - np.min(laps)) > 1e-4 * omega:
+            continue
+        i = min(int(0.7 * (ups.size - 1)), ups.size - 2, int(np.searchsorted(ups + omega, traj.T, "right")) - 1)
+        anchor = float(ups[max(i, 0)])
+        if anchor + omega <= traj.T:
+            resid = _segment_distance(traj, anchor, anchor + omega)
+            if resid < _COARSE_TOL:
                 break
+    else:
+        return None
     # a residual that only passes at one anchor is floor luck on a thin
     # torus; require the return to close at two anchors a period apart
-    resid = _segment_distance(traj, anchor, anchor + omega)
     if anchor - omega >= float(ups[0]):
         resid = max(resid, _segment_distance(traj, anchor - omega, anchor))
     elif anchor + 2 * omega <= traj.T:

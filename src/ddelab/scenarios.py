@@ -167,7 +167,16 @@ def _history_from(spec, system: System) -> HistoryFunction:
         return HistoryFunction.constant(float(spec["value"]))
     if spec["kind"] == "exp-decay":
         return HistoryFunction.exp_decay(system.rate)
-    return HistoryFunction.from_samples(np.asarray(spec["mesh"], float), np.asarray(spec["values"], float))
+    # values near the float ceiling overflow the PCHIP slopes: scipy rejects them, or the interpolant is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            history = HistoryFunction.from_samples(np.asarray(spec["mesh"], float), np.asarray(spec["values"], float))
+            finite = bool(np.all(np.isfinite(history.sampled()[1])))
+        except ValueError:
+            finite = False
+    if not finite:
+        raise ParameterError("history.values", "the interpolated history overflows the float range")
+    return history
 
 
 _TOP_KEYS = {

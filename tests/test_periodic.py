@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from ddelab import periodic
-from ddelab.dde import System, _march, integrate, segment_at
+from ddelab.dde import System, Trajectory, _march, integrate, segment_at
 from ddelab.history import HistoryFunction
+from ddelab.manifold import shoot_branch
 from ddelab.periodic import (
     _interp_columns,
     detect_periodic,
+    find_orbit,
     hopf_orbit_search,
     monodromy_multipliers,
 )
@@ -46,6 +48,46 @@ class TestDetect:
 
         for frac in (2.0, 3.0):
             assert _segment_distance(traj, orbit.anchor, orbit.anchor + orbit.omega / frac) > 1e-3
+
+    @pytest.mark.parametrize("delta", [1e-4, 4e-4, 6e-4])
+    def test_nearly_period_doubled_orbit_keeps_its_period(self, delta):
+        """x = 1 + sin(2 pi t / 3) / 2 + delta cos(pi t / 3) has period 6, and 3 is not a period.
+
+        The laps of consecutive crossings alternate, so the smallest lag with
+        constant laps is 2; a state that comes back near t + 3 must not
+        replace the true period.
+        """
+        w = 2.0 * math.pi / 3.0
+
+        def x(t):
+            return 1.0 + 0.5 * np.sin(w * t) + delta * np.cos(0.5 * w * t)
+
+        def slope(t):
+            return 0.5 * w * np.cos(w * t) - 0.5 * w * delta * np.sin(0.5 * w * t)
+
+        T, N = 200.0, 400
+        ts = np.linspace(0.0, T, int(T) * N + 1)
+        traj = Trajectory(
+            system=System.smooth(1.0, 7.38, n=100), history=HistoryFunction.from_callable(x), N=N, T=T,
+            ts=ts, xs=x(ts), dl=slope(ts[:-1]), dr=slope(ts[1:]), side=np.zeros(ts.size - 1),
+        )
+        orbit = detect_periodic(traj, level=1.0, transient=100.0)
+        assert orbit is not None
+        assert abs(orbit.omega - 6.0) < 1e-9
+        assert orbit.residual < 1e-12
+
+    @pytest.mark.parametrize("T_orbit", [50.0, 100.0, 200.0])
+    def test_short_horizon_finds_the_period(self, x1_diagram, T_orbit):
+        """The x1 plus branch gives the same period over a short horizon as over the diagram's 500."""
+        system = System.smooth(1.0, 7.38, n=200)
+
+        def shoot(N_run):
+            sol = shoot_branch(system, "plus", T=T_orbit, N=N_run)
+            return sol, sol.traj, sol.shift + 0.6 * T_orbit
+
+        _, orbit, _ = find_orbit(system, shoot, periodic._orbit_mesh(200))
+        assert orbit is not None
+        assert abs(orbit.omega / x1_diagram.orbit.omega - 1.0) < 1e-9
 
 
 class TestMonodromy:

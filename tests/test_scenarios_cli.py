@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from ddelab.scenarios import (
     run_scenario,
     validate_scenario,
 )
+from ddelab.spectrum import spectrum_report
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -456,17 +458,26 @@ class TestCli:
         # exp(-lam) of pair 1 overflows there
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-308}, "slope"),
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-310}, "slope"),
+        # sampled values near the float ceiling overflow the interpolant's slopes
+        ({"name": "h", "task": "simulate", "system": {"kind": "limit", "c": 1.0, "d": 7.38},
+          "history": {"kind": "samples", "mesh": [-1, 0], "values": [0, 1e308]}}, "history.values"),
+        ({"name": "h", "task": "simulate", "system": {"kind": "limit", "c": 1.0, "d": 7.38},
+          "history": {"kind": "samples", "mesh": [-1, -0.5, 0], "values": [0, 1e308, 0]}}, "history.values"),
     ])
     def test_runner_check_names_its_field(self, tmp_path, doc, field, capsys):
         path = write_scenario(tmp_path, doc)
-        proc = self.main_cli(capsys, doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
+        # every spectrum case here has slope <= rate, which has no positive root
+        warns = pytest.warns(UserWarning, match="slope <= rate") if doc["task"] == "spectrum" else nullcontext()
+        with warns:
+            proc = self.main_cli(capsys, doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert f"error: {field}:" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_spectrum_direct_unreachable_pair_exit_two(self, tmp_path, capsys):
         # the negative real root (about -690.8) is found; the pairs are not
-        proc = self.main_cli(capsys, "spectrum", "--rate", "1e300", "--slope", "1", "--out", str(tmp_path / "out"))
+        with pytest.warns(UserWarning, match="slope <= rate"):
+            proc = self.main_cli(capsys, "spectrum", "--rate", "1e300", "--slope", "1", "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "error: slope: root pair 1 did not converge" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
@@ -500,6 +511,17 @@ class TestCli:
         proc = self.main_cli(capsys, "spectrum", "--rate", "1.0", "--slope", "2.0", "--pairs", "2")
         assert proc.returncode == 0
         assert "0.374822528184" in proc.stdout
+
+    def test_spectrum_direct_window_line_is_short(self, capsys):
+        """The beta window prints in exponent form: near 1e297 it is two short numbers, not 300 digits."""
+        proc = self.main_cli(capsys, "spectrum", "--rate", "1", "--slope", "1e300", "--pairs", "2")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert all(len(line) < 100 for line in lines)
+        rep = spectrum_report(1.0, 1e300, 2)
+        lo, hi = (float(v) for v in lines[-1].removeprefix("window: (").removesuffix(")").split(", "))
+        assert abs(lo / math.exp(rep.pairs[0][0]) - 1.0) < 1e-12
+        assert abs(hi / math.exp(rep.lambda0) - 1.0) < 1e-12
 
     def test_spectrum_overflow_input_exit_zero(self, tmp_path, capsys):
         # a Newton iteration from the band seeds overflows exp(-lam) at this input
