@@ -52,7 +52,12 @@ class HistoryFunction:
             raise ValueError("mesh must cover [-1, 0]")
         if np.any(np.diff(mesh) <= 0):
             raise ValueError("mesh must be strictly increasing")
-        return cls(PchipInterpolator(mesh, values, extrapolate=True))
+        # values near the float ceiling overflow the PCHIP slopes: scipy rejects them, or the interpolant is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            fn = PchipInterpolator(mesh, values, extrapolate=True)
+            if not np.all(np.isfinite(fn(_PROBE))):
+                raise ValueError("the interpolated history is not finite")
+        return cls(fn)
 
     @classmethod
     def from_callable(cls, fn: Callable) -> "HistoryFunction":

@@ -470,7 +470,7 @@ class ConnectionDiagram:
     regime_evidence: dict
     minus_limit: str                # "ZERO" | "UNRESOLVED"
     minus_evidence: dict
-    plus_limit: str                 # "ZERO" | "PERIODIC" | "ATTRACTOR" | "UNRESOLVED"
+    plus_limit: str                 # "ZERO" | "PERIODIC" | "ATTRACTOR"
     plus_evidence: dict
     hopf: Optional[dict] = None
     unresolved: tuple = ()
@@ -507,12 +507,17 @@ def _disk_fate(system: System, seed: HistoryFunction, T: float, N: int) -> dict:
     return {"fate": "ZERO" if tail_max < 1e-3 else "UNRESOLVED", "tail_max": tail_max}
 
 
+def _tail_max(sol) -> float:
+    """``max|x|`` of a branch on ``[end - 3, end - 0.5]``, 301 samples."""
+    end = sol.domain[1]
+    return float(np.max(np.abs(sol.eval_many(np.linspace(end - 3.0, end - 0.5, 301)))))
+
+
 def connection_diagram(
     c: float,
     d: float,
     k: float,
     n: int,
-    dstar: Optional[float] = None,
     with_hopf: bool = False,
     hopf_alphas=None,
     N: int = 200,
@@ -521,16 +526,18 @@ def connection_diagram(
 ) -> ConnectionDiagram:
     """Assemble the fate of the leading unstable directions at one parameter set.
 
-    ``dstar`` may be supplied from a previous bisection; otherwise the regime
-    is certified by a single probe classification (contact with the cutoff
-    means the gain is at or above critical).  The minus branch must collapse
-    to zero; the plus branch collapses below critical and, above it, reaches
-    a periodic orbit or a band-confined attractor whose returns to within
-    0.05 of the cutoff are recorded.  The orbit is sought over ``T_orbit`` on
-    ``max(400, 4n)`` steps per unit by ``find_orbit``, and kept only if the
-    Floquet matrix on its detection mesh resolves it.  With ``with_hopf``
-    the small saddle orbit (first band) is computed, and each of its two
-    unstable-disk seeds is run over ``T_fate`` by the same rule,
+    The regime is evidence only: the limit system's probe at ``(c, d)``
+    (``classify_zd``) puts ``d`` below or above the critical gain d*, and an
+    unresolved probe reads ``critical-or-unknown`` and adds ``regime`` to
+    ``unresolved``.  The minus branch must collapse: its ``tail_max`` must
+    fall below 1e-6.  The plus branch has one rule on both sides of the
+    threshold: it is shot over ``max(T_orbit, 20/c)`` through ``find_orbit``
+    from ``max(400, 4n)`` steps per unit.  It is PERIODIC when the Floquet
+    matrix on its detection mesh resolves the orbit, ZERO when its
+    ``tail_max`` is below 1e-5, and otherwise ATTRACTOR, with the largest
+    gap between its returns to within 0.05 of the cutoff.  With
+    ``with_hopf`` the small saddle orbit (first band) is computed, and each
+    of its two unstable-disk seeds is run over ``T_fate`` by the same rule,
     ``find_orbit`` from ``max(N, max(400, 4n))`` steps per unit; no orbit
     adds ``hopf`` to ``unresolved``, an UNRESOLVED disk fate ``hopf-disk``.
     ``ParameterError("d")`` is raised when the smooth system has no
@@ -538,18 +545,14 @@ def connection_diagram(
     """
     N_orbit = _orbit_mesh(n)
     unresolved: list[str] = []
-    if dstar is not None:
-        regime = "above" if d > dstar * (1 + 1e-3) else ("below" if d < dstar * (1 - 1e-3) else "critical-or-unknown")
-        regime_ev = {"dstar": dstar, "source": "supplied"}
+    cls = classify_zd(c, d, k=k)
+    if cls.verdict == HITS_ONE:
+        regime, regime_ev = "above", {"probe": cls.verdict, "tau0": cls.tau0}
+    elif cls.verdict == IN_D:
+        regime, regime_ev = "below", {"probe": cls.verdict}
     else:
-        cls = classify_zd(c, d, k=k)
-        if cls.verdict == HITS_ONE:
-            regime, regime_ev = "above", {"probe": cls.verdict, "tau0": cls.tau0}
-        elif cls.verdict == IN_D:
-            regime, regime_ev = "below", {"probe": cls.verdict}
-        else:
-            regime, regime_ev = "critical-or-unknown", {"probe": cls.verdict}
-            unresolved.append("regime")
+        regime, regime_ev = "critical-or-unknown", {"probe": cls.verdict}
+        unresolved.append("regime")
 
     system = System.smooth(c, d, k=k, n=n)
 
@@ -557,41 +560,37 @@ def connection_diagram(
         minus = shoot_branch(system, "minus", T=max(40.0, 16.0 / c), N=N)
     except ParameterError as exc:  # the default marker fits; only the gain can fail
         raise ParameterError("d", str(exc)) from None
-    tail = minus.eval_many(np.linspace(minus.domain[1] - 3.0, minus.domain[1] - 0.5, 301))
-    minus_limit = "ZERO" if float(np.max(np.abs(tail))) < 1e-6 else "UNRESOLVED"
-    minus_ev = {"tail_max": float(np.max(np.abs(tail)))}
+    minus_ev = {"tail_max": _tail_max(minus)}
+    minus_limit = "ZERO" if minus_ev["tail_max"] < 1e-6 else "UNRESOLVED"
     if minus_limit != "ZERO":
         unresolved.append("minus")
 
-    orbit = None
-    if regime == "below":
-        plus = shoot_branch(system, "plus", T=max(60.0, 20.0 / c), N=N)
-        ptail = plus.eval_many(np.linspace(plus.domain[1] - 3.0, plus.domain[1] - 0.5, 301))
-        plus_ev = {"tail_max": float(np.max(np.abs(ptail)))}
-        plus_limit = "ZERO" if plus_ev["tail_max"] < 1e-5 else "UNRESOLVED"
-        if plus_limit != "ZERO":
-            unresolved.append("plus")
-    else:
-        def shoot(N_run):
-            sol = shoot_branch(system, "plus", T=T_orbit, N=N_run)
-            return sol, sol.traj, sol.shift + 0.6 * T_orbit
+    # 20/c keeps a collapse e^-20 deep when T_orbit is short
+    T_plus = max(T_orbit, 20.0 / c)
 
-        plus, orbit, flo = find_orbit(system, shoot, N_orbit)
-        t2 = plus.landmarks.t2
-        band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
-        plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
-        # an orbit whose trivial multiplier stays off 1 on every hat mesh is dropped
-        if flo is not None:
-            plus_limit = "PERIODIC"
-            plus_ev.update({"omega": orbit.omega, "orbit_min": orbit.vmin, "orbit_max": orbit.vmax,
-                            "floquet_trivial_error": flo.trivial_error,
-                            "floquet_leading_nontrivial": flo.leading_nontrivial})
+    def shoot(N_run):
+        sol = shoot_branch(system, "plus", T=T_plus, N=N_run)
+        return sol, sol.traj, sol.shift + 0.6 * T_plus
+
+    plus, orbit, flo = find_orbit(system, shoot, N_orbit)
+    t2 = plus.landmarks.t2
+    band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
+    plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
+    # an orbit whose trivial multiplier stays off 1 on every hat mesh is dropped
+    if flo is not None:
+        plus_limit = "PERIODIC"
+        plus_ev.update({"omega": orbit.omega, "orbit_min": orbit.vmin, "orbit_max": orbit.vmax,
+                        "floquet_trivial_error": flo.trivial_error,
+                        "floquet_leading_nontrivial": flo.leading_nontrivial})
+    else:
+        orbit = None
+        plus_ev["tail_max"] = _tail_max(plus)
+        if plus_ev["tail_max"] < 1e-5:
+            plus_limit = "ZERO"
         else:
-            orbit = None
-            hits = _recurrence_gap(plus, t2)
             plus_limit = "ATTRACTOR"
-            plus_ev.update({"recurrence_max_gap": hits})
-            if hits is None:
+            plus_ev["recurrence_max_gap"] = _recurrence_gap(plus, t2)
+            if plus_ev["recurrence_max_gap"] is None:
                 unresolved.append("plus-recurrence")
 
     hopf_block = None

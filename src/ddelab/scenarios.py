@@ -167,16 +167,11 @@ def _history_from(spec, system: System) -> HistoryFunction:
         return HistoryFunction.constant(float(spec["value"]))
     if spec["kind"] == "exp-decay":
         return HistoryFunction.exp_decay(system.rate)
-    # values near the float ceiling overflow the PCHIP slopes: scipy rejects them, or the interpolant is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            history = HistoryFunction.from_samples(np.asarray(spec["mesh"], float), np.asarray(spec["values"], float))
-            finite = bool(np.all(np.isfinite(history.sampled()[1])))
-        except ValueError:
-            finite = False
-    if not finite:
-        raise ParameterError("history.values", "the interpolated history overflows the float range")
-    return history
+    # the mesh is validated, so only values that overflow the interpolant fail here
+    try:
+        return HistoryFunction.from_samples(np.asarray(spec["mesh"], float), np.asarray(spec["values"], float))
+    except ValueError:
+        raise ParameterError("history.values", "the interpolated history overflows the float range") from None
 
 
 _TOP_KEYS = {
@@ -187,7 +182,7 @@ _TOP_KEYS = {
     "spectrum": {"name", "task", "rate", "slope", "pairs"},
     "periodic": {"name", "task", "system", "T", "N", "transient", "level"},
     "hopf": {"name", "task", "c", "d", "k", "n", "j", "alpha_grid"},
-    "diagram": {"name", "task", "c", "d", "k", "n", "dstar", "with_hopf", "alpha_grid", "T_orbit", "N"},
+    "diagram": {"name", "task", "c", "d", "k", "n", "with_hopf", "alpha_grid", "T_orbit", "N"},
     "figure": {"name", "task", "preset", "T", "N"},
 }
 
@@ -212,7 +207,6 @@ _OPTIONAL_RULES = {
     "transient": (lambda v: _is_finite(v) and v >= 0, "a nonnegative number"),
     "level": _POSITIVE,
     "T_orbit": _POSITIVE,
-    "dstar": _POSITIVE,
     # each detuning scales the rates by 1 + alpha
     "alpha_grid": (
         lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(a) and a > -1 for a in v),
@@ -559,8 +553,6 @@ def _run_hopf(sc: Scenario, out: str):
 
 def _run_diagram(sc: Scenario, out: str):
     kwargs = {}
-    if "dstar" in sc.spec:
-        kwargs["dstar"] = float(sc.spec["dstar"])
     if "alpha_grid" in sc.spec:
         kwargs["hopf_alphas"] = tuple(float(a) for a in sc.spec["alpha_grid"])
     if "T_orbit" in sc.spec:

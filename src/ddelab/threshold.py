@@ -104,7 +104,11 @@ class DStarResult:
     lo: float
     hi: float
     history: tuple    # one (d, verdict, deciding time or None) row per probe
-    unresolved: tuple
+
+    @property
+    def unresolved(self) -> tuple:
+        """The gains whose probe was unresolved, in probe order."""
+        return tuple(d for d, verdict, _ in self.history if verdict == UNRESOLVED)
 
     @property
     def width(self) -> float:
@@ -136,25 +140,24 @@ def find_dstar(
     contact) is maintained throughout.  Each probe is marched once, to
     ``4 T_max``, and logs one ``history`` row ``(d, verdict, t)``: ``t`` is
     the time that decided it (``tau0`` or ``certificate_time``), None when
-    it is unresolved.  Unresolved probes are also listed in ``unresolved``
-    and side-stepped by shifted probes.  Without ``bracket`` the gains
-    ``c * _BRACKET_LADDER`` are probed until one reaches the cutoff; the
-    last rung below it that collapsed is the lower end.  When none did (for
-    small ``c`` already ``1.1c`` reaches the cutoff), the excess ``d/c - 1``
-    is halved from 0.1 until a probe collapses, down to ``_MIN_EXCESS``.
+    it is unresolved.  Each bisection step probes the midpoint only; an
+    unresolved midpoint ends the bisection, and the bracket is reported as
+    it stands, with the gain listed in ``unresolved``.  Without ``bracket``
+    the gains ``c * _BRACKET_LADDER`` are probed until one reaches the
+    cutoff; the last rung below it that collapsed is the lower end.  When
+    none did (for small ``c`` already ``1.1c`` reaches the cutoff), the
+    excess ``d/c - 1`` is halved from 0.1 until a probe collapses, down to
+    ``_MIN_EXCESS``.
     ``ParameterError("c")`` is raised when no rung reaches the cutoff or no
     halving collapses.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     history: list[tuple] = []
-    unresolved: list[float] = []
 
     def classify(d: float) -> str:
         res = classify_zd(c, d, k=k, T_max=4.0 * T_max)
         history.append((d, res.verdict, res.tau0 if res.verdict == HITS_ONE else res.certificate_time))
-        if res.verdict == UNRESOLVED:
-            unresolved.append(d)
         return res.verdict
 
     if bracket is None:
@@ -188,28 +191,15 @@ def find_dstar(
             raise ParameterError("bracket", "upper end does not reach the cutoff")
 
     while hi - lo > tol:
-        width = hi - lo
-        probes = [lo + 0.5 * width, lo + 0.25 * width, lo + 0.75 * width, lo + 0.375 * width, lo + 0.625 * width]
-        advanced = False
-        for p in probes:
-            v = classify(p)
-            if v == IN_D:
-                lo = p
-                advanced = True
-                break
-            if v == HITS_ONE:
-                hi = p
-                advanced = True
-                break
-        if not advanced:
-            break  # every probe unresolved; report the bracket as-is
-    return DStarResult(
-        estimate=0.5 * (lo + hi),
-        lo=lo,
-        hi=hi,
-        history=tuple(history),
-        unresolved=tuple(unresolved),
-    )
+        mid = lo + 0.5 * (hi - lo)
+        v = classify(mid)
+        if v == IN_D:
+            lo = mid
+        elif v == HITS_ONE:
+            hi = mid
+        else:
+            break  # an unresolved midpoint; report the bracket as it stands
+    return DStarResult(estimate=0.5 * (lo + hi), lo=lo, hi=hi, history=tuple(history))
 
 
 @dataclass(frozen=True)

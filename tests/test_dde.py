@@ -513,3 +513,15 @@ class TestSharedStepper:
         whole = _eval_pieces(t, ts, xs, dl, dr)
         for i in range(t.size):
             assert whole[i].tobytes() == _eval_pieces(t[i : i + 1], ts, xs, dl, dr)[0].tobytes()
+
+
+class TestSampledHistory:
+    @pytest.mark.parametrize("mesh,values", [([-1.0, 0.0], [0.0, 1e308]), ([-1.0, -0.5, 0.0], [0.0, 1e308, 0.0])])
+    def test_overflowing_interpolant_is_rejected(self, mesh, values):
+        # the first interpolant is NaN everywhere; scipy rejects the second one's slopes
+        with pytest.raises(ValueError):
+            HistoryFunction.from_samples(mesh, values)
+
+    def test_large_finite_values_are_kept(self):
+        history = HistoryFunction.from_samples([-1.0, 0.0], [0.0, 8e307])
+        assert history.eval(0.0) == 8e307 and history.min() == 0.0

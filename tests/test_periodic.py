@@ -20,6 +20,7 @@ from ddelab.periodic import (
 )
 from ddelab.scenarios import run_scenario
 from ddelab.spectrum import hopf_data
+from ddelab.threshold import UNRESOLVED, ZClassification
 
 HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
 
@@ -184,6 +185,18 @@ def test_one_orbit_record():
         assert _callers(package / module, "stationary_points") == set()
 
 
+def test_one_plus_branch_rule():
+    """``connection_diagram`` takes no ``dstar`` and never branches on its regime: the regime is evidence only."""
+    assert "dstar" not in inspect.signature(periodic.connection_diagram).parameters
+    fn = next(node for node in ast.walk(ast.parse(Path(periodic.__file__).read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "connection_diagram")
+    compared = {
+        name.id for node in ast.walk(fn) if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators) for name in ast.walk(operand) if isinstance(name, ast.Name)
+    }
+    assert "regime" not in compared
+
+
 class TestAttraction:
     def test_constant_above_cutoff_converges(self, x1_orbit_n100):
         """Histories in [1.3, 2 d/c] settle on the fixture's orbit within T = 120."""
@@ -277,6 +290,39 @@ class TestDiagramConsistency:
         assert diag.regime == "below"
         assert diag.minus_limit == "ZERO"
         assert diag.plus_limit == "ZERO"
+
+    def test_plus_branch_collapses_just_below_the_smooth_threshold(self):
+        # b*_50 is about 1.7428 here, below the limit system's d* = 1.7565
+        diag = periodic.connection_diagram(1.0, 1.7, 2.0, 50)
+        assert diag.regime == "below" and diag.plus_limit == "ZERO"
+        assert diag.plus_evidence["tail_max"] < 1e-5
+        assert {"band", "t2"} <= set(diag.plus_evidence)
+        assert diag.unresolved == ()
+
+    @pytest.mark.parametrize("d,n", [(1.744, 50), (1.756, 100)])
+    def test_plus_branch_between_the_thresholds_is_periodic(self, d, n):
+        """Above the smooth threshold b*_n but below d*, the plus branch reaches the stable orbit."""
+        diag = periodic.connection_diagram(1.0, d, 2.0, n)
+        assert diag.regime == "below"
+        assert diag.plus_limit == "PERIODIC"
+        assert diag.plus_evidence["floquet_trivial_error"] <= 0.05
+        assert diag.plus_evidence["floquet_leading_nontrivial"] < 1.0
+        assert diag.orbit is not None and diag.unresolved == ()
+
+    def test_unresolved_orbit_reads_attractor_with_its_recurrence_gap(self, monkeypatch):
+        monkeypatch.setattr(periodic, "_resolved_floquet", lambda system, orbit, N_int: None)
+        diag = periodic.connection_diagram(1.0, 7.38, 2.0, 200)
+        assert diag.plus_limit == "ATTRACTOR"
+        assert math.isfinite(diag.plus_evidence["recurrence_max_gap"])
+        assert diag.plus_evidence["tail_max"] >= 1e-5
+        assert diag.orbit is None and diag.unresolved == ()
+
+    def test_unresolved_probe_leaves_the_plus_fate_to_its_rule(self, monkeypatch):
+        monkeypatch.setattr(periodic, "classify_zd", lambda c, d, k: ZClassification(UNRESOLVED, c, d))
+        diag = periodic.connection_diagram(1.0, 7.38, 2.0, 200)
+        assert diag.regime == "critical-or-unknown"
+        assert diag.unresolved == ("regime",)
+        assert diag.plus_limit == "PERIODIC"
 
     def test_figure_regime_is_periodic(self, x1_diagram):
         assert x1_diagram.regime == "above"

@@ -87,7 +87,7 @@ _BAD_VALUE = {
     "name": "", "task": "animate", "system": {"kind": "hill"}, "history": {"kind": "ramp"}, "branch": "up",
     "preset": "x9", "c": -1.0, "d": 0, "d0": "6.5", "rate": math.nan, "slope": None, "n": 2.5, "k": 0,
     "T": math.inf, "N": 2.5, "tol": 0, "T_max": 1.0, "bracket": "ab", "pairs": 0, "j": True, "kappa": -0.2,
-    "eps_seed": 1e-3, "transient": -1.0, "level": [1.0], "T_orbit": 0, "dstar": "high", "alpha_grid": [],
+    "eps_seed": 1e-3, "transient": -1.0, "level": [1.0], "T_orbit": 0, "alpha_grid": [],
     "plot": 1, "with_hopf": "yes",
 }
 _TASK_KEYS = [(task, key) for task in _TOP_KEYS for key in sorted(_TOP_KEYS[task])]
@@ -431,6 +431,13 @@ class TestCli:
         proc = self.main_cli(capsys, "threshold", "--scenario", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
         assert "error: tol:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_diagram_takes_no_dstar_exit_two(self, tmp_path, capsys):
+        # the regime is always the limit probe's; no supplied d* overrides it
+        path = write_scenario(tmp_path, dict(_VALID["diagram"], dstar=1.75))
+        proc = self.main_cli(capsys, "diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, proc.stderr
+        assert "dstar: unknown key for task 'diagram'" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_bad_direct_flag_exit_two(self):
         proc = self.run_cli("threshold", "--c", "-1")

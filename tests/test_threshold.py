@@ -277,3 +277,18 @@ class TestSmallRates:
             rows.append((d, cls.verdict, cls.tau0 if cls.verdict == HITS_ONE else cls.certificate_time))
         assert list(res.history) == rows
         assert list(res.unresolved) == [d for d, v, _ in rows if v == UNRESOLVED]
+
+    def test_unresolved_midpoint_ends_the_bisection(self, monkeypatch):
+        """The ladder brackets [1.6, 2.0]; an unresolved first midpoint leaves that bracket as it stands."""
+        def stub(c, d, k=2.0, T_max=400.0):
+            if abs(d - 1.8) < 1e-12:
+                return threshold.ZClassification(UNRESOLVED, c, d)
+            if d < 1.8:
+                return threshold.ZClassification(IN_D, c, d, certificate_time=3.0)
+            return threshold.ZClassification(HITS_ONE, c, d, tau0=2.0)
+
+        monkeypatch.setattr(threshold, "classify_zd", stub)
+        res = find_dstar(1.0, tol=1e-6)
+        assert (res.lo, res.hi) == (1.6, 2.0)
+        assert res.unresolved == (pytest.approx(1.8),)
+        assert [d for d, _, _ in res.history] == pytest.approx([1.1, 1.3, 1.6, 2.0, 1.8])
