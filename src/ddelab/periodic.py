@@ -11,8 +11,8 @@ march, and the resulting matrix is eigensolved.
 Small orbits born near the interior equilibrium are of saddle type (the
 equilibrium's strong real instability persists as a Floquet multiplier above
 one), so they cannot be reached by forward simulation; they are computed by
-a damped Newton iteration on the period-map fixed point, seeded from the
-crossing-pair eigendirection.  The connection diagram assembles the branch
+a damped Newton iteration on the period-map fixed point, with the equilibrium
+deflated, seeded once on the crossing-pair eigendirection.  The connection diagram assembles the branch
 fates, the attractor evidence, and the sampled fates of the saddle orbit's
 unstable directions.
 """
@@ -49,7 +49,7 @@ _SEG_MESH = np.linspace(-1.0, 0.0, 201)
 # tolerance in between, and the final return residual gate is strict
 _COARSE_TOL = 1e-3
 _RETURN_TOL = 1e-6
-_HOPF_ALPHAS = (-0.02, 0.02, -0.05, 0.05, -0.1, 0.1, -0.15, 0.15, -0.2, 0.2)
+_HOPF_ALPHAS = (0.02, -0.02, 0.05, -0.05, 0.1, -0.1, 0.15, -0.15, 0.2, -0.2)
 
 
 @dataclass
@@ -358,23 +358,20 @@ def _newton_periodic(
     ref_dphase: np.ndarray,
     center: float,
 ) -> Optional[tuple]:
-    """Damped Newton solve of ``segment-map(u, omega) = u`` with a phase pin.
+    """Damped, deflated Newton solve of ``segment-map(u, omega) = u`` with a phase pin.
 
     At most 30 steps, each integrating one period at N=200, until the
-    residual falls below 1e-10.  A step moves ``u`` by at most a quarter of
-    its amplitude ``max|u - center|``.  The attempt is given up (None) as
-    soon as a capped step (``scale < 1``) leaves the amplitude below half of
-    ``amp0 = max|u0 - center|``: capped steps that shrink ``u`` are how an
-    attempt slides onto the equilibrium, which ``hopf_orbit_search`` rejects
-    anyway (``amp < 1e-4``).  So the stop turns such a failure into an
-    earlier one.  In the searches of the tests and the figure and diagram
-    presets, every attempt it stops converged without it to amplitude 3e-9
-    or less, and no successful attempt meets its condition.
+    residual falls below 1e-10.  The equilibrium ``u = center`` is a root
+    too; it is deflated out of Newton's reach (Farrell, Birkisson & Funke,
+    SIAM J. Sci. Comput. 37 (2015) A2026) by scaling each Newton step
+    ``delta`` as Newton on ``m(u) F`` would, with ``m(u) = 1/|u - center|^2
+    + 1`` in the trapezoid norm of the phase pin.  A step then moves ``u``
+    by at most a quarter of its amplitude ``max|u - center|``.  An iterate
+    that is not finite or has a negative node ends the attempt (None).
     """
     N = len(mesh) - 1
     u = u0.copy()
     omega = omega0
-    amp0 = float(np.max(np.abs(u0 - center)))
     w = np.full(N + 1, 1.0 / N)
     w[0] *= 0.5
     w[-1] *= 0.5
@@ -399,13 +396,14 @@ def _newton_periodic(
             step = np.linalg.solve(J, rhs)
         except np.linalg.LinAlgError:
             return None
-        cap = 0.25 * max(1e-3, float(np.max(np.abs(u - center))) + 1e-3)
+        dev = u - center
+        norm2 = float(np.dot(w, dev * dev))
+        step /= 1.0 + 2.0 * float(np.dot(w * dev, step[: N + 1])) / (norm2 * (1.0 + norm2))
+        cap = 0.25 * max(1e-3, float(np.max(np.abs(dev))) + 1e-3)
         scale = min(1.0, cap / (float(np.max(np.abs(step[: N + 1]))) + 1e-30))
         u = u + scale * step[: N + 1]
         omega = omega + scale * float(step[N + 1])
-        if not (0.05 < omega < 50.0) or not np.all(np.isfinite(u)):
-            return None
-        if scale < 1.0 and float(np.max(np.abs(u - center))) < 0.5 * amp0:
+        if not (0.05 < omega < 50.0) or not np.all(np.isfinite(u)) or np.any(u < 0.0):
             return None
     return None
 
@@ -420,38 +418,30 @@ def hopf_orbit_search(
 ) -> Optional[HopfSearchResult]:
     """Scan the detuning grid for a small orbit around the interior equilibrium.
 
-    At each ``alpha`` the parameters are ``(1+alpha) * beta * (c, d)``; the
-    period-map fixed point is solved by Newton, seeded on the crossing-pair
-    eigendirection ``A cos(theta_n * s)`` (A = 0.03, 0.06, 0.1) on a 100-step
-    segment mesh, with period guess ``2 pi / theta_n``.  The orbit is a saddle
-    (the strong real instability survives), so forward simulation cannot find
-    it; the Newton solve replaces it.  Returns the first success with
-    amplitude below 0.2; None when the whole grid yields only the
-    equilibrium.  ``alphas=None`` scans the default grid.  The equilibrium
-    is ``hopf_data``'s ``xi1_n`` (the rescale keeps b/a); the orbit starts on
-    the last Newton base, whose history is ``q0``, with the Newton residual.
-
-    An attempt sliding onto the equilibrium is given up after a few period
-    maps by ``_newton_periodic``'s half-amplitude stop, instead of being
-    converged (some 15 maps) and rejected here; the result is the same.
+    At each ``alpha`` the parameters are ``(1+alpha) * beta * (c, d)``, and
+    ``_newton_periodic`` solves the period-map fixed point once, from
+    ``xi + (xi/4) cos(theta_n * s)`` on a 100-step segment mesh with period
+    guess ``2 pi / theta_n``.  The orbit is a saddle (the strong real
+    instability survives), so forward simulation cannot find it.  Returns the
+    first success with amplitude in [1e-4, 0.2] and period within a factor 2
+    of the guess, or None.  ``alphas=None`` scans the default grid, +alpha
+    first: orbits exist on one side only.  The equilibrium is ``hopf_data``'s
+    ``xi1_n`` (the rescale keeps b/a); the orbit starts on the last Newton
+    base, whose history is ``q0``, with the Newton residual.
     """
     mesh = np.linspace(-1.0, 0.0, 101)
     for alpha in _HOPF_ALPHAS if alphas is None else alphas:
         hd = hopf_data(c, d, k, n, j=j, alpha=alpha)
         system = System.smooth(hd.a_n, hd.b_n, k=k, n=n)
         xi = hd.xi1_n
+        u0 = xi + 0.25 * xi * np.cos(hd.theta_n * mesh)
         ref_dphase = -np.sin(hd.theta_n * mesh) * hd.theta_n
-        for A0 in (0.03, 0.06, 0.1):
-            u0 = xi + A0 * np.cos(hd.theta_n * mesh)
-            got = _newton_periodic(system, u0, mesh, hd.omega_guess, ref_dphase, xi)
-            if got is None:
-                continue
-            u, omega, base, res = got
-            amp = float(np.max(np.abs(u - xi)))
-            if amp < 1e-4 or amp > 0.2:
-                continue
-            if not 0.5 * hd.omega_guess < omega < 2.0 * hd.omega_guess:
-                continue
+        got = _newton_periodic(system, u0, mesh, hd.omega_guess, ref_dphase, xi)
+        if got is None:
+            continue
+        u, omega, base, res = got
+        amp = float(np.max(np.abs(u - xi)))
+        if 1e-4 <= amp <= 0.2 and 0.5 * hd.omega_guess < omega < 2.0 * hd.omega_guess:
             orbit = _orbit_record(base, 0.0, omega, xi, res)
             return HopfSearchResult(orbit=orbit, alpha=alpha, system=system, data=hd, amplitude=amp)
     return None

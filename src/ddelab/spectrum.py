@@ -156,9 +156,10 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
     Each pair is the root of ``_root_by_phase`` in the band
     ``((2j-1)pi, 2j pi)``, the j-th branch of the closed form
-    ``W_j(slope e^rate) - rate`` (Lambert W).  A pair whose residual exceeds
-    ``max(1e-10, 16 eps |lam|^2)``, or whose band holds no bracket, raises
-    ``ParameterError("slope")``.
+    ``W_j(slope e^rate) - rate`` (Lambert W).  A band that holds no bracket
+    raises ``ParameterError("rate")``: only a large rate moves the root past
+    the phase scan.  A pair whose residual exceeds ``max(1e-10, 16 eps
+    (|lam| + rate)^2)`` raises ``ParameterError("slope")``.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -167,9 +168,12 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
 def _band_root(rate: float, slope: float, j: int) -> complex:
     lam = _root_by_phase(rate, slope, (2 * j - 1) * math.pi, 2 * j * math.pi)
-    # a root good to eps |lam| leaves a residual near eps |lam|^2: gate at 16 eps |lam|^2 from |lam| ~ 168
+    if lam is None:  # the root sits about y / rate below the band's upper edge
+        raise ParameterError("rate", f"root pair {j} lies nearer its band's edge than the phase scan resolves")
+    # the terms of _char cancel to about |lam| + rate each, and a root good to eps
+    # of that size leaves a residual near eps (|lam| + rate)^2: gate at 16 times that
     try:
-        converged = lam is not None and abs(_char(lam, rate, slope)) <= max(1e-10, 2.0**-48 * abs(lam) ** 2)
+        converged = abs(_char(lam, rate, slope)) <= max(1e-10, 2.0**-48 * (abs(lam) + rate) ** 2)
     except OverflowError:  # exp(-lam) beyond the float range: a real part below -709
         converged = False
     if not converged:

@@ -19,7 +19,6 @@ from ddelab.periodic import (
     monodromy_multipliers,
 )
 from ddelab.scenarios import run_scenario
-from ddelab.spectrum import hopf_data
 from ddelab.threshold import UNRESOLVED, ZClassification
 
 HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
@@ -197,6 +196,15 @@ def test_one_plus_branch_rule():
     assert "regime" not in compared
 
 
+def test_one_newton_seed():
+    """``hopf_orbit_search`` makes one Newton attempt per detuning, and ``_newton_periodic`` has no slide stop."""
+    tree = ast.parse(Path(periodic.__file__).read_text())
+    fns = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    loops = [node for node in ast.walk(fns["hopf_orbit_search"]) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
+    assert "amp0" not in {node.id for node in ast.walk(fns["_newton_periodic"]) if isinstance(node, ast.Name)}
+
+
 class TestAttraction:
     def test_constant_above_cutoff_converges(self, x1_orbit_n100):
         """Histories in [1.3, 2 d/c] settle on the fixture's orbit within T = 120."""
@@ -228,7 +236,9 @@ class TestHopfSearch:
         assert big is not None and small is not None
         assert small.amplitude < big.amplitude
 
-    def test_attempts_sliding_onto_the_equilibrium_stop_early(self, monkeypatch):
+    @pytest.mark.parametrize("d,omega", [(7.95, 1.197628993981989), (25.0, 1.1976289939828282)], ids=["x3", "x4"])
+    def test_default_search_makes_one_newton_attempt(self, monkeypatch, d, omega):
+        """The default grid's first detuning, alpha = 0.02, converges from the one seed in at most 8 period maps."""
         attempts = []  # [gain, period maps] per Newton attempt
         newton, period_map = periodic._newton_periodic, periodic._period_map_matrix
 
@@ -242,14 +252,19 @@ class TestHopfSearch:
 
         monkeypatch.setattr(periodic, "_newton_periodic", counted_newton)
         monkeypatch.setattr(periodic, "_period_map_matrix", counted_map)
-        found = hopf_orbit_search(HOPF_C, 7.95, 2.0, 100)
+        found = hopf_orbit_search(HOPF_C, d, 2.0, 100)
         assert found is not None and found.alpha == 0.02
         assert found.orbit.residual < 1e-10
-        assert sum(maps for _, maps in attempts) <= 20
-        # without the stop, each alpha = -0.02 attempt takes 14 to 19 maps to reach the equilibrium
-        gain = hopf_data(HOPF_C, 7.95, 2.0, 100, alpha=-0.02).b_n
-        sliding = [maps for g, maps in attempts if g == gain]
-        assert len(sliding) == 3 and max(sliding) <= 3
+        assert abs(found.orbit.omega - omega) < 1e-9
+        assert len(attempts) == 1 and attempts[0][0] == found.data.b_n and attempts[0][1] <= 8
+
+    def test_orbit_scales_with_the_equilibrium(self):
+        """Below the Hill layer the equation is invariant under y -> lambda y, so amp / xi1_n and omega do not move with d."""
+        found = [hopf_orbit_search(HOPF_C, d, 2.0, 100) for d in (25.0, 40.0, 60.0)]
+        assert all(f is not None and f.alpha == 0.02 for f in found)
+        ratios = [f.amplitude / f.data.xi1_n for f in found]
+        assert max(ratios) - min(ratios) < 1e-6
+        assert max(f.orbit.omega for f in found) - min(f.orbit.omega for f in found) < 1e-9
 
     def test_orbit_starts_on_its_newton_base(self, monkeypatch):
         """``q0`` is the last Newton base's own history, and the samples are read off that base."""

@@ -426,6 +426,16 @@ class TestCli:
         assert fates["minus"]["fate"] == "ZERO"
         assert data["unresolved"] == []
 
+    @pytest.mark.parametrize("d", [40.0, 60.0])
+    def test_hopf_far_above_the_layer_exit_zero(self, tmp_path, capsys, d):
+        # xi1_n is below 0.1 here, so a fixed seed amplitude of 0.1 made a negative history
+        doc = {"name": "h", "task": "hopf", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)), "d": d, "n": 100}
+        path = write_scenario(tmp_path, doc)
+        proc = self.main_cli(capsys, "hopf", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads((tmp_path / "out" / "hopf.json").read_text())
+        assert data["found"] and data["alpha"] == 0.02 and data["newton_residual"] < 1e-10
+
     def test_bad_scenario_field_exit_two(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 0})
         proc = self.main_cli(capsys, "threshold", "--scenario", str(path), "--out", str(tmp_path / "out"))
@@ -461,7 +471,7 @@ class TestCli:
         ({"name": "h", "task": "hopf", "c": 5.0 * math.pi / (3.0 * math.sqrt(3.0)), "d": 7.95, "n": 100,
           "j": 100}, "c"),
         # pair 1's real part needs sin(y) near 1e-300, past what its imaginary part y resolves
-        ({"name": "s", "task": "spectrum", "rate": 1e300, "slope": 1.0}, "slope"),
+        ({"name": "s", "task": "spectrum", "rate": 1e300, "slope": 1.0}, "rate"),
         # exp(-lam) of pair 1 overflows there
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-308}, "slope"),
         ({"name": "s", "task": "spectrum", "rate": 1.0, "slope": 1e-310}, "slope"),
@@ -486,8 +496,20 @@ class TestCli:
         with pytest.warns(UserWarning, match="slope <= rate"):
             proc = self.main_cli(capsys, "spectrum", "--rate", "1e300", "--slope", "1", "--out", str(tmp_path / "out"))
         assert proc.returncode == 2, proc.stderr
-        assert "error: slope: root pair 1 did not converge" in proc.stderr and "Traceback" not in proc.stderr
+        assert "error: rate: root pair 1 lies nearer its band's edge" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rate,slope", [(800.0, 1.0), (1.0, 1e-300)])
+    def test_spectrum_extreme_pairs_exit_zero(self, tmp_path, capsys, rate, slope):
+        # at rate 800 the characteristic function's terms cancel to about 800, and pair 1's residual is 2.5e-10
+        doc = {"name": "s", "task": "spectrum", "rate": rate, "slope": slope}
+        path = write_scenario(tmp_path, doc)
+        warns = pytest.warns(UserWarning, match="slope <= rate") if slope <= rate else nullcontext()
+        with warns:
+            proc = self.main_cli(capsys, "spectrum", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+        assert len(data["pairs"]) == 5
 
     def test_spectrum_large_roots_exit_zero(self, tmp_path, capsys):
         # pairs near |lam| = 684 whose residuals (up to 1.4e-10) sit at the float floor

@@ -311,11 +311,27 @@ def test_halving_ends_at_one_float_spacing(call, value):
     assert float(proc.stdout) == value
 
 
-def test_unrecoverable_pair_names_slope():
+def test_unrecoverable_pair_names_rate():
     """At rate 1e300 a pair's real part is log(slope / R) with R = -y / sin(y) near 1e300, past what y resolves."""
-    with pytest.raises(ParameterError, match="root pair 1 did not converge") as err:
+    with pytest.raises(ParameterError, match="root pair 1 lies nearer its band's edge") as err:
         complex_root_pairs(1e300, 1.0)
-    assert err.value.field == "slope"
+    assert err.value.field == "rate"
+
+
+@pytest.mark.parametrize("rate", [800.0, 1e4, 1e6])
+def test_large_rate_roots_clear_the_scaled_residual_gate(rate):
+    """The terms of the characteristic function cancel to about the rate, and the gate scales with them.
+
+    Each pair lies in its band, and a Newton step on the characteristic
+    function would move it by less than 1e-10 relative; the residual (2.5e-10
+    for pair 1 at rate 800) is the root's error times the rate.
+    """
+    pairs = complex_root_pairs(rate, 1.0, 5)
+    for j, (re, im) in enumerate(pairs, start=1):
+        lam = complex(re, im)
+        assert (2 * j - 1) * math.pi < im < 2 * j * math.pi
+        assert abs(spectrum._char(lam, rate, 1.0) / (1.0 + cmath.exp(-lam))) <= 1e-10 * abs(lam), j
+    assert max(abs(spectrum._char(complex(*p), rate, 1.0)) for p in pairs) > 1e-10
 
 
 @pytest.mark.parametrize("slope", [1e300, 1e-300])
