@@ -265,6 +265,44 @@ class Trajectory:
     dr: np.ndarray          # left-sided derivative at the right node of each piece
     side: np.ndarray        # per piece: 1 if the delayed argument exceeds the cutoff
     events: list = field(default_factory=list)       # {t, kind}: forcing switches
+    # the march's state after the last whole unit: (units marched, that
+    # unit's block, the cutoff crossings, how many of them and how many
+    # pieces there were by its end)
+    _resume: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    # -- growth ------------------------------------------------------------
+    def extend(self, T: float) -> "Trajectory":
+        """Grow the trajectory in place to ``T`` and return it.
+
+        The march resumes after the last whole unit, so a partial last unit
+        is marched again in whole and its old pieces are replaced.  The
+        grown trajectory is, to the bit, the one ``integrate`` gives to
+        ``T``.
+        """
+        if self._resume is None:
+            raise ValueError("only a trajectory from integrate can grow")
+        if T < self.T:
+            raise ValueError("a trajectory grows only forward")
+        unit, prev, crossings, n_cross, n_pieces = self._resume
+        crossings = crossings[:n_cross]
+        parts = [[self.ts[: n_pieces + 1]], [self.xs[: n_pieces + 1]], [self.dl[:n_pieces]], [self.dr[:n_pieces]],
+                 [self.side[:n_pieces]]]
+        for blk in _march(self.system, self.history, T, self.N, crossings, start=(unit, prev)):
+            for part, a in zip(parts, (blk[0][1:], blk[1][1:], *blk[2:])):
+                part.append(a)
+            unit += 1
+            n_pieces += len(blk[2])
+            if unit <= T:  # the unit just marched is whole
+                self._resume = (unit, blk, crossings, len(crossings), n_pieces)
+        self.ts, self.xs, self.dl, self.dr, self.side = (np.concatenate(part) for part in parts)
+        self.T = float(T)
+        events: list[dict] = []
+        for tc, up in crossings:
+            bp = tc + 1.0
+            if bp <= T + 1e-12 and (not events or abs(bp - events[-1]["t"]) > 1e-10):
+                events.append({"t": bp, "kind": "forcing-off" if up else "forcing-on"})
+        self.events = sorted(events, key=lambda e: e["t"])
+        return self
 
     # -- evaluation --------------------------------------------------------
     def eval_many(self, t) -> np.ndarray:
@@ -283,6 +321,46 @@ class Trajectory:
 
     def eval(self, t: float) -> float:
         return float(self.eval_many(np.asarray([t]))[0])
+
+    def extremes(self, t_lo: float, t_hi: float) -> tuple[float, float]:
+        """The least and greatest value of the dense output on ``[t_lo, t_hi]``, within ``[0, T]``.
+
+        A cubic Hermite piece takes its extremes at its ends or where its
+        derivative, a quadratic in the piece's own variable, vanishes, which
+        is solved in closed form; exact-exponential pieces are monotone, so
+        their ends suffice.  The pieces are taken ``_CHUNK`` at a time.
+        """
+        if not 0.0 <= t_lo <= t_hi <= self.T + 1e-9:
+            raise ValueError("extremes need 0 <= t_lo <= t_hi <= T")
+        i_lo = max(0, int(np.searchsorted(self.ts, t_lo, side="right")) - 1)
+        i_hi = min(len(self.ts) - 2, int(np.searchsorted(self.ts, t_hi, side="right")) - 1)
+        ends = self.eval_many(np.asarray([t_lo, t_hi]))
+        lo, hi = float(np.min(ends)), float(np.max(ends))
+        for c0 in range(i_lo, i_hi + 1, _CHUNK):
+            c1 = min(c0 + _CHUNK, i_hi + 1)
+            ts, x0, x1 = self.ts[c0 : c1 + 1], self.xs[c0:c1], self.xs[c0 + 1 : c1 + 1]
+            dl, dr = self.dl[c0:c1], self.dr[c0:c1]
+            h = ts[1:] - ts[:-1]
+            # the cubic's derivative in theta is a theta^2 + b theta + c; its
+            # roots by the quadratic formula that does not cancel
+            a = 6.0 * (x0 - x1) + 3.0 * h * (dl + dr)
+            b = -6.0 * (x0 - x1) - h * (4.0 * dl + 2.0 * dr)
+            c = h * dl
+            disc = b * b - 4.0 * a * c
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+                roots = np.stack([q / a, c / q])
+            k, i = np.nonzero((disc >= 0.0) & (self.side[c0:c1] == 0) & (roots > 0.0) & (roots < 1.0))
+            t = ts[i] + roots[k, i] * h[i]
+            inside = (t >= t_lo) & (t <= t_hi)
+            i, theta = i[inside], roots[k[inside], i[inside]]
+            vals = np.concatenate([
+                x1[(ts[1:] >= t_lo) & (ts[1:] <= t_hi)],
+                _hermite_eval(theta, h[i], x0[i], dl[i], x1[i], dr[i]),
+            ])
+            if vals.size:
+                lo, hi = min(lo, float(np.min(vals))), max(hi, float(np.max(vals)))
+        return lo, hi
 
     # -- crossings ----------------------------------------------------------
     def crossings(self, level: float, direction: str = "both", t_lo: float = 0.0, t_hi: Optional[float] = None) -> list:
@@ -335,7 +413,10 @@ class Trajectory:
                 yield tc, dirn
 
 
-def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list, forcing: Optional[Callable] = None):
+def _march(
+    system: System, history: HistoryFunction, T: float, N: int, crossings: list,
+    forcing: Optional[Callable] = None, start: Optional[tuple] = None,
+):
     """Advance the system to time ``T`` one unit interval at a time.
 
     The package's one unit-by-unit loop.  Yields the pieces ``(ts, xs, dl,
@@ -352,6 +433,12 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
     ``forcing(stages, delayed)``, which may overwrite ``delayed``, is the
     forcing at a sub-interval's stages (default: the system's feedback
     ``gain * F(x(t - 1))``).  The history's sign is the caller's to check.
+
+    ``start = (unit, prev)`` resumes the march at the start of ``unit``:
+    ``prev`` is the block the march yielded for the unit before (None at
+    unit 0), and ``crossings`` must hold the crossings located by that
+    unit's end.  The units yielded from there are, to the bit, those of the
+    march from the history.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
@@ -370,13 +457,13 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
                 continue
             crossings.append((tc, up))
 
-    if limit:
+    unit0, prev = start or (0, None)  # prev: the previous unit's pieces, for delayed lookups
+    if limit and prev is None:
         s, v = history.sampled(4001)
         _, s_cross, ups = _bisect_crossings((v - 1.0)[None, :], s, lambda _row, th: history.eval(th) - 1.0, _BISECT_TOL)
         record(s_cross.tolist(), ups.tolist())
-
-    prev: Optional[tuple] = None  # the previous unit's pieces, for delayed lookups
-    x_cur = x_zero = history.eval(np.zeros(1))[0]  # a float, or one row of columns
+    x_zero = history.eval(np.zeros(1))[0]  # a float, or one row of columns
+    x_cur = x_zero if prev is None else prev[1][-1]
 
     def delayed_eval(times: np.ndarray) -> np.ndarray:
         if prev is None:  # the first unit looks up the history only
@@ -386,7 +473,7 @@ def _march(system: System, history: HistoryFunction, T: float, N: int, crossings
         return out
 
     first = 0  # crossings before this index are four delays or more in the past
-    for unit in range(int(math.ceil(T - 1e-12))):
+    for unit in range(unit0, int(math.ceil(T - 1e-12))):
         t0 = float(unit)
         t1 = min(unit + 1.0, T)
         sub_edges = [t0, t1]
@@ -456,25 +543,13 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     """
     if not history.is_nonnegative():
         raise ValueError("history must be nonnegative")
-    crossings: list[tuple[float, bool]] = []
-    blocks = list(_march(system, history, T, N, crossings))
-    events: list[dict] = []
-    for tc, up in crossings:
-        bp = tc + 1.0
-        if bp <= T + 1e-12 and (not events or abs(bp - events[-1]["t"]) > 1e-10):
-            events.append({"t": bp, "kind": "forcing-off" if up else "forcing-on"})
-    return Trajectory(
-        system=system,
-        history=history,
-        N=N,
-        T=float(T),
-        ts=np.concatenate([[0.0]] + [blk[0][1:] for blk in blocks]),
-        xs=np.concatenate([[float(history.eval(0.0))]] + [blk[1][1:] for blk in blocks]),
-        dl=np.concatenate([np.empty(0)] + [blk[2] for blk in blocks]),
-        dr=np.concatenate([np.empty(0)] + [blk[3] for blk in blocks]),
-        side=np.concatenate([np.empty(0, dtype=np.int8)] + [blk[4] for blk in blocks]),
-        events=sorted(events, key=lambda e: e["t"]),
+    traj = Trajectory(
+        system=system, history=history, N=N, T=0.0,
+        ts=np.zeros(1), xs=np.asarray([float(history.eval(0.0))]),
+        dl=np.empty(0), dr=np.empty(0), side=np.empty(0, dtype=np.int8),
     )
+    traj._resume = (0, None, [], 0, 0)
+    return traj.extend(T)
 
 
 def segment_at(traj: Trajectory, t: float) -> HistoryFunction:

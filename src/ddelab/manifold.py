@@ -71,6 +71,19 @@ class BranchSolution:
     def eval(self, t: float) -> float:
         return float(self.eval_many(np.asarray([t]))[0])
 
+    def extend(self, T: float) -> "BranchSolution":
+        """Grow the branch in place to ``T`` past its anchor, to the bit as ``shoot_branch`` with that ``T``."""
+        self.traj.extend(_raw_horizon(self.kappa, self.eps_seed, self.lambda0, T))
+        if self.branch == "plus":
+            self.landmarks = _plus_landmarks(self)
+        return self
+
+
+def _raw_horizon(kappa: float, eps_seed: float, lam0: float, T: float) -> float:
+    """The integration horizon of a branch shot ``T`` past its anchor: 1.5 lead times, ``T`` and 5."""
+    t_pre = math.log(abs(kappa) / eps_seed) / lam0
+    return 1.5 * t_pre + T + 5.0
+
 
 def _interior_data(system: System) -> tuple[float, float]:
     ceiling = 0.999 if system.kind == "limit" else 0.9
@@ -121,8 +134,7 @@ def shoot_branch(
 
     sign = 1.0 if branch == "plus" else -1.0
     seed = HistoryFunction.eigen_seed(xi_star, sign * eps_seed, lam0)
-    t_pre = math.log(abs(kappa) / eps_seed) / lam0
-    total = 1.5 * t_pre + T + 5.0
+    total = _raw_horizon(kappa, eps_seed, lam0, T)
     traj = integrate(system, seed, total, N=N)
 
     target = xi_star + kappa

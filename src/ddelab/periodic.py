@@ -138,15 +138,17 @@ def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[fl
 def _orbit_record(traj: Trajectory, anchor: float, omega: float, level: float, residual: float) -> PeriodicOrbit:
     """The package's one ``PeriodicOrbit``: one period of ``traj`` from ``anchor``.
 
-    ``q0`` is the segment at ``anchor``; the period is sampled ``max(256, 64 omega)`` times.
+    ``q0`` is the segment at ``anchor``; the period is sampled ``max(256, 64
+    omega)`` times, and its extremes are the dense output's exact ones.
     """
     ts = np.linspace(anchor, anchor + omega, max(256, int(64 * omega)), endpoint=False)
     xs = traj.eval_many(ts)
+    vmin, vmax = traj.extremes(anchor, min(anchor + omega, traj.T))
     return PeriodicOrbit(
         q0=segment_at(traj, anchor),
         omega=float(omega),
-        vmin=float(np.min(xs)),
-        vmax=float(np.max(xs)),
+        vmin=vmin,
+        vmax=vmax,
         level=level,
         anchor=anchor,
         residual=residual,
@@ -313,28 +315,53 @@ def _resolved_floquet(system: System, orbit: PeriodicOrbit, N_int: int) -> Optio
     return None
 
 
-def find_orbit(system: System, run, N: int, level: float = 1.0) -> tuple:
-    """The package's one orbit rule: detect, re-run on the layer mesh, gate by Floquet.
+def _stages(cap: float) -> list:
+    """The horizons of a staged run: 50, 100, 200, 400, ... below ``cap``, then ``cap``."""
+    stages, T = [], 50.0
+    while T < cap:
+        stages.append(T)
+        T *= 2.0
+    return stages + [cap]
 
-    ``run(N)`` integrates on ``N`` steps per unit and returns ``(result,
-    traj, transient)``.  When ``traj`` shows no orbit of the smooth system,
-    ``run`` is called once more on ``_layer_mesh`` if that is finer.
-    Returns ``(result, orbit, floquet)`` of the last run; ``floquet`` is the
-    ``_resolved_floquet`` report on the detection mesh, None for the limit
-    system, without an orbit, or when no hat mesh resolves it.
+
+def find_orbit(system: System, run, N: int, cap: float, level: float = 1.0, transient: Optional[float] = None) -> tuple:
+    """The package's one orbit rule: detect by stages, re-run on the layer mesh, gate by Floquet.
+
+    ``run(N, T)`` starts a run on ``N`` steps per unit, ``T`` units past its
+    anchor, and returns ``(result, traj, anchor)``; ``result.extend(T)``
+    grows it in place to a later ``T``, ``traj`` with it.  Detection runs at
+    each horizon of ``_stages(cap)`` after the transient ``anchor + 0.6 T``
+    and stops at the first orbit that clears ``_resolved_floquet`` (the
+    first orbit, for the limit system).  A given ``transient`` makes the run
+    one stage, to ``cap``, with that transient.  When the cap shows no orbit
+    of the smooth system, ``run`` is called once more, to the cap, on
+    ``_layer_mesh`` if that is finer: that run is not staged.  Returns
+    ``(result, orbit, floquet, horizon)`` of the last run; ``floquet`` is
+    the ``_resolved_floquet`` report on the detection mesh, None for the
+    limit system, without an orbit, or when no hat mesh resolves it, and
+    ``horizon`` is the stage that decided, ``cap`` when none did.
     """
-    result, traj, transient = run(N)
-    orbit = detect_periodic(traj, level=level, transient=transient)
-    if system.kind != "smooth":
-        return result, orbit, None
+    smooth = system.kind == "smooth"
+    stages = _stages(cap) if transient is None else [cap]
+    result, traj, anchor = run(N, stages[0])
+    for i, T in enumerate(stages):
+        if i:
+            result.extend(T)
+        orbit = detect_periodic(traj, level, anchor + 0.6 * T if transient is None else transient)
+        if orbit is not None and not smooth:
+            return result, orbit, None, T
+        flo = None if orbit is None else _resolved_floquet(system, orbit, N)
+        if flo is not None:
+            return result, orbit, flo, T
     # a mesh that misses the transition layers can lock an orbit's period to
     # the grid or push its return residual over the gate
-    N_layer = N if orbit is not None else _layer_mesh(system, traj)
+    N_layer = _layer_mesh(system, traj) if smooth and orbit is None else N
     if N_layer > N:
         N = N_layer
-        result, traj, transient = run(N)
-        orbit = detect_periodic(traj, level=level, transient=transient)
-    return result, orbit, None if orbit is None else _resolved_floquet(system, orbit, N)
+        result, traj, anchor = run(N, cap)
+        orbit = detect_periodic(traj, level, anchor + 0.6 * cap if transient is None else transient)
+        return result, orbit, None if orbit is None else _resolved_floquet(system, orbit, N), cap
+    return result, orbit, None, cap
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +487,7 @@ class ConnectionDiagram:
     regime_evidence: dict
     minus_limit: str                # "ZERO" | "UNRESOLVED"
     minus_evidence: dict
-    plus_limit: str                 # "ZERO" | "PERIODIC" | "ATTRACTOR"
+    plus_limit: str                 # "ZERO" | "PERIODIC" | "ATTRACTOR" | "UNRESOLVED"
     plus_evidence: dict
     hopf: Optional[dict] = None
     unresolved: tuple = ()
@@ -480,27 +507,28 @@ class ConnectionDiagram:
 
 
 def _disk_fate(system: System, seed: HistoryFunction, T: float, N: int) -> dict:
-    """The fate of one unstable-disk seed, run over ``T`` from ``N`` steps per unit.
+    """The fate of one unstable-disk seed, run by stages up to ``T`` from ``N`` steps per unit.
 
-    ORBIT when ``find_orbit`` (transient ``0.6 T``, as for the plus branch)
-    returns a Floquet report; otherwise ZERO when the last run's ``max|x|``
-    on ``[T - 5, T]`` is below 1e-3, and UNRESOLVED when it is not.
+    ORBIT when ``find_orbit`` (anchored at the seed, as the plus branch at
+    its marker) returns a Floquet report; otherwise ZERO when the last run's
+    ``max|x|`` on ``[T - 5, T]`` is below 1e-3, and UNRESOLVED when it is
+    not.  ``horizon`` is the stage that decided.
     """
-    def run(N_run):
-        traj = integrate(system, seed, T, N=N_run)
-        return traj, traj, 0.6 * T
+    def run(N_run, T_run):
+        traj = integrate(system, seed, T_run, N=N_run)
+        return traj, traj, 0.0
 
-    traj, orbit, flo = find_orbit(system, run, N)
+    traj, orbit, flo, horizon = find_orbit(system, run, N, T)
     if flo is not None:
-        return {"fate": "ORBIT", "omega": orbit.omega}
+        return {"fate": "ORBIT", "omega": orbit.omega, "horizon": horizon}
     tail_max = float(np.max(np.abs(traj.eval_many(np.linspace(T - 5.0, T, 501)))))
-    return {"fate": "ZERO" if tail_max < 1e-3 else "UNRESOLVED", "tail_max": tail_max}
+    return {"fate": "ZERO" if tail_max < 1e-3 else "UNRESOLVED", "tail_max": tail_max, "horizon": horizon}
 
 
-def _tail_max(sol) -> float:
-    """``max|x|`` of a branch on ``[end - 3, end - 0.5]``, 301 samples."""
+def _tail(sol) -> np.ndarray:
+    """A branch's values on ``[end - 3, end - 0.5]``, 301 samples."""
     end = sol.domain[1]
-    return float(np.max(np.abs(sol.eval_many(np.linspace(end - 3.0, end - 0.5, 301)))))
+    return sol.eval_many(np.linspace(end - 3.0, end - 0.5, 301))
 
 
 def connection_diagram(
@@ -521,15 +549,19 @@ def connection_diagram(
     unresolved probe reads ``critical-or-unknown`` and adds ``regime`` to
     ``unresolved``.  The minus branch must collapse: its ``tail_max`` must
     fall below 1e-6.  The plus branch has one rule on both sides of the
-    threshold: it is shot over ``max(T_orbit, 20/c)`` through ``find_orbit``
-    from ``max(400, 4n)`` steps per unit.  It is PERIODIC when the Floquet
+    threshold: it is shot by stages up to the cap ``max(T_orbit, 20/c)``
+    through ``find_orbit`` from ``max(400, 4n)`` steps per unit, and
+    ``horizon`` is the stage that decided.  It is PERIODIC when the Floquet
     matrix on its detection mesh resolves the orbit, ZERO when its
-    ``tail_max`` is below 1e-5, and otherwise ATTRACTOR, with the largest
-    gap between its returns to within 0.05 of the cutoff.  With
-    ``with_hopf`` the small saddle orbit (first band) is computed, and each
-    of its two unstable-disk seeds is run over ``T_fate`` by the same rule,
-    ``find_orbit`` from ``max(N, max(400, 4n))`` steps per unit; no orbit
-    adds ``hopf`` to ``unresolved``, an UNRESOLVED disk fate ``hopf-disk``.
+    ``tail_max`` is below 1e-5, UNRESOLVED (adding ``plus`` to
+    ``unresolved``) when its tail stays within 1e-3 of 0 or of the
+    equilibrium, and otherwise ATTRACTOR, with the largest gap between its
+    returns to within 0.05 of the cutoff.  ``band`` holds the branch's exact
+    extremes after its anchor.  With ``with_hopf`` the small saddle orbit
+    (first band) is computed, and each of its two unstable-disk seeds is run
+    by stages up to the cap ``T_fate`` by the same rule, ``find_orbit`` from
+    ``max(N, max(400, 4n))`` steps per unit; no orbit adds ``hopf`` to
+    ``unresolved``, an UNRESOLVED disk fate ``hopf-disk``.
     ``ParameterError("d")`` is raised when the smooth system has no
     interior equilibrium below 0.9.
     """
@@ -550,22 +582,19 @@ def connection_diagram(
         minus = shoot_branch(system, "minus", T=max(40.0, 16.0 / c), N=N)
     except ParameterError as exc:  # the default marker fits; only the gain can fail
         raise ParameterError("d", str(exc)) from None
-    minus_ev = {"tail_max": _tail_max(minus)}
+    minus_ev = {"tail_max": float(np.max(np.abs(_tail(minus))))}
     minus_limit = "ZERO" if minus_ev["tail_max"] < 1e-6 else "UNRESOLVED"
     if minus_limit != "ZERO":
         unresolved.append("minus")
 
+    def shoot(N_run, T):
+        sol = shoot_branch(system, "plus", T=T, N=N_run)
+        return sol, sol.traj, sol.shift
+
     # 20/c keeps a collapse e^-20 deep when T_orbit is short
-    T_plus = max(T_orbit, 20.0 / c)
-
-    def shoot(N_run):
-        sol = shoot_branch(system, "plus", T=T_plus, N=N_run)
-        return sol, sol.traj, sol.shift + 0.6 * T_plus
-
-    plus, orbit, flo = find_orbit(system, shoot, N_orbit)
+    plus, orbit, flo, horizon = find_orbit(system, shoot, N_orbit, max(T_orbit, 20.0 / c))
     t2 = plus.landmarks.t2
-    band = plus.eval_many(np.linspace(0.0, plus.domain[1] - 0.5, 4001))
-    plus_ev = {"band": [float(np.min(band)), float(np.max(band))], "t2": t2}
+    plus_ev = {"band": list(plus.traj.extremes(plus.shift, plus.traj.T - 0.5)), "t2": t2, "horizon": horizon}
     # an orbit whose trivial multiplier stays off 1 on every hat mesh is dropped
     if flo is not None:
         plus_limit = "PERIODIC"
@@ -574,14 +603,21 @@ def connection_diagram(
                         "floquet_leading_nontrivial": flo.leading_nontrivial})
     else:
         orbit = None
-        plus_ev["tail_max"] = _tail_max(plus)
+        tail = _tail(plus)
+        plus_ev["tail_max"] = float(np.max(np.abs(tail)))
         if plus_ev["tail_max"] < 1e-5:
             plus_limit = "ZERO"
         else:
-            plus_limit = "ATTRACTOR"
-            plus_ev["recurrence_max_gap"] = _recurrence_gap(plus, t2)
-            if plus_ev["recurrence_max_gap"] is None:
-                unresolved.append("plus-recurrence")
+            # a tail that has not left the equilibrium or reached 0 shows no attractor
+            plus_ev["equilibrium_gap"] = float(np.max(np.abs(tail - plus.equilibrium)))
+            if plus_ev["tail_max"] <= 1e-3 or plus_ev["equilibrium_gap"] <= 1e-3:
+                plus_limit = "UNRESOLVED"
+                unresolved.append("plus")
+            else:
+                plus_limit = "ATTRACTOR"
+                plus_ev["recurrence_max_gap"] = _recurrence_gap(plus, t2)
+                if plus_ev["recurrence_max_gap"] is None:
+                    unresolved.append("plus-recurrence")
 
     hopf_block = None
     if with_hopf:

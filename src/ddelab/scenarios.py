@@ -508,11 +508,11 @@ def _run_periodic(sc: Scenario, out: str):
     level = float(sc.spec.get("level", 1.0))
     transient = float(sc.spec.get("transient", 0.7 * T))
 
-    def run(N_run):
-        traj = integrate(system, HistoryFunction.constant(1.2), T, N=N_run)
-        return traj, traj, transient
+    def run(N_run, T_run):
+        traj = integrate(system, HistoryFunction.constant(1.2), T_run, N=N_run)
+        return traj, traj, 0.0
 
-    _, orbit, flo = find_orbit(system, run, N, level=level)
+    _, orbit, flo, _ = find_orbit(system, run, N, T, level=level, transient=transient)
     if orbit is None:
         _write_json(os.path.join(out, "orbit.json"), {"found": False})
         return ["orbit.json"], True

@@ -23,6 +23,7 @@ from ddelab.dde import (
     segment_at,
 )
 from ddelab.history import HistoryFunction
+from ddelab.manifold import shoot_branch
 from ddelab.spectrum import stationary_points
 
 
@@ -285,6 +286,74 @@ class TestMarchWork:
         traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 40.0)
         assert len(traj.events) > 10
         assert 0 < len(calls) <= 40
+
+
+def same_bits(a, b) -> bool:
+    """Two trajectories with the same horizon, pieces and events, to the bit."""
+    return a.T == b.T and a.events == b.events and all(
+        getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in ("ts", "xs", "dl", "dr", "side")
+    )
+
+
+class TestExtend:
+    @pytest.mark.parametrize("system,history,N", [
+        (System.smooth(1.0, 7.38, n=200), HistoryFunction.constant(1.2), 800),
+        (System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 200),
+        (System.limit(1.0, 7.38), HistoryFunction.constant(1.2), 200),
+    ], ids=["smooth", "limit-exp-decay", "limit-constant"])
+    @pytest.mark.parametrize("stages", [(0.0, 3.0, 8.0, 8.0, 20.0), (0.4, 5.7, 9.3, 21.25)], ids=["whole", "partial"])
+    def test_grown_trajectory_is_the_one_shot_trajectory(self, system, history, N, stages):
+        traj = integrate(system, history, stages[0], N=N)
+        for T in stages[1:]:
+            assert traj.extend(T) is traj
+            assert same_bits(traj, integrate(system, history, T, N=N))
+
+    def test_crossing_within_four_delays_of_the_stage_end(self):
+        """Breakpoints one to four delays after a crossing before the stage end split the units after it."""
+        system, history = System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0)
+        tc = integrate(system, history, 30.0).crossings(1.0, "both", t_lo=10.0)[0][0]
+        for stage_end in (tc + 0.5, math.floor(tc) + 2.0, tc + 3.5):
+            traj = integrate(system, history, stage_end)
+            assert 0.0 < stage_end - tc < 4.0
+            assert same_bits(traj.extend(stage_end + 6.3), integrate(system, history, stage_end + 6.3))
+
+    def test_only_forward_growth_of_integrated_trajectories(self):
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 5.0)
+        with pytest.raises(ValueError, match="forward"):
+            traj.extend(4.0)
+        bare = dde.Trajectory(system=traj.system, history=traj.history, N=traj.N, T=traj.T,
+                              ts=traj.ts, xs=traj.xs, dl=traj.dl, dr=traj.dr, side=traj.side)
+        with pytest.raises(ValueError, match="integrate"):
+            bare.extend(6.0)
+
+
+class TestExtremes:
+    def test_smooth_branch_band_is_exact_at_every_horizon(self):
+        """The x1 plus branch peaks at 3.0204758 near t = 1.787 past its anchor, over 50 units as over 500."""
+        system = System.smooth(1.0, 7.38, n=200)
+        bands = []
+        for T in (50.0, 500.0):
+            sol = shoot_branch(system, "plus", T=T, N=800)
+            bands.append(sol.traj.extremes(sol.shift, sol.traj.T - 0.5))
+        sampled = sol.traj.eval_many(np.linspace(sol.shift, sol.traj.T - 0.5, 2_000_001))
+        lo, hi = bands[1]
+        assert lo <= sampled.min() < lo + 1e-7 and hi - 1e-7 < sampled.max() <= hi
+        assert abs(bands[0][0] - lo) < 1e-9 and abs(bands[0][1] - hi) < 1e-9
+        assert abs(hi - 3.0204758) < 1e-7
+
+    def test_limit_extremes_sit_on_kinks_and_exponential_ends(self):
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 40.0)
+        for t_lo, t_hi in ((0.0, 40.0), (3.3, 17.9), (12.25, 12.75)):
+            lo, hi = traj.extremes(t_lo, t_hi)
+            # a peak on a kink sits on a node, which sampling misses to first order
+            t = np.concatenate([np.linspace(t_lo, t_hi, 400_001), traj.ts[(traj.ts >= t_lo) & (traj.ts <= t_hi)]])
+            sampled = traj.eval_many(t)
+            assert lo <= sampled.min() < lo + 1e-9 and hi - 1e-9 < sampled.max() <= hi
+
+    def test_window_outside_the_horizon_is_rejected(self):
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 5.0)
+        with pytest.raises(ValueError):
+            traj.extremes(1.0, 6.0)
 
 
 class TestStepHalving:

@@ -42,6 +42,12 @@ class TestDetect:
         assert refined is not None
         assert abs(refined.omega - orbit.omega) / orbit.omega < 1e-4
 
+    def test_orbit_extremes_are_the_dense_outputs(self, x1_orbit_n100):
+        _, traj, orbit = x1_orbit_n100
+        sampled = traj.eval_many(np.linspace(orbit.anchor, orbit.anchor + orbit.omega, 200_001))
+        assert orbit.vmin <= sampled.min() < orbit.vmin + 1e-7
+        assert orbit.vmax - 1e-7 < sampled.max() <= orbit.vmax
+
     def test_minimal_period(self, x1_orbit_n100):
         _, traj, orbit = x1_orbit_n100
         from ddelab.periodic import _segment_distance
@@ -81,11 +87,11 @@ class TestDetect:
         """The x1 plus branch gives the same period over a short horizon as over the diagram's 500."""
         system = System.smooth(1.0, 7.38, n=200)
 
-        def shoot(N_run):
-            sol = shoot_branch(system, "plus", T=T_orbit, N=N_run)
-            return sol, sol.traj, sol.shift + 0.6 * T_orbit
+        def shoot(N_run, T):
+            sol = shoot_branch(system, "plus", T=T, N=N_run)
+            return sol, sol.traj, sol.shift
 
-        _, orbit, _ = find_orbit(system, shoot, periodic._orbit_mesh(200))
+        _, orbit, _, _ = find_orbit(system, shoot, periodic._orbit_mesh(200), T_orbit)
         assert orbit is not None
         assert abs(orbit.omega / x1_diagram.orbit.omega - 1.0) < 1e-9
 
@@ -194,6 +200,21 @@ def test_one_plus_branch_rule():
         for operand in (node.left, *node.comparators) for name in ast.walk(operand) if isinstance(name, ast.Name)
     }
     assert "regime" not in compared
+
+
+def test_one_stage_rule():
+    """The stage transient ``anchor + 0.6 T`` is written in ``find_orbit`` alone: callers pass runs, not transients."""
+    inside = total = 0
+    for path in Path(periodic.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        total += sum(isinstance(node, ast.Constant) and node.value == 0.6 for node in ast.walk(tree))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "find_orbit":
+                inside += sum(isinstance(node, ast.Constant) and node.value == 0.6 for node in ast.walk(fn))
+    assert inside > 0 and total == inside
+    assert periodic._stages(500.0) == [50.0, 100.0, 200.0, 400.0, 500.0]
+    assert periodic._stages(250.0) == [50.0, 100.0, 200.0, 250.0]
+    assert periodic._stages(40.0) == [40.0]
 
 
 def test_one_newton_seed():
@@ -323,6 +344,8 @@ class TestDiagramConsistency:
         assert diag.plus_evidence["floquet_trivial_error"] <= 0.05
         assert diag.plus_evidence["floquet_leading_nontrivial"] < 1.0
         assert diag.orbit is not None and diag.unresolved == ()
+        # laps of about 20 units need the 200-unit stage for four up-crossings
+        assert diag.plus_evidence["horizon"] == 200.0
 
     def test_unresolved_orbit_reads_attractor_with_its_recurrence_gap(self, monkeypatch):
         monkeypatch.setattr(periodic, "_resolved_floquet", lambda system, orbit, N_int: None)
@@ -331,6 +354,7 @@ class TestDiagramConsistency:
         assert math.isfinite(diag.plus_evidence["recurrence_max_gap"])
         assert diag.plus_evidence["tail_max"] >= 1e-5
         assert diag.orbit is None and diag.unresolved == ()
+        assert diag.plus_evidence["equilibrium_gap"] > 1e-3 and diag.plus_evidence["horizon"] == 500.0
 
     def test_unresolved_probe_leaves_the_plus_fate_to_its_rule(self, monkeypatch):
         monkeypatch.setattr(periodic, "classify_zd", lambda c, d, k: ZClassification(UNRESOLVED, c, d))
@@ -338,6 +362,41 @@ class TestDiagramConsistency:
         assert diag.regime == "critical-or-unknown"
         assert diag.unresolved == ("regime",)
         assert diag.plus_limit == "PERIODIC"
+
+    def test_x1_orbit_is_decided_at_the_first_stage(self, x1_diagram):
+        """The x1 orbit clears the gate at 50 units, with the period the one-shot 500-unit run gave."""
+        assert x1_diagram.plus_evidence["horizon"] == 50.0
+        assert abs(x1_diagram.plus_evidence["omega"] - 2.830945986233985) < 1e-9
+        assert x1_diagram.plus_evidence["band"][1] == pytest.approx(3.0204758, abs=1e-7)
+
+    def test_x1_plus_branch_stops_marching_at_the_first_stage(self, monkeypatch):
+        """Work-count guard: the plus trajectory holds the 50-unit stage, not the 500-unit cap."""
+        sols = []
+
+        def kept(*args, **kwargs):
+            sols.append(shoot_branch(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(periodic, "shoot_branch", kept)
+        periodic.connection_diagram(1.0, 7.38, 2.0, 200)
+        plus = next(sol for sol in sols if sol.branch == "plus")
+        t_pre = math.log(abs(plus.kappa) / plus.eps_seed) / plus.lambda0
+        assert plus.traj.N == 800
+        assert len(plus.traj.ts) - 1 <= (1.5 * t_pre + 56.0) * 800
+
+    def test_layer_mesh_orbits_keep_their_bits(self, x2_diagram, hopf_diagram):
+        """Orbits found only on the layer mesh come from the one-shot run to the cap, as before the stages."""
+        expected = {
+            "x2": (x2_diagram, 38.07504797730144, 0.011208586238615315, 2.0640467472536188e-08),
+            "x4": (hopf_diagram, 7.584051445013756, 0.005125151952712015, 0.3808789181471886),
+        }
+        for diag, omega, trivial, leading in expected.values():
+            ev = diag.plus_evidence
+            assert (ev["omega"], ev["floquet_trivial_error"], ev["floquet_leading_nontrivial"]) == (omega, trivial, leading)
+            assert ev["horizon"] == 500.0
+        plus_disk = hopf_diagram.hopf["disk_fates"]["plus"]
+        assert plus_disk == {"fate": "ORBIT", "omega": 1.807234443785461, "horizon": 300.0}
+        assert hopf_diagram.hopf["disk_fates"]["minus"]["horizon"] == 300.0
 
     def test_figure_regime_is_periodic(self, x1_diagram):
         assert x1_diagram.regime == "above"
@@ -402,12 +461,12 @@ class TestDiagramConsistency:
         assert got["floquet"] is None
 
 
-def _spied_run(system, T, transient, calls, trajs):
+def _spied_run(system, calls, trajs):
     """A ``find_orbit`` run from the constant history 1.2 that records its meshes and trajectories."""
-    def run(N):
+    def run(N, T):
         calls.append(N)
         trajs.append(integrate(system, HistoryFunction.constant(1.2), T, N=N))
-        return trajs[-1], trajs[-1], transient
+        return trajs[-1], trajs[-1], 0.0
     return run
 
 
@@ -423,16 +482,31 @@ class TestFindOrbit:
             return inner(system, orbit, N=N, N_int=N_int)
 
         monkeypatch.setattr(periodic, "monodromy_multipliers", spy)
-        result, orbit, flo = periodic.find_orbit(system, _spied_run(system, 500.0, 350.0, calls, trajs), 400)
+        result, orbit, flo, _ = periodic.find_orbit(system, _spied_run(system, calls, trajs), 400, 500.0, transient=350.0)
         N_layer = periodic._layer_mesh(system, trajs[0])
         assert N_layer > 400 and calls == [400, N_layer]
         assert result is trajs[1] and orbit is not None
         assert flo is not None and flo.trivial_error <= 0.05
         assert set(floquet_meshes) == {N_layer}
 
+    def test_stages_grow_one_run_until_an_orbit_clears_the_gate(self, monkeypatch):
+        system = System.smooth(1.0, 7.38, n=200)
+        calls, trajs, gated = [], [], []
+        gate = periodic._resolved_floquet
+
+        def late_gate(system, orbit, N_int):
+            gated.append(trajs[0].T)
+            return gate(system, orbit, N_int) if trajs[0].T >= 200.0 else None
+
+        monkeypatch.setattr(periodic, "_resolved_floquet", late_gate)
+        result, orbit, flo, horizon = periodic.find_orbit(system, _spied_run(system, calls, trajs), 800, 500.0)
+        assert calls == [800] and result is trajs[0]
+        assert gated == [50.0, 100.0, 200.0] and horizon == 200.0 and result.T == 200.0
+        assert orbit is not None and flo is not None
+
     def test_limit_system_runs_once_without_floquet(self):
         system = System.limit(1.0, 7.38)
         calls, trajs = [], []
-        _, orbit, flo = periodic.find_orbit(system, _spied_run(system, 200.0, 140.0, calls, trajs), 200)
+        _, orbit, flo, _ = periodic.find_orbit(system, _spied_run(system, calls, trajs), 200, 200.0, transient=140.0)
         assert calls == [200]
         assert orbit is not None and flo is None

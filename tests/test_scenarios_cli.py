@@ -425,6 +425,24 @@ class TestCli:
         assert abs(fates["plus"]["omega"] / 7.67087162967465 - 1.0) < 1e-8
         assert fates["minus"]["fate"] == "ZERO"
         assert data["unresolved"] == []
+        # found on the layer mesh only, so the same bits as the one-shot run to the caps
+        assert fates["plus"]["omega"] == 7.67087162967465 and fates["plus"]["horizon"] == 250.0
+        plus = data["plus"]
+        assert (plus["omega"], plus["floquet_trivial_error"], plus["floquet_leading_nontrivial"]) == (
+            7.584051445013756, 0.005125151952712015, 0.3808789181471886)
+        assert plus["horizon"] == 500.0
+
+    def test_plus_tail_on_the_equilibrium_is_unresolved_exit_three(self, tmp_path, capsys):
+        # 4e-8 above b*_50 the branch lingers near xi_1 for most of each 49.7-unit lap;
+        # over the 500-unit cap no hat mesh resolves its orbit, and its tail sits on xi_1
+        doc = {"name": "near", "task": "diagram", "c": 1.0, "d": 1.7427009365081787, "n": 50}
+        path = write_scenario(tmp_path, doc)
+        proc = self.main_cli(capsys, "diagram", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 3, proc.stderr
+        data = json.loads((tmp_path / "out" / "diagram.json").read_text())
+        assert data["plus"]["limit"] == "UNRESOLVED" and data["unresolved"] == ["plus"]
+        assert data["plus"]["equilibrium_gap"] <= 1e-3 and data["plus"]["horizon"] == 500.0
+        assert "recurrence_max_gap" not in data["plus"]
 
     @pytest.mark.parametrize("d", [40.0, 60.0])
     def test_hopf_far_above_the_layer_exit_zero(self, tmp_path, capsys, d):
