@@ -4,7 +4,7 @@ Both system kinds share the form ``x'(t) = -rate * x(t) + gain * F(x(t-1))``.
 On each unit interval the delayed term is a known function, so the equation
 is affine in the current state.  The classical fourth-order Runge-Kutta step
 for an affine scalar equation is itself an affine map, which lets a whole
-interval be advanced as one linear recursion (``scipy.signal.lfilter``) over
+interval be advanced as one linear recursion ``y_k = r_k + A y_(k-1)`` over
 precomputed forcing samples.  The same unit-by-unit march advances the
 variational equation, whose forcing is known on each interval as well, for
 many solutions at once, as the columns of one history.
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .history import HistoryFunction
 from .nonlinearity import Feedback, Hill, PowerCutoff
@@ -115,14 +114,24 @@ def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray) -> tuple[np.nda
 
     ``B`` holds the forcing at the stages, shape ``(stages,)`` or
     ``(stages, m)`` for ``m`` equations stepped together (then ``x0`` has
-    shape ``(m,)``).  The affine steps run as one linear recursion.  Returns
-    the node values and each step's slopes at its left and right node.
+    shape ``(m,)``).  The affine steps run as one linear recursion: node
+    ``k + 1`` is ``r[k] + A * node[k]``, from node 0 ``= x0``, in that order
+    of operations (bit for bit ``scipy.signal.lfilter([1], [1, -A], r)`` on
+    finite values).  Returns the node values and each step's slopes at its
+    left and right node.
     """
     A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
     r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
-    x0 = np.asarray(x0, dtype=float)[None]
-    ys = lfilter([1.0], [1.0, -A], r, axis=0, zi=A * x0)[0]
-    node_vals = np.concatenate([x0, ys])
+    if r.ndim == 1:  # on Python floats, which cost less per step than numpy scalars
+        y = float(x0)
+        ys = [y]
+        ys += [y := rk + A * y for rk in r.tolist()]
+        node_vals = np.fromiter(ys, dtype=float, count=len(ys))
+    else:
+        node_vals = np.empty((len(r) + 1,) + r.shape[1:])
+        node_vals[0] = y = x0
+        for rk, row in zip(r, node_vals[1:]):
+            y = np.add(rk, A * y, out=row)
     derivs = -rate * node_vals + B[0::2]
     return node_vals, derivs[:-1], derivs[1:]
 
@@ -156,13 +165,15 @@ def _eval_pieces(t: np.ndarray, ts, xs, dl, dr, side=None, rate: float = 0.0) ->
             out[r0 : r0 + step] = _eval_pieces(t[r0 : r0 + step], ts, xs, dl, dr, side, rate)
         return out
     col = (slice(None),) + (None,) * (np.ndim(xs) - 1)
-    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
-    h = ts[idx + 1] - ts[idx]
-    theta = np.clip((t - ts[idx]) / h, 0.0, 1.0)
-    vals = _hermite_eval(theta[col], h[col], xs[idx], dl[idx], xs[idx + 1], dr[idx])
+    # np.minimum(np.maximum(...)) costs less per call than np.clip
+    idx = np.minimum(np.maximum(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
+    nxt = idx + 1
+    h = ts[nxt] - ts[idx]
+    theta = np.minimum(np.maximum((t - ts[idx]) / h, 0.0), 1.0)
+    vals = _hermite_eval(theta[col], h[col], xs[idx], dl[idx], xs[nxt], dr[idx])
     if side is not None:
         above = side[idx] == 1
-        if np.any(above):
+        if above.any():
             vals[above] = xs[idx[above]] * np.exp(-rate * (t[above] - ts[idx[above]]))[col]
     return vals
 
@@ -310,7 +321,7 @@ class Trajectory:
         out = np.empty_like(t)
         past = t <= 0.0
         if np.any(past):
-            out[past] = self.history.eval(np.clip(t[past], -1.0, 0.0))
+            out[past] = self.history.eval(np.minimum(np.maximum(t[past], -1.0), 0.0))
         fut = ~past
         if np.any(fut):
             tf = t[fut]
@@ -467,9 +478,10 @@ def _march(
 
     def delayed_eval(times: np.ndarray) -> np.ndarray:
         if prev is None:  # the first unit looks up the history only
-            return history.eval(np.clip(times, -1.0, 0.0))
+            return history.eval(np.minimum(np.maximum(times, -1.0), 0.0))
         out = _eval_pieces(times, *prev, rate)
-        out[times <= 1e-14] = x_zero  # later units look back to 0 at the earliest
+        if times[0] <= 1e-14:  # only unit 1 looks back to 0; times[0] is a unit's earliest lookup
+            out[times <= 1e-14] = x_zero
         return out
 
     first = 0  # crossings before this index are four delays or more in the past
@@ -486,7 +498,7 @@ def _march(
             bps = [tc + g for tc, _ in crossings[first:] for g in (1.0, 2.0, 3.0, 4.0)
                    if t0 + 1e-12 < tc + g < t1 - 1e-12]
             merged = []
-            for bp in sorted(set(np.round(bps, 13))):
+            for bp in sorted(set(np.round(bps, 13))) if bps else ():
                 if not merged or bp - merged[-1] > 1e-10:
                     merged.append(bp)
             sub_edges = [t0] + merged + [t1]
@@ -518,7 +530,7 @@ def _march(
         blk = pieces[0] if len(pieces) == 1 else tuple(
             np.concatenate([col[0]] + [a[1:] if i < 2 else a for a in col[1:]]) for i, col in enumerate(zip(*pieces))
         )
-        if not np.all(np.isfinite(x_cur)):  # a non-finite node stays so to the unit's end
+        if not np.isfinite(x_cur).all():  # a non-finite node stays so to the unit's end
             bad = ~np.isfinite(blk[1]).reshape(len(blk[1]), -1).all(axis=1)
             raise DDEIntegrationError(f"non-finite solution value near t = {blk[0][bad][0]:.6f}")
         prev = blk

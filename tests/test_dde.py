@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
+from scipy.signal import lfilter
 
 from ddelab import dde
 from ddelab.dde import (
@@ -16,13 +18,14 @@ from ddelab.dde import (
     _hermite_eval,
     _level_crossings,
     _march,
+    _rk4_affine_coeffs,
     _rk4_affine_steps,
     _stage_grid,
     check_bounds,
     integrate,
     segment_at,
 )
-from ddelab.history import HistoryFunction
+from ddelab.history import _PROBE, HistoryFunction
 from ddelab.manifold import shoot_branch
 from ddelab.spectrum import stationary_points
 
@@ -75,6 +78,13 @@ class TestIntegrate:
 
         with np.errstate(invalid="ignore"), pytest.raises(dde.DDEIntegrationError, match=r"near t = 1\.260000"):
             list(_march(System.smooth(1.0, 7.38, n=20), history, 3.0, 100, [], forcing))
+
+    def test_non_finite_scalar_node_named(self):
+        def forcing(stages, v):  # the forcing blows up after t = 1.25
+            return np.where(stages > 1.25, np.inf, 0.0)
+
+        with np.errstate(invalid="ignore"), pytest.raises(dde.DDEIntegrationError, match=r"near t = 1\.260000"):
+            list(_march(System.smooth(1.0, 7.38, n=20), HistoryFunction.constant(1.0), 3.0, 100, [], forcing))
 
     def test_march_takes_a_tangent_history_of_either_sign(self):
         """Only ``integrate`` checks the sign: a variational history may dip below zero."""
@@ -584,10 +594,94 @@ class TestSharedStepper:
             assert whole[i].tobytes() == _eval_pieces(t[i : i + 1], ts, xs, dl, dr)[0].tobytes()
 
 
+class TestAffineRecursion:
+    @pytest.mark.parametrize("shape", [(1,), (47,), (200,), (511,), (120, 101), (755, 201)])
+    def test_nodes_are_lfilter_bit_for_bit(self, shape):
+        """The recursion gives the bits of ``lfilter([1], [1, -A], r, zi=A x0)``, one column or many."""
+        rng = np.random.default_rng(shape[0])
+        rate, h2 = 1.3, 1.0 / 200
+        B = rng.normal(scale=5.0, size=(2 * shape[0] + 1,) + shape[1:])
+        x0 = rng.normal(size=shape[1:]) if len(shape) > 1 else float(rng.normal())
+        A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
+        r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
+        x0_row = np.asarray(x0)[None]
+        want = np.concatenate([x0_row, lfilter([1.0], [1.0, -A], r, axis=0, zi=A * x0_row)[0]])
+        assert _rk4_affine_steps(rate, h2, x0, B)[0].tobytes() == want.tobytes()
+
+
+def _eval_pieces_with_clip(t, ts, xs, dl, dr, side=None, rate=0.0):
+    """The reference: ``_eval_pieces`` with its clamps written as ``np.clip``, for one block of times."""
+    col = (slice(None),) + (None,) * (np.ndim(xs) - 1)
+    idx = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+    h = ts[idx + 1] - ts[idx]
+    theta = np.clip((t - ts[idx]) / h, 0.0, 1.0)
+    vals = _hermite_eval(theta[col], h[col], xs[idx], dl[idx], xs[idx + 1], dr[idx])
+    if side is not None:
+        above = side[idx] == 1
+        if np.any(above):
+            vals[above] = xs[idx[above]] * np.exp(-rate * (t[above] - ts[idx[above]]))[col]
+    return vals
+
+
+class TestEvalPiecesBits:
+    @pytest.mark.parametrize("columns", [None, 4])
+    def test_same_bits_as_with_clip(self, columns):
+        """At the nodes, the piece midpoints and past either end, the bits of the ``np.clip`` form."""
+        rng = np.random.default_rng(7)
+        ts = np.cumsum(rng.uniform(0.001, 0.01, size=200))
+        shape = (200,) if columns is None else (200, columns)
+        xs = rng.normal(size=shape)
+        dl, dr = rng.normal(size=(199,) + shape[1:]), rng.normal(size=(199,) + shape[1:])
+        side = rng.integers(0, 2, size=199).astype(np.int8)
+        t = np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:]), ts[0] - [1e-3, 1e-15], ts[-1] + [1e-15, 1e-3]])
+        for sd in (None, side):
+            got = _eval_pieces(t, ts, xs, dl, dr, sd, 1.7)
+            assert got.tobytes() == _eval_pieces_with_clip(t, ts, xs, dl, dr, sd, 1.7).tobytes()
+
+
+def _pchip_cases():
+    """About 1,000 sampled histories for the PCHIP comparison.
+
+    Two-point meshes; values with flat runs and zero secants; secants that
+    change sign; monotone values; scales from 1e-3 to 1e3; and, at both
+    ends, a one-sided slope zeroed against its secant and one capped at
+    three secants.
+    """
+    cases = [
+        ([-1.0, -0.1, 0.0], [0.0, 0.9, 10.9]),  # left end slope against its secant: zeroed
+        ([-1.0, -0.1, 0.0], [0.0, 0.9, -9.1]),  # left end secants of both signs: capped
+        ([-1.0, -0.9, 0.0], [10.9, 0.9, 0.0]),  # the same two at the right end
+        ([-1.0, -0.9, 0.0], [-9.1, 0.9, 0.0]),
+    ]
+    rng = np.random.default_rng(23)
+    for i in range(1000):
+        n = 2 + i % 13
+        mesh = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 0.0, n - 2)), [0.0]])
+        style = i % 4
+        if style == 0:
+            values = rng.normal(size=n)
+        elif style == 1:
+            values = np.round(rng.normal(scale=1.5, size=n))
+        elif style == 2:
+            values = np.cumsum(np.abs(rng.normal(size=n)))
+        else:
+            values = rng.uniform(0.0, 1.0, size=n) ** 6
+        cases.append((mesh, values * 10.0 ** rng.uniform(-3.0, 3.0)))
+    return cases
+
+
 class TestSampledHistory:
+    def test_interpolant_is_scipy_pchip_bit_for_bit(self):
+        for mesh, values in _pchip_cases():
+            mesh, values = np.asarray(mesh), np.asarray(values)
+            history = HistoryFunction.from_samples(mesh, values)
+            pchip = PchipInterpolator(mesh, values, extrapolate=True)
+            for s in (_PROBE, mesh):
+                assert history.eval(s).tobytes() == pchip(s).tobytes()
+
     @pytest.mark.parametrize("mesh,values", [([-1.0, 0.0], [0.0, 1e308]), ([-1.0, -0.5, 0.0], [0.0, 1e308, 0.0])])
     def test_overflowing_interpolant_is_rejected(self, mesh, values):
-        # the first interpolant is NaN everywhere; scipy rejects the second one's slopes
+        # the first interpolant is NaN everywhere; the second one's node slopes overflow
         with pytest.raises(ValueError):
             HistoryFunction.from_samples(mesh, values)
 

@@ -2,6 +2,7 @@ import ast
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import nullcontext
@@ -611,3 +612,27 @@ def test_scenarios_import_no_private_ddelab_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only: the package and its entry points import none of it."""
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    code = (
+        "import sys, ddelab, ddelab.cli, ddelab.scenarios; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    """Not even lazily, inside a function: the import would move into the first call."""
+    found = []
+    for path in Path(scenarios.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else (
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
