@@ -123,6 +123,7 @@ def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray) -> tuple[np.nda
     A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
     r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
     if r.ndim == 1:  # on Python floats, which cost less per step than numpy scalars
+        # (y and r are converted here; A is a float only if h2 arrives as one, as from _march)
         y = float(x0)
         ys = [y]
         ys += [y := rk + A * y for rk in r.tolist()]
@@ -168,8 +169,9 @@ def _eval_pieces(t: np.ndarray, ts, xs, dl, dr, side=None, rate: float = 0.0) ->
     # np.minimum(np.maximum(...)) costs less per call than np.clip
     idx = np.minimum(np.maximum(np.searchsorted(ts, t, side="right") - 1, 0), len(ts) - 2)
     nxt = idx + 1
-    h = ts[nxt] - ts[idx]
-    theta = np.minimum(np.maximum((t - ts[idx]) / h, 0.0), 1.0)
+    t_left = ts[idx]
+    h = ts[nxt] - t_left
+    theta = np.minimum(np.maximum((t - t_left) / h, 0.0), 1.0)
     vals = _hermite_eval(theta[col], h[col], xs[idx], dl[idx], xs[nxt], dr[idx])
     if side is not None:
         above = side[idx] == 1
@@ -222,7 +224,8 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     five points and their sign changes bisected.  Exact-exponential pieces
     only decay, so they cross downward, at the closed-form time.  Returns
     the crossing times and upward flags in piece order.  When no piece is
-    kept, the two arrays (float, bool) come back empty at once.  The pieces
+    kept, the two arrays (float, bool) come back empty at once; when the
+    kept pieces are all of one kind, the other group is skipped.  The pieces
     are scanned in one pass: callers bound their size (one unit interval, or
     one ``_CHUNK`` window of a trajectory).
     """
@@ -238,7 +241,9 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     expo = side[i] == 1
     ie, ih = i[expo], i[~expo]
     # scalar math.log: np.log can differ from it in the last bit
-    t_exp = np.asarray([ts[k] + math.log(xs[k] / level) / rate for k in ie], dtype=float)
+    t_exp = np.asarray([ts[k] + math.log(xs[k] / level) / rate for k in ie.tolist()], dtype=float)
+    if not ih.size:
+        return t_exp, np.zeros(ie.size, dtype=bool)
 
     h, x0, d0, x1, d1 = h[ih], x0[ih], dl[ih], x1[ih], dr[ih]
     col = np.s_[:, None]
@@ -249,7 +254,8 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
         _BISECT_TOL, h,
     )
     t_herm = ts[ih[rows]] + theta * h[rows]
-
+    if not ie.size:  # ih[rows] is already in piece order
+        return t_herm, up
     order = np.argsort(np.concatenate([ie, ih[rows]]), kind="stable")
     times = np.concatenate([t_exp, t_herm])[order]
     ups = np.concatenate([np.zeros(ie.size, dtype=bool), up])[order]
@@ -498,7 +504,7 @@ def _march(
             bps = [tc + g for tc, _ in crossings[first:] for g in (1.0, 2.0, 3.0, 4.0)
                    if t0 + 1e-12 < tc + g < t1 - 1e-12]
             merged = []
-            for bp in sorted(set(np.round(bps, 13))) if bps else ():
+            for bp in sorted(set(np.round(bps, 13).tolist())) if bps else ():
                 if not merged or bp - merged[-1] > 1e-10:
                     merged.append(bp)
             sub_edges = [t0] + merged + [t1]
@@ -518,8 +524,9 @@ def _march(
             end += stages.size
             M = nodes.size - 1
             if limit and at_mid[k] > 1.0:
-                node_vals = np.concatenate([[x_cur], x_cur * np.exp(-rate * h2 * np.arange(1, M + 1))])
-                d0, d1 = -rate * node_vals[:-1], -rate * node_vals[1:]
+                node_vals = x_cur * np.exp(-rate * h2 * np.arange(M + 1))  # exp(-0.0) = 1: node 0 is x_cur
+                slopes = -rate * node_vals
+                d0, d1 = slopes[:-1], slopes[1:]
                 sides = np.ones(M, dtype=np.int8)
             else:
                 node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, forcing(stages, xi))

@@ -58,7 +58,7 @@ class PowerCutoff:
 
     def clamped_power(self, xi: np.ndarray) -> np.ndarray:
         """Sub-cutoff branch evaluated with clipping; used on event-split pieces."""
-        return np.power(np.clip(xi, 0.0, 1.0), self.k)
+        return np.power(np.minimum(np.maximum(xi, 0.0), 1.0), self.k)
 
     def sup_deriv_unit(self) -> float:
         """sup of the derivative on [0, 1] (attained at 1 for k >= 1)."""

@@ -444,7 +444,7 @@ def _run_simulate(sc: Scenario, out: str):
     _write_json(os.path.join(out, "events.json"), [{"t": e["t"], "kind": e["kind"]} for e in traj.events])
     arts.append("events.json")
     if sc.spec.get("plot", False):
-        sub = np.linspace(0.0, T, min(4001, 20 * int(T) + 1))
+        sub = np.linspace(0.0, T, min(4001, math.ceil(20 * T) + 1))
         vals = traj.eval_many(sub)
         svg = emit_plot(
             [Series(sub, vals)],

@@ -297,6 +297,20 @@ class TestMarchWork:
         assert len(traj.events) > 10
         assert 0 < len(calls) <= 40
 
+    def test_limit_steps_run_on_python_floats(self, monkeypatch):
+        """Split units hand the RK coefficients Python floats, so the recursion never runs on numpy scalars."""
+        steps = []
+        coeffs = dde._rk4_affine_coeffs
+
+        def spied(rate, h):
+            steps.append(h)
+            return coeffs(rate, h)
+
+        monkeypatch.setattr(dde, "_rk4_affine_coeffs", spied)
+        integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 50.0)
+        assert steps and all(type(h) is float for h in steps)
+        assert any(h < 1.0 / 200 for h in steps)  # split units were marched
+
 
 def same_bits(a, b) -> bool:
     """Two trajectories with the same horizon, pieces and events, to the bit."""
@@ -434,7 +448,76 @@ def batched_halving(v, thetas, width, f):
     return rows, 0.5 * (lo + hi), up
 
 
+def _level_crossings_both_groups(level, ts, xs, dl, dr, side, rate):
+    """Reference: ``_level_crossings`` with both groups always run and merged by a stable argsort."""
+    x0, x1 = xs[:-1], xs[1:]
+    h = ts[1:] - ts[:-1]
+    p1, p2 = x0 + h * dl / 3.0, x1 - h * dr / 3.0
+    below = np.minimum(np.minimum(x0, x1), np.minimum(p1, p2)) - level <= dde._GRAZE_TOL
+    above = np.maximum(np.maximum(x0, x1), np.maximum(p1, p2)) - level >= -dde._GRAZE_TOL
+    i = np.flatnonzero(np.where(side == 1, (x0 > level) & (level >= x1), below & above))
+    expo = side[i] == 1
+    ie, ih = i[expo], i[~expo]
+    t_exp = np.asarray([ts[k] + math.log(xs[k] / level) / rate for k in ie], dtype=float)
+    h, x0, d0, x1, d1 = h[ih], x0[ih], dl[ih], x1[ih], dr[ih]
+    v = _hermite_eval(_SAMPLE_THETAS, h[:, None], x0[:, None], d0[:, None], x1[:, None], d1[:, None]) - level
+    rows, theta, up = dde._bisect_crossings(
+        v, _SAMPLE_THETAS, lambda r, th: _hermite_eval(th, h[r], x0[r], d0[r], x1[r], d1[r]) - level, _BISECT_TOL, h,
+    )
+    order = np.argsort(np.concatenate([ie, ih[rows]]), kind="stable")
+    times = np.concatenate([t_exp, ts[ih[rows]] + theta * h[rows]])[order]
+    return times, np.concatenate([np.zeros(ie.size, dtype=bool), up])[order]
+
+
+def piece_block(start, pieces):
+    """Piece arrays from ``start``: ``("e", h)`` decays exactly, ``("h", h, x1, d0, d1)`` is a Hermite cubic."""
+    ts, xs, dl, dr, side = [0.0], [start], [], [], []
+    for kind, h, *rest in pieces:
+        if kind == "e":
+            x1, d0, d1 = xs[-1] * math.exp(-DECAY * h), -DECAY * xs[-1], -DECAY * xs[-1] * math.exp(-DECAY * h)
+        else:
+            x1, d0, d1 = rest
+        ts.append(ts[-1] + h)
+        xs.append(x1)
+        dl.append(d0)
+        dr.append(d1)
+        side.append(int(kind == "e"))
+    return np.asarray(ts), np.asarray(xs), np.asarray(dl), np.asarray(dr), np.asarray(side, dtype=np.int8)
+
+
+# level 1: each block keeps pieces of the kinds its name says; the cubic with slopes 4 and -4 over
+# 0.5 bulges about 0.5 above its chord and crosses the level twice
+_GROUP_BLOCKS = {
+    "none": (0.2, [("h", 0.2, 0.4, 1.0, 1.0), ("h", 0.3, 0.6, 0.5, 1.5), ("e", 0.4), ("e", 0.1)]),
+    "exponential-only": (1.5, [("h", 0.2, 1.6, 0.5, 0.0), ("e", 0.1), ("e", 0.3), ("h", 0.2, 0.6, -1.0, -1.0)]),
+    "hermite-only": (0.6, [
+        ("e", 0.1), ("h", 0.2, 1.3, 4.0, 4.0), ("h", 0.3, 0.8, -1.5, -1.5), ("h", 0.5, 0.9, 4.0, -4.0), ("e", 0.2),
+    ]),
+    "both": (0.5, [
+        ("h", 0.2, 1.3, 4.0, 4.0), ("e", 0.1), ("e", 0.3), ("h", 0.5, 0.9, 4.0, -4.0),
+        ("h", 0.25, 1.2, 1.2, 1.2), ("e", 0.3), ("h", 0.2, 0.5, -1.0, -1.0),
+    ]),
+}
+
+
 class TestCrossingLocator:
+    @pytest.mark.parametrize("case", list(_GROUP_BLOCKS))
+    def test_groups_match_merged_reference(self, case):
+        """With a group skipped when it is empty, the bits of both groups merged by the stable argsort."""
+        block = piece_block(*_GROUP_BLOCKS[case])
+        times, ups = _level_crossings(1.0, *block, DECAY)
+        want_times, want_ups = _level_crossings_both_groups(1.0, *block, DECAY)
+        assert (times.dtype, ups.dtype) == (np.float64, np.bool_)
+        assert times.shape == ups.shape == want_times.shape
+        assert times.tobytes() == want_times.tobytes() and ups.tobytes() == want_ups.tobytes()
+        ts, side = block[0], block[4]
+        kinds = {int(side[np.searchsorted(ts, t) - 1]) for t in times}
+        assert kinds == {"none": set(), "exponential-only": {1}, "hermite-only": {0}, "both": {0, 1}}[case]
+        if case == "none":
+            assert times.shape == (0,)
+        if case == "both":  # a Hermite crossing comes before an exponential one in piece order
+            assert side[np.searchsorted(ts, times[0]) - 1] == 0 and ups[0]
+
     @settings(max_examples=300, deadline=None)
     @given(dense_pieces())
     def test_matches_batched_halving(self, case):

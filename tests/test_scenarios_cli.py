@@ -367,6 +367,15 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "trajectory.csv" in proc.stdout
 
+    def test_short_simulate_plot_draws_lines(self, tmp_path, capsys):
+        """A horizon under one delay still samples every 0.05, so each polyline has vertices to join."""
+        path = write_scenario(tmp_path, {**SIM, "T": 0.5})
+        proc = self.main_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        svg = (tmp_path / "out" / "plot.svg").read_text()
+        vertices = [ln.split('points="')[1].split('"')[0].count(",") for ln in svg.splitlines() if "<polyline" in ln]
+        assert len(vertices) == 2 and min(vertices) >= 2
+
     def test_validation_failure_exit_two(self, tmp_path, capsys):
         doc = {"name": "bad", "task": "simulate", "system": {"kind": "limit", "c": 1.0, "d": -7.38}}
         path = write_scenario(tmp_path, doc)
