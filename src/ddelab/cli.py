@@ -1,9 +1,10 @@
 """Command-line entry point: ``ddelab <task> --scenario <file> [--out <dir>]``.
 
 Every task accepts a scenario file; ``spectrum`` and ``threshold`` also take
-direct flags for quick interactive use, validated as the scenario fields of
-the same names.  Exit codes: 0 all verdicts resolved, 2 validation failure,
-3 at least one verdict unresolved.
+direct flags for quick interactive use.  The flags make the task's scenario,
+validated as the fields of the same names and run in memory by the same
+runner; its one artifact is printed, not written.  Exit codes: 0 all verdicts
+resolved, 2 validation failure, 3 at least one verdict unresolved.
 """
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ import argparse
 import json
 import sys
 
+from . import scenarios
 from .dde import ParameterError
 from .scenarios import TASKS, ScenarioError, run_scenario, validate_scenario
-from .spectrum import spectrum_report
-from .threshold import find_dstar
 
 __all__ = ["main"]
 
@@ -38,7 +38,7 @@ def _run_from_scenario(args, task: str) -> int:
         result = run_scenario(args.scenario, out_dir=args.out)
     except ScenarioError as exc:
         return _report(exc)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {len(result.artifacts)} artifacts to {result.out_dir}")
@@ -50,32 +50,30 @@ def _run_from_scenario(args, task: str) -> int:
     return 0
 
 
-def _run_direct(args, fields: dict, run) -> int:
-    """Check the direct flags as the task's scenario fields, then ``run(args)``; a ``ParameterError`` exits 2."""
+def _run_direct(args, fields: dict, show) -> int:
+    """Run the task's scenario made from the direct flags and ``show`` its one artifact; bad flags exit 2."""
     try:
-        validate_scenario({"name": args.task, "task": args.task, **fields})
-        return run(args)
+        scenario = validate_scenario({"name": args.task, "task": args.task, **fields})
+        artifacts, unresolved = scenarios._RUNNERS[args.task](scenario)
     except ScenarioError as exc:
         return _report(exc)
     except ParameterError as exc:
         print(f"error: {exc.field}: {exc}", file=sys.stderr)
         return 2
+    show(artifacts[f"{args.task}.json"])
+    return 3 if unresolved else 0
 
 
-def _spectrum_direct(args) -> int:
-    rep = spectrum_report(args.rate, args.slope, args.pairs)
+def _show_spectrum(doc: dict) -> None:
     print(f"{'root':>10} {'re':>18} {'im':>18} {'residual':>12}")
-    print(f"{'real':>10} {rep.lambda0:>18.12f} {0.0:>18.12f} {'-':>12}")
-    for i, ((re, im), res) in enumerate(zip(rep.pairs, rep.residuals), start=1):
+    print(f"{'real':>10} {doc['lambda0']:>18.12f} {0.0:>18.12f} {'-':>12}")
+    for i, ((re, im), res) in enumerate(zip(doc["pairs"], doc["residuals"]), start=1):
         print(f"{'pair ' + str(i):>10} {re:>18.12f} {im:>18.12f} {res:>12.2e}")
-    print(f"window: ({rep.beta_window[0]:.12e}, {rep.beta_window[1]:.12e})")
-    return 0
+    print(f"window: ({doc['beta_window'][0]:.12e}, {doc['beta_window'][1]:.12e})")
 
 
-def _threshold_direct(args) -> int:
-    res = find_dstar(args.c, tol=args.tol, T_max=args.Tmax)
-    print(json.dumps({"c": args.c, **res.to_dict()}, indent=1))
-    return 3 if res.unresolved else 0
+def _show_threshold(doc: dict) -> None:
+    print(json.dumps(doc, indent=1))
 
 
 def main(argv=None) -> int:
@@ -95,9 +93,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.task == "spectrum" and args.scenario is None and args.rate is not None and args.slope is not None:
-        return _run_direct(args, {"rate": args.rate, "slope": args.slope, "pairs": args.pairs}, _spectrum_direct)
+        return _run_direct(args, {"rate": args.rate, "slope": args.slope, "pairs": args.pairs}, _show_spectrum)
     if args.task == "threshold" and args.scenario is None and args.c is not None:
-        return _run_direct(args, {"c": args.c, "tol": args.tol, "T_max": args.Tmax}, _threshold_direct)
+        return _run_direct(args, {"c": args.c, "tol": args.tol, "T_max": args.Tmax}, _show_threshold)
     return _run_from_scenario(args, args.task)
 
 

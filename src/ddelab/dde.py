@@ -479,16 +479,12 @@ def _march(
         s, v = history.sampled(4001)
         _, s_cross, ups = _bisect_crossings((v - 1.0)[None, :], s, lambda _row, th: history.eval(th) - 1.0, _BISECT_TOL)
         record(s_cross.tolist(), ups.tolist())
-    x_zero = history.eval(np.zeros(1))[0]  # a float, or one row of columns
-    x_cur = x_zero if prev is None else prev[1][-1]
+    x_cur = history.eval(np.zeros(1))[0] if prev is None else prev[1][-1]  # a float, or one row of columns
 
     def delayed_eval(times: np.ndarray) -> np.ndarray:
         if prev is None:  # the first unit looks up the history only
             return history.eval(np.minimum(np.maximum(times, -1.0), 0.0))
-        out = _eval_pieces(times, *prev, rate)
-        if times[0] <= 1e-14:  # only unit 1 looks back to 0; times[0] is a unit's earliest lookup
-            out[times <= 1e-14] = x_zero
-        return out
+        return _eval_pieces(times, *prev, rate)
 
     first = 0  # crossings before this index are four delays or more in the past
     for unit in range(unit0, int(math.ceil(T - 1e-12))):

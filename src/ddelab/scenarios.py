@@ -1,14 +1,16 @@
 """Scenario ingestion and deterministic artifact emission.
 
-A scenario is a single JSON document naming a task plus its parameters; the
-runner validates it (listing every offending field), dispatches to the right
-module, and writes CSV/JSON/SVG artifacts with fixed decimal formatting and a
-manifest that embeds the full scenario, so re-running from the manifest alone
-reproduces every data artifact byte for byte.  A check that needs the run's
-own computation (a bracket end, a branch marker, the crossing-pair
-criticality, an interior equilibrium below the scan ceiling) raises
-``ParameterError`` in the runner, which is reported as a ``ScenarioError``
-naming the field.
+A scenario is a single JSON document naming a task plus its parameters.
+``run_scenario`` validates it (listing every offending field) and calls the
+task's runner, which only computes: it returns its artifacts as a dict from
+file name to columns (``.csv``), a JSON value (``.json``) or SVG text.  Once
+the runner returns, ``run_scenario`` writes them with fixed decimal formatting
+and a manifest that embeds the full scenario, so re-running from the manifest
+alone reproduces every data artifact byte for byte; a failed run writes
+nothing.  A check that needs the run's own computation (a bracket end, a
+branch marker, the crossing-pair criticality, an interior equilibrium below
+the scan ceiling) raises ``ParameterError`` in the runner, which is reported
+as a ``ScenarioError`` naming the field.
 
 CSV values are written as ``%.12e`` text.  ``_format_values`` produces the
 same bytes as ``"%.12e" % v`` with numpy: the digits come from one float
@@ -20,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -396,27 +397,37 @@ class RunResult:
 
 
 def run_scenario(path: str, out_dir: Optional[str] = None) -> RunResult:
-    """Validate and execute one scenario (or manifest) file."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    """Validate and execute one scenario (or manifest) file; write its artifacts only if the run succeeds."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError([f"document: not valid JSON (line {exc.lineno}, column {exc.colno})"]) from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"document: not valid JSON (undecodable byte at offset {exc.start})"]) from None
     if isinstance(doc, dict) and "scenario" in doc:
         doc = doc["scenario"]
     scenario = validate_scenario(doc)
-    out_dir = out_dir or os.path.join(os.getcwd(), scenario.name)
-    created = not os.path.isdir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     try:
-        artifacts, unresolved = _RUNNERS[scenario.task](scenario, out_dir)
+        artifacts, unresolved = _RUNNERS[scenario.task](scenario)
     except ParameterError as exc:
-        if created:
-            shutil.rmtree(out_dir)
         raise ScenarioError([f"{exc.field}: {exc}"]) from None
     manifest = {
         "scenario": scenario.to_json(),
         "artifacts": sorted(artifacts),
         "package": {"name": "ddelab", "version": __version__},
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    out_dir = out_dir or os.path.join(os.getcwd(), scenario.name)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, content in {**artifacts, "manifest.json": manifest}.items():
+        target = os.path.join(out_dir, name)
+        if name.endswith(".csv"):
+            _write_csv(target, content)
+        elif name.endswith(".json"):
+            _write_json(target, content)
+        else:
+            with open(target, "w") as fh:
+                fh.write(content)
     return RunResult(out_dir=out_dir, artifacts=sorted(artifacts) + ["manifest.json"], unresolved=unresolved)
 
 
@@ -432,32 +443,28 @@ def _traj_columns(traj) -> dict:
     return {"t": ts, "x": traj.xs, "x_delayed": traj.eval_many(ts - 1.0), "derivative_flag": flags}
 
 
-def _run_simulate(sc: Scenario, out: str):
+def _run_simulate(sc: Scenario):
     system = _system_from(sc.spec["system"])
     history = _history_from(sc.spec.get("history"), system)
     T = float(sc.spec.get("T", 50.0))
     N = int(sc.spec.get("N", 200))
     traj = integrate(system, history, T, N=N)
-    arts = []
-    _write_csv(os.path.join(out, "trajectory.csv"), _traj_columns(traj))
-    arts.append("trajectory.csv")
-    _write_json(os.path.join(out, "events.json"), [{"t": e["t"], "kind": e["kind"]} for e in traj.events])
-    arts.append("events.json")
+    arts = {
+        "trajectory.csv": _traj_columns(traj),
+        "events.json": [{"t": e["t"], "kind": e["kind"]} for e in traj.events],
+    }
     if sc.spec.get("plot", False):
         sub = np.linspace(0.0, T, min(4001, math.ceil(20 * T) + 1))
         vals = traj.eval_many(sub)
-        svg = emit_plot(
+        arts["plot.svg"] = emit_plot(
             [Series(sub, vals)],
             phase=[(vals, traj.eval_many(sub - 1.0), "default")],
             title=sc.name,
         )
-        with open(os.path.join(out, "plot.svg"), "w") as fh:
-            fh.write(svg)
-        arts.append("plot.svg")
     return arts, False
 
 
-def _run_threshold(sc: Scenario, out: str):
+def _run_threshold(sc: Scenario):
     c = float(sc.spec["c"])
     res = find_dstar(
         c,
@@ -466,17 +473,15 @@ def _run_threshold(sc: Scenario, out: str):
         T_max=float(sc.spec.get("T_max", 400.0)),
         k=float(sc.spec.get("k", 2.0)),
     )
-    _write_json(os.path.join(out, "threshold.json"), {"c": c, **res.to_dict()})
-    return ["threshold.json"], bool(res.unresolved)
+    return {"threshold.json": {"c": c, **res.to_dict()}}, bool(res.unresolved)
 
 
-def _run_envelope(sc: Scenario, out: str):
+def _run_envelope(sc: Scenario):
     env = envelopes(float(sc.spec["c"]), float(sc.spec["d"]), float(sc.spec["d0"]), k=float(sc.spec.get("k", 2.0)))
-    _write_json(os.path.join(out, "envelope.json"), env.to_dict())
-    return ["envelope.json"], False
+    return {"envelope.json": env.to_dict()}, False
 
 
-def _run_manifold(sc: Scenario, out: str):
+def _run_manifold(sc: Scenario):
     system = _system_from(sc.spec["system"])
     sol = shoot_branch(
         system,
@@ -488,20 +493,17 @@ def _run_manifold(sc: Scenario, out: str):
     )
     lo, hi = sol.domain
     tt = np.linspace(max(lo, -15.0), hi - 0.5, 4001)
-    _write_csv(os.path.join(out, "manifold.csv"), {"t": tt, "x": sol.eval_many(tt)})
     lm = sol.landmarks.to_dict()
     lm.update({"kappa": sol.kappa, "eps_seed": sol.eps_seed, "lambda0": sol.lambda0, "equilibrium": sol.equilibrium})
-    _write_json(os.path.join(out, "landmarks.json"), lm)
-    return ["manifold.csv", "landmarks.json"], False
+    return {"manifold.csv": {"t": tt, "x": sol.eval_many(tt)}, "landmarks.json": lm}, False
 
 
-def _run_spectrum(sc: Scenario, out: str):
+def _run_spectrum(sc: Scenario):
     rep = spectrum_report(float(sc.spec["rate"]), float(sc.spec["slope"]), int(sc.spec.get("pairs", 5)))
-    _write_json(os.path.join(out, "spectrum.json"), rep.to_dict())
-    return ["spectrum.json"], False
+    return {"spectrum.json": rep.to_dict()}, False
 
 
-def _run_periodic(sc: Scenario, out: str):
+def _run_periodic(sc: Scenario):
     system = _system_from(sc.spec["system"])
     T = float(sc.spec.get("T", 500.0))
     N = int(sc.spec.get("N", 400))
@@ -514,20 +516,17 @@ def _run_periodic(sc: Scenario, out: str):
 
     _, orbit, flo, _ = find_orbit(system, run, N, T, level=level, transient=transient)
     if orbit is None:
-        _write_json(os.path.join(out, "orbit.json"), {"found": False})
-        return ["orbit.json"], True
+        return {"orbit.json": {"found": False}}, True
     doc = {"found": True, **orbit.to_dict()}
     unresolved = False
     if system.kind == "smooth":
         # null when no hat mesh resolves the orbit's trivial multiplier
         doc["floquet"] = None if flo is None else flo.to_dict()
         unresolved = flo is None
-    _write_json(os.path.join(out, "orbit.json"), doc)
-    _write_csv(os.path.join(out, "orbit_samples.csv"), {"t": orbit.samples_t, "x": orbit.samples_x})
-    return ["orbit.json", "orbit_samples.csv"], unresolved
+    return {"orbit.json": doc, "orbit_samples.csv": {"t": orbit.samples_t, "x": orbit.samples_x}}, unresolved
 
 
-def _run_hopf(sc: Scenario, out: str):
+def _run_hopf(sc: Scenario):
     kwargs = {}
     if "alpha_grid" in sc.spec:
         kwargs["alphas"] = tuple(float(a) for a in sc.spec["alpha_grid"])
@@ -536,8 +535,7 @@ def _run_hopf(sc: Scenario, out: str):
         int(sc.spec["n"]), j=int(sc.spec.get("j", 1)), **kwargs,
     )
     if found is None:
-        _write_json(os.path.join(out, "hopf.json"), {"found": False})
-        return ["hopf.json"], True
+        return {"hopf.json": {"found": False}}, True
     doc = {
         "found": True,
         "alpha": found.alpha,
@@ -546,12 +544,10 @@ def _run_hopf(sc: Scenario, out: str):
         "orbit": found.orbit.to_dict(),
         "angles": found.data.to_dict(),
     }
-    _write_json(os.path.join(out, "hopf.json"), doc)
-    _write_csv(os.path.join(out, "hopf_orbit.csv"), {"t": found.orbit.samples_t, "x": found.orbit.samples_x})
-    return ["hopf.json", "hopf_orbit.csv"], False
+    return {"hopf.json": doc, "hopf_orbit.csv": {"t": found.orbit.samples_t, "x": found.orbit.samples_x}}, False
 
 
-def _run_diagram(sc: Scenario, out: str):
+def _run_diagram(sc: Scenario):
     kwargs = {}
     if "alpha_grid" in sc.spec:
         kwargs["hopf_alphas"] = tuple(float(a) for a in sc.spec["alpha_grid"])
@@ -563,17 +559,16 @@ def _run_diagram(sc: Scenario, out: str):
         float(sc.spec["c"]), float(sc.spec["d"]), float(sc.spec.get("k", 2.0)),
         int(sc.spec["n"]), with_hopf=bool(sc.spec.get("with_hopf", False)), **kwargs,
     )
-    _write_json(os.path.join(out, "diagram.json"), diag.to_dict())
-    return ["diagram.json"], bool(diag.unresolved)
+    return {"diagram.json": diag.to_dict()}, bool(diag.unresolved)
 
 
-def _run_figure(sc: Scenario, out: str):
+def _run_figure(sc: Scenario):
     preset = FIGURE_PRESETS[sc.spec["preset"]]
     a, b, k, n = preset["a"], preset["b"], preset["k"], preset["n"]
     system = System.smooth(a, b, k=k, n=n)
     T = float(sc.spec.get("T", 60.0))
     N = int(sc.spec.get("N", 400))
-    arts = []
+    arts = {}
     series = []
     phase = []
     if sc.spec["preset"] in ("x1", "x2"):
@@ -583,45 +578,34 @@ def _run_figure(sc: Scenario, out: str):
             lo, hi = sol.domain
             tt = np.linspace(max(lo, -10.0), hi - 0.5, 4001)
             vals = sol.eval_many(tt)
-            _write_csv(
-                os.path.join(out, f"{name}.csv"),
-                {"t": tt, "x": vals, "x_delayed": sol.eval_many(np.maximum(tt - 1.0, lo))},
-            )
-            arts.append(f"{name}.csv")
+            arts[f"{name}.csv"] = {"t": tt, "x": vals, "x_delayed": sol.eval_many(np.maximum(tt - 1.0, lo))}
             series.append(Series(tt, vals, name))
         tt = np.linspace(0.0, T, 501)
         xi = plus.equilibrium
-        _write_csv(os.path.join(out, "stationary.csv"), {"t": tt, "x": np.full_like(tt, xi)})
-        arts.append("stationary.csv")
+        arts["stationary.csv"] = {"t": tt, "x": np.full_like(tt, xi)}
         series.append(Series(tt, np.full_like(tt, xi), "stationary"))
         sel = np.linspace(1.0, plus.domain[1] - 0.5, 3001)
         phase.append((plus.eval_many(sel), plus.eval_many(sel - 1.0), "plus"))
     else:
         found = hopf_orbit_search(a, b, k, n, j=1, alphas=(0.2,) if sc.spec["preset"] == "x4" else None)
         if found is None:
-            _write_json(os.path.join(out, "figure.json"), {"found": False})
-            return ["figure.json"], True
+            return {"figure.json": {"found": False}}, True
         orbit, sysn = found.orbit, found.system
         reps = int(np.ceil(6.0 / orbit.omega))
         qt = np.concatenate([orbit.samples_t + m * orbit.omega for m in range(reps)])
         qx = np.tile(orbit.samples_x, reps)
-        _write_csv(os.path.join(out, "hopf_orbit.csv"), {"t": qt, "x": qx})
-        arts.append("hopf_orbit.csv")
+        arts["hopf_orbit.csv"] = {"t": qt, "x": qx}
         series.append(Series(qt, qx, "hopf"))
         for name, seed in unstable_disk_runs(sysn, orbit)[1]:
             traj = integrate(sysn, seed, T, N=N)
             tt = np.linspace(0.0, T, 4001)
             vals = traj.eval_many(tt)
-            _write_csv(os.path.join(out, f"{name}.csv"), {"t": tt, "x": vals})
-            arts.append(f"{name}.csv")
+            arts[f"{name}.csv"] = {"t": tt, "x": vals}
             series.append(Series(tt, vals, name))
             if name == "plus":
                 sel = np.linspace(1.0, T, 3001)
                 phase.append((traj.eval_many(sel), traj.eval_many(sel - 1.0), "plus"))
-    svg = emit_plot(series, phase=phase or None, title=f"preset {sc.spec['preset']}")
-    with open(os.path.join(out, "figure.svg"), "w") as fh:
-        fh.write(svg)
-    arts.append("figure.svg")
+    arts["figure.svg"] = emit_plot(series, phase=phase or None, title=f"preset {sc.spec['preset']}")
     return arts, False
 
 

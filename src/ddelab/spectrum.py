@@ -328,7 +328,10 @@ def hopf_data(c: float, d: float, k: float, n: int, j: int = 1, alpha: float = 0
     if gap > 1e-8:
         raise ParameterError("c", f"criticality violated: |c - slope*cos(theta_j)| = {gap:.3e}")
     smooth = System.smooth(c, d, k=k, n=n)
-    xi1_n = stationary_points(smooth, ceiling=0.9).interior().value
+    try:
+        xi1_n = stationary_points(smooth, ceiling=0.9).interior().value
+    except ValueError:
+        raise ParameterError("d", "no interior equilibrium below 0.9: gain too close to the rate") from None
     slope_n = d * Hill(k=k, n=n).deriv(xi1_n)
     if slope_n <= c:
         raise ValueError("finite-n slope does not exceed the decay rate")

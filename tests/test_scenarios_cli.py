@@ -16,7 +16,7 @@ from scipy.special import lambertw
 
 from ddelab import scenarios
 from ddelab.cli import main
-from ddelab.dde import System, integrate
+from ddelab.dde import ParameterError, System, integrate
 from ddelab.history import HistoryFunction
 from ddelab.periodic import connection_diagram
 from ddelab.plotting import _H, _PAD, _W, Series, emit_plot
@@ -591,6 +591,7 @@ class TestCli:
         assert len(data["pairs"]) == 12 and max(data["residuals"]) <= 1e-10
 
 
+_HOPF_RATE = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
 # no interior equilibrium: d <= c fails validation; the rest fail the n = 100 scan below 0.9
 _NO_EQUILIBRIUM = [
     ({"task": "diagram", "c": 2.0, "d": 1.0, "n": 100}, "d"),
@@ -600,6 +601,8 @@ _NO_EQUILIBRIUM = [
     ({"task": "manifold", "system": {"kind": "smooth", "a": 2.0, "b": 1.0, "n": 100}, "branch": "plus"}, "system.b"),
     ({"task": "manifold", "system": {"kind": "limit", "c": 2.0, "d": 1.0}, "branch": "minus"}, "system.d"),
     ({"task": "manifold", "system": {"kind": "smooth", "a": 1.0, "b": 1.05, "n": 100}, "branch": "plus"}, "system.b"),
+    # the limit criticality holds at the crossing-pair rate; the n = 100 scan in hopf_data finds no equilibrium
+    ({"task": "hopf", "c": _HOPF_RATE, "d": 1.05 * _HOPF_RATE, "n": 100}, "d"),
 ]
 
 
@@ -607,8 +610,103 @@ _NO_EQUILIBRIUM = [
 def test_no_interior_equilibrium_exits_two(tmp_path, capsys, doc, field):
     path = write_scenario(tmp_path, {"name": "no-equilibrium", **doc})
     assert main([doc["task"], "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert f"error: {field}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,where", [
+    (b'{"name": "x", "task": "spectrum", "rate": 1, ', "line 1, column 46"),
+    (b'\xff\xfe{"name": "x"}', "undecodable byte at offset 0"),
+])
+def test_scenario_that_is_not_json_exits_two(tmp_path, capsys, text, where):
+    path = tmp_path / "cut.json"
+    path.write_bytes(text)
+    assert main(["spectrum", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: document: not valid JSON ({where})\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_scenario_that_is_a_directory_exits_two(tmp_path, capsys):
+    assert main(["spectrum", "--scenario", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exc", [ParameterError("c", "refused by the runner"), RuntimeError("runner failed")])
+def test_failed_run_writes_nothing(tmp_path, monkeypatch, exc):
+    """A runner that raises leaves no new directory, and an existing one byte for byte as it was."""
+    def failing(*_):
+        raise exc
+
+    monkeypatch.setitem(scenarios._RUNNERS, "spectrum", failing)
+    path = write_scenario(tmp_path, {"name": "s", "task": "spectrum", "rate": 1.0, "slope": 2.0})
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "spectrum.json").write_text("{}\n")
+    (old / "manifest.json").write_bytes(b"earlier run")
+    before = {f.name: f.read_bytes() for f in old.iterdir()}
+    for out in (tmp_path / "new", old):
+        with pytest.raises((ScenarioError, RuntimeError)):
+            run_scenario(str(path), out_dir=str(out))
+    assert not (tmp_path / "new").exists()
+    assert {f.name: f.read_bytes() for f in old.iterdir()} == before
+
+
+def test_threshold_flags_print_the_scenario_artifact(tmp_path, capsys):
+    """The direct flags run the same runner as the scenario: stdout is the object ``threshold.json`` holds."""
+    assert main(["threshold", "--c", "1", "--tol", "1e-3"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 1e-3})
+    run_scenario(str(path), out_dir=str(tmp_path / "out"))
+    assert printed == json.loads((tmp_path / "out" / "threshold.json").read_text())
+
+
+def _scenario_functions() -> dict:
+    tree = ast.parse(Path(scenarios.__file__).read_text())
+    return {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _called_names(fn) -> set:
+    calls = (node.func for node in ast.walk(fn) if isinstance(node, ast.Call))
+    return {getattr(func, "id", getattr(func, "attr", None)) for func in calls}
+
+
+def test_one_runner_signature():
+    """Every task runner takes the scenario alone: no output directory."""
+    runners = {name: fn for name, fn in _scenario_functions().items() if name.startswith("_run_")}
+    assert set(runners) == {fn.__name__ for fn in scenarios._RUNNERS.values()}
+    for name, fn in runners.items():
+        args = fn.args
+        assert len(args.posonlyargs + args.args) == 1 and not (args.vararg or args.kwonlyargs or args.kwarg), name
+
+
+def test_runners_only_compute():
+    """No runner opens a file or calls a writer: they return their artifacts."""
+    for name, fn in _scenario_functions().items():
+        if name.startswith("_run_"):
+            assert _called_names(fn) & {"open", "_write_csv", "_write_json"} == set(), name
+
+
+def test_one_artifact_writer():
+    """In the package, ``run_scenario`` alone calls ``_write_csv`` and ``_write_json``."""
+    callers = set()
+    for path in Path(scenarios.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and _called_names(fn) & {"_write_csv", "_write_json"}:
+                callers.add((path.name, fn.name))
+    assert callers == {("scenarios.py", "run_scenario")}
+
+
+def test_cli_reaches_tasks_through_the_runners():
+    """``cli.py`` imports nothing from ``spectrum`` or ``threshold``: its direct flags run the task's runner."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(scenarios.__file__).with_name("cli.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "").split(".")[-1]} | {alias.name for alias in node.names}
+    assert imported & {"spectrum", "threshold"} == set()
 
 
 def test_scenarios_import_no_private_ddelab_name():
