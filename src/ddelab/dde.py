@@ -228,9 +228,22 @@ def _level_crossings(level: float, ts, xs, dl, dr, side, rate: float):
     kept pieces are all of one kind, the other group is skipped.  The pieces
     are scanned in one pass: callers bound their size (one unit interval, or
     one ``_CHUNK`` window of a trajectory).
+
+    Before the hull is built, a block whose nodes all lie on one side of the
+    level is ruled out when the level is also beyond ``reach``, the largest
+    ``h * |slope| / 3`` of its pieces: every control point lies within
+    ``reach`` of a node.  Rounding is monotone, so the computed control
+    points never pass the computed bound ``lo - reach`` (or ``hi + reach``);
+    the doubled ``_GRAZE_TOL`` is a margin on top.  A block ruled out this
+    way is one the full rule keeps no piece of, so the result is the same.
     """
     x0, x1 = xs[:-1], xs[1:]
     h = ts[1:] - ts[:-1]
+    lo, hi = xs.min(), xs.max()
+    if lo - level > _GRAZE_TOL or hi - level < -_GRAZE_TOL:
+        reach = (h * np.maximum(np.abs(dl), np.abs(dr))).max() / 3.0
+        if lo - reach - level > 2.0 * _GRAZE_TOL or hi + reach - level < -2.0 * _GRAZE_TOL:
+            return np.empty(0), np.empty(0, dtype=bool)
     p1 = x0 + h * dl / 3.0
     p2 = x1 - h * dr / 3.0
     below = np.minimum(np.minimum(x0, x1), np.minimum(p1, p2)) - level <= _GRAZE_TOL
@@ -456,6 +469,13 @@ def _march(
     unit 0), and ``crossings`` must hold the crossings located by that
     unit's end.  The units yielded from there are, to the bit, those of the
     march from the history.
+
+    Two shortcuts leave every bit as it is.  The delayed lookup passes no
+    side array when the previous block's side array marks no
+    exact-exponential piece, as the overwrite it drives would write
+    nothing.  A whole unit with no breakpoint takes its stages as
+    ``t0`` plus one grid built per march: ``_stage_grid(t0, t0 + 1, h)``
+    forms the same step count, step and product from the same width 1.
     """
     if T < 0:
         raise ValueError("horizon T must be nonnegative")
@@ -480,11 +500,13 @@ def _march(
         _, s_cross, ups = _bisect_crossings((v - 1.0)[None, :], s, lambda _row, th: history.eval(th) - 1.0, _BISECT_TOL)
         record(s_cross.tolist(), ups.tolist())
     x_cur = history.eval(np.zeros(1))[0] if prev is None else prev[1][-1]  # a float, or one row of columns
+    unit_offs, unit_h2 = _stage_grid(0.0, 1.0, h)
 
     def delayed_eval(times: np.ndarray) -> np.ndarray:
         if prev is None:  # the first unit looks up the history only
             return history.eval(np.minimum(np.maximum(times, -1.0), 0.0))
-        return _eval_pieces(times, *prev, rate)
+        side = prev[4] if prev[4].any() else None  # no exponential piece: the overwrite writes nothing
+        return _eval_pieces(times, prev[0], prev[1], prev[2], prev[3], side, rate)
 
     first = 0  # crossings before this index are four delays or more in the past
     for unit in range(unit0, int(math.ceil(T - 1e-12))):
@@ -506,7 +528,10 @@ def _march(
             sub_edges = [t0] + merged + [t1]
 
         spans = list(zip(sub_edges[:-1], sub_edges[1:]))
-        grids = [_stage_grid(s0, s1, h) for s0, s1 in spans]
+        if len(spans) == 1 and t1 - t0 == 1.0:
+            grids = [(t0 + unit_offs, unit_h2)]
+        else:
+            grids = [_stage_grid(s0, s1, h) for s0, s1 in spans]
         # the stages of all sub-intervals, then (limit) their midpoints, whose
         # delayed values tell on which side of the cutoff the forcing lies
         mids = [0.5 * (s0 + s1) for s0, s1 in spans] if limit else []

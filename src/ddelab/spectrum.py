@@ -156,10 +156,13 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
     Each pair is the root of ``_root_by_phase`` in the band
     ``((2j-1)pi, 2j pi)``, the j-th branch of the closed form
-    ``W_j(slope e^rate) - rate`` (Lambert W).  A band that holds no bracket
-    raises ``ParameterError("rate")``: only a large rate moves the root past
-    the phase scan.  A pair whose residual exceeds ``max(1e-10, 16 eps
-    (|lam| + rate)^2)`` raises ``ParameterError("slope")``.
+    ``W_j(slope e^rate) - rate`` (Lambert W).  A root the scan finds in the
+    strip next to its band's upper edge, where only a large rate puts it, is
+    polished by Newton steps on ``_char``.  A band that holds no bracket
+    raises ``ParameterError("rate")``: from about rate 1e16 the root lies
+    nearer the edge than a float spacing.  A pair whose residual exceeds
+    ``max(1e-10, 16 eps (|lam| + rate)^2)`` raises
+    ``ParameterError("slope")``.
     """
     if slope <= 0:
         raise ValueError("slope must be positive")
@@ -168,7 +171,7 @@ def complex_root_pairs(rate: float, slope: float, count: int = 5) -> list:
 
 def _band_root(rate: float, slope: float, j: int) -> complex:
     lam = _root_by_phase(rate, slope, (2 * j - 1) * math.pi, 2 * j * math.pi)
-    if lam is None:  # the root sits about y / rate below the band's upper edge
+    if lam is None:  # the root sits about y / rate below the band's upper edge, past a float spacing
         raise ParameterError("rate", f"root pair {j} lies nearer its band's edge than the phase scan resolves")
     # the terms of _char cancel to about |lam| + rate each, and a root good to eps
     # of that size leaves a residual near eps (|lam| + rate)^2: gate at 16 times that
@@ -184,19 +187,43 @@ def _band_root(rate: float, slope: float, j: int) -> complex:
 def _root_by_phase(rate: float, slope: float, lo: float, hi: float) -> Optional[complex]:
     # imaginary part: y + slope e^{-x} sin y = 0 gives slope e^{-x} = -y/sin(y), positive
     # in a band; substitute into the real part, bracket the scalar equation in y on 4,001
-    # samples and halve the first bracket to 1e-14 in the shared loop.
+    # samples and on the strip they leave out below hi (at hi - 1e-6 2^-k, down to one
+    # float spacing, where a large rate puts the root about y / rate below hi), and
+    # halve the first bracket to 1e-14 in the shared loop.
+    # Near hi, R reaches about 2^53, and slope / R underflows to 0 for a slope
+    # below about 1e-308: log then reads -inf, the sign G tends to there.
     def G(y):
         R = -y / math.sin(y)
-        return math.log(slope / R) + rate - R * math.cos(y)
+        q = slope / R
+        return (math.log(q) if q > 0.0 else -math.inf) + rate - R * math.cos(y)
 
-    ys = np.linspace(lo + 1e-6, hi - 1e-6, 4001)
+    strip = hi - 1e-6 * 2.0 ** -np.arange(64.0)
+    ys = np.concatenate([np.linspace(lo + 1e-6, hi - 1e-6, 4001), np.unique(strip[(strip > hi - 1e-6) & (strip < hi)])])
     R = -ys / np.sin(ys)
-    vals = np.log(slope / R) + rate - R * np.cos(ys)
+    with np.errstate(divide="ignore"):
+        vals = np.log(slope / R) + rate - R * np.cos(ys)
     _, mids, _ = _bisect_crossings(vals[None, :], ys, lambda _row, y: G(y), 1e-14)
     if not mids.size:
         return None
     y = float(mids[0])
-    return complex(math.log(slope / (-y / math.sin(y))), y)
+    q = slope / (-y / math.sin(y))
+    if q == 0.0:  # e^-x = R / slope lies past the float range: the residual gate names slope
+        return complex(-math.inf, y)
+    lam = complex(math.log(q), y)
+    if y > hi - 1e-6:
+        # in the strip -y/sin(y) amplifies the error in y by about y / (hi - y), while
+        # lam itself is well conditioned: polish it with Newton steps on _char
+        try:
+            for _ in range(8):
+                step = _char(lam, rate, slope) / (1.0 + slope * cmath.exp(-lam))
+                lam -= step
+                if abs(step) <= 1e-15 * abs(lam):
+                    break
+        except OverflowError:  # exp(-lam) beyond the float range: the residual gate names slope
+            pass
+        if not lo < lam.imag < hi:
+            return None
+    return lam
 
 
 @dataclass(frozen=True)

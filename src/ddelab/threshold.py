@@ -72,7 +72,8 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZCl
     equilibrium, certified once the last node at or above it lies more than
     ``1 + 2/N`` before the unit's end (``N = _PROBE_N`` steps per unit).
     Monotone trapping keeps the solution below the equilibrium after such a
-    segment, so that node is final.
+    segment, so that node is final.  The march only appends crossings, so
+    each unit reads just those appended since the unit before.
     """
     if not (c > 0 and d >= c):
         raise ValueError("need d >= c > 0")
@@ -83,11 +84,13 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZCl
     crossings: list = []
     max_val = 0.0
     last_above = 0.0  # time of the last node at or above xi1, 0 if none
+    seen = 0  # crossings before this index were read at an earlier unit
     for unit, (ts, xs, *_) in enumerate(_march(system, history, T, _PROBE_N, crossings)):
-        max_val = max(max_val, float(np.max(xs)))
-        for tc, up in crossings:
+        max_val = max(max_val, float(xs.max()))
+        for tc, up in crossings[seen:]:
             if up and tc >= 0.0:
                 return ZClassification(HITS_ONE, c, d, tau0=tc + 1.0, max_value=max_val)
+        seen = len(crossings)
         if xi1 is not None:
             above = np.flatnonzero(xs >= xi1 * (1.0 - 1e-12))
             if above.size:

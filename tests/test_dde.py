@@ -9,7 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from ddelab import dde
+from ddelab import dde, threshold
 from ddelab.dde import (
     _BISECT_TOL,
     _SAMPLE_THETAS,
@@ -312,6 +312,35 @@ class TestMarchWork:
         assert any(h < 1.0 / 200 for h in steps)  # split units were marched
 
 
+    def test_delayed_lookup_drops_the_side_array_after_all_hermite_blocks(self, monkeypatch):
+        """The lookup passes ``side=None`` exactly when the block before has no exact-exponential piece."""
+        sides = []
+        evaluate = dde._eval_pieces
+
+        def spied(t, ts, xs, dl, dr, side, rate):
+            sides.append(side)
+            return evaluate(t, ts, xs, dl, dr, side, rate)
+
+        monkeypatch.setattr(dde, "_eval_pieces", spied)
+        for history in (HistoryFunction.exp_decay(1.0), HistoryFunction.constant(1.2)):
+            sides.clear()
+            blocks = list(_march(System.limit(1.0, 7.38), history, 30.0, 200, []))
+            assert len(sides) == len(blocks) - 1  # the first unit looks up the history
+            for side, before in zip(sides, blocks):
+                assert (side is None) == (not before[4].any())
+                assert side is None or side is before[4]
+            assert {side is None for side in sides} == {True, False}
+
+    @pytest.mark.parametrize("N", [100, 200, 400, 511, 800, 4671])
+    def test_whole_unit_grid_is_the_stage_grid_at_its_start(self, N):
+        """``t0`` plus the grid of [0, 1] is ``_stage_grid(t0, t0 + 1, 1/N)``, bit for bit."""
+        offs, h2 = _stage_grid(0.0, 1.0, 1.0 / N)
+        for t0 in (1.0, 2.0, 4.0, 255.0, 256.0, 1023.0, 1599.0):
+            stages, want_h2 = _stage_grid(t0, t0 + 1.0, 1.0 / N)
+            assert (t0 + offs).tobytes() == stages.tobytes()
+            assert h2 == want_h2 and type(h2) is type(want_h2) is float
+
+
 def same_bits(a, b) -> bool:
     """Two trajectories with the same horizon, pieces and events, to the bit."""
     return a.T == b.T and a.events == b.events and all(
@@ -340,6 +369,18 @@ class TestExtend:
             traj = integrate(system, history, stage_end)
             assert 0.0 < stage_end - tc < 4.0
             assert same_bits(traj.extend(stage_end + 6.3), integrate(system, history, stage_end + 6.3))
+
+    @pytest.mark.parametrize("exponential", [True, False], ids=["after-exponential", "after-all-hermite"])
+    def test_resume_after_either_kind_of_block(self, exponential):
+        """A resume reads from its block whether the delayed lookup needs the side array."""
+        system, history = System.limit(1.0, 7.38), HistoryFunction.constant(1.2)
+        for stage_end in np.arange(1.0, 30.0):
+            traj = integrate(system, history, stage_end)
+            if bool(traj._resume[1][4].any()) == exponential:
+                break
+        else:
+            pytest.fail("no stage end after that kind of block")
+        assert same_bits(traj.extend(stage_end + 7.5), integrate(system, history, stage_end + 7.5))
 
     def test_only_forward_growth_of_integrated_trajectories(self):
         traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 5.0)
@@ -592,6 +633,123 @@ class TestCrossingLocator:
         ]
         assert later
         assert later == located
+
+
+def _level_crossings_full_hull(level, ts, xs, dl, dr, side, rate):
+    """Reference: ``_level_crossings`` without the crossing-free exit, every block through the hull rule."""
+    x0, x1 = xs[:-1], xs[1:]
+    h = ts[1:] - ts[:-1]
+    p1 = x0 + h * dl / 3.0
+    p2 = x1 - h * dr / 3.0
+    below = np.minimum(np.minimum(x0, x1), np.minimum(p1, p2)) - level <= dde._GRAZE_TOL
+    above = np.maximum(np.maximum(x0, x1), np.maximum(p1, p2)) - level >= -dde._GRAZE_TOL
+    i = np.flatnonzero(np.where(side == 1, (x0 > level) & (level >= x1), below & above))
+    if not i.size:
+        return np.empty(0), np.empty(0, dtype=bool)
+    expo = side[i] == 1
+    ie, ih = i[expo], i[~expo]
+    t_exp = np.asarray([ts[k] + math.log(xs[k] / level) / rate for k in ie.tolist()], dtype=float)
+    if not ih.size:
+        return t_exp, np.zeros(ie.size, dtype=bool)
+    h, x0, d0, x1, d1 = h[ih], x0[ih], dl[ih], x1[ih], dr[ih]
+    col = np.s_[:, None]
+    v = _hermite_eval(_SAMPLE_THETAS, h[col], x0[col], d0[col], x1[col], d1[col]) - level
+    hl, x0l, d0l, x1l, d1l = (a.tolist() for a in (h, x0, d0, x1, d1))
+    rows, theta, up = dde._bisect_crossings(
+        v, _SAMPLE_THETAS, lambda r, th: _hermite_eval(th, hl[r], x0l[r], d0l[r], x1l[r], d1l[r]) - level,
+        _BISECT_TOL, h,
+    )
+    t_herm = ts[ih[rows]] + theta * h[rows]
+    if not ie.size:
+        return t_herm, up
+    order = np.argsort(np.concatenate([ie, ih[rows]]), kind="stable")
+    times = np.concatenate([t_exp, t_herm])[order]
+    ups = np.concatenate([np.zeros(ie.size, dtype=bool), up])[order]
+    return times, ups
+
+
+@st.composite
+def levels_near_and_far(draw):
+    """A random block and a level near a node, between the nodes and the hull's edge or its reach, or far off."""
+    block, _ = draw(dense_pieces())
+    ts, xs, dl, dr, _side = block
+    h = np.diff(ts)
+    reach = float(np.max(h * np.maximum(np.abs(dl), np.abs(dr)))) / 3.0
+    hull = np.concatenate([xs, xs[:-1] + h * dl / 3.0, xs[1:] - h * dr / 3.0])
+    lo, hi = float(xs.min()), float(xs.max())
+    frac = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.25)))
+    anchor = draw(st.sampled_from([
+        lo - frac * reach, hi + frac * reach,
+        lo - frac * (lo - hull.min()), hi + frac * (hull.max() - hi), float(xs[len(xs) // 2]),
+    ]))
+    offset = draw(st.one_of(st.just(0.0), st.floats(-4e-9, 4e-9), st.floats(-3.0, 3.0)))
+    return block, anchor + offset
+
+
+class _HullRuleCounter:
+    """``numpy`` as ``dde`` sees it, counting ``flatnonzero``: one call per block the hull rule scans."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, a):
+        self.calls += 1
+        return np.flatnonzero(a)
+
+
+class TestCrossingFreeExit:
+    @settings(max_examples=400, deadline=None)
+    @given(levels_near_and_far())
+    def test_exit_never_drops_a_crossing(self, case):
+        """The same times and flags, to the bit, as the hull rule run on every block."""
+        block, level = case
+        times, ups = _level_crossings(level, *block, DECAY)
+        want_times, want_ups = _level_crossings_full_hull(level, *block, DECAY)
+        assert (times.dtype, ups.dtype) == (np.float64, np.bool_)
+        assert times.tobytes() == want_times.tobytes() and ups.tobytes() == want_ups.tobytes()
+
+    @pytest.mark.parametrize("level", [0.0, 0.2, 0.3, 1.6, 1.8, 2.0])
+    def test_a_dip_below_every_node_is_kept(self, level):
+        """A cubic dips below (or bulges above) all nodes by 3/4 of its reach, and its crossings stay."""
+        block = piece_block(1.0, [("h", 0.1, 1.0, 0.0, 0.0), ("h", 0.3, 1.0, -10.0, 10.0), ("e", 0.1)])
+        if level > 1.0:
+            block = piece_block(1.0, [("h", 0.3, 1.0, 10.0, -10.0), ("h", 0.1, 1.0, 0.0, 0.0)])
+        times, ups = _level_crossings(level, *block, DECAY)
+        want_times, want_ups = _level_crossings_full_hull(level, *block, DECAY)
+        assert times.tobytes() == want_times.tobytes() and ups.tobytes() == want_ups.tobytes()
+        assert times.size == (2 if level in (0.3, 1.6) else 0)
+
+    @staticmethod
+    def _shares(monkeypatch, run) -> tuple:
+        """(blocks scanned, blocks that took the exit) while ``run()`` runs."""
+        counter, scans = _HullRuleCounter(), []
+        locate = dde._level_crossings
+
+        def counted(*args):
+            scans.append(1)
+            return locate(*args)
+
+        monkeypatch.setattr(dde, "np", counter)
+        monkeypatch.setattr(dde, "_level_crossings", counted)
+        run()
+        return len(scans), len(scans) - counter.calls
+
+    def test_exit_takes_most_units_of_a_probe(self, monkeypatch):
+        """Before its contact a probe lies below the cutoff, further than any control point reaches."""
+        res = []
+        scans, exits = self._shares(monkeypatch, lambda: res.append(threshold.classify_zd(0.926518, 1.5863)))
+        assert res[0].verdict == threshold.HITS_ONE and 28.0 < res[0].tau0 < 30.0
+        assert scans > 25 and exits >= scans - 2
+
+    def test_exit_takes_the_units_away_from_the_cutoff(self, monkeypatch):
+        """The (1, 7.38) solution oscillates through the cutoff; its units clear of it take the exit."""
+        scans, exits = self._shares(
+            monkeypatch, lambda: integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 50.0)
+        )
+        assert scans == 50 and exits >= 10
 
 
 def listed_rule(times, ups, direction, t_lo, t_hi):

@@ -334,6 +334,29 @@ def test_large_rate_roots_clear_the_scaled_residual_gate(rate):
     assert max(abs(spectrum._char(complex(*p), rate, 1.0)) for p in pairs) > 1e-10
 
 
+@pytest.mark.parametrize("rate", [1e7, 1e8, 1e12, 1e15])
+@pytest.mark.parametrize("slope_per_rate", [None, 2.0], ids=["slope-1", "slope-2rate"])
+def test_roots_in_the_strip_the_band_scan_leaves_out(rate, slope_per_rate):
+    """Pair 1 lies about 2 pi / rate below 2 pi, inside the 1e-6 strip the band scan leaves out.
+
+    The strip is sampled down to one float spacing and a root found there is
+    polished on ``_char``: each pair lies in its band and clears the gate, and
+    a further Newton step would move a polished pair by at most 4 eps
+    relative at every rate (the phase form alone is off by up to 2e-2 at
+    1e15), and a pair of the band scan by at most eps * rate.
+    """
+    slope = 1.0 if slope_per_rate is None else slope_per_rate * rate
+    pairs = complex_root_pairs(rate, slope, 5)
+    assert 2.0 * math.pi - pairs[0][1] < 1e-6
+    for j, (re, im) in enumerate(pairs, start=1):
+        lam = complex(re, im)
+        assert (2 * j - 1) * math.pi < im < 2 * j * math.pi
+        assert abs(spectrum._char(lam, rate, slope)) <= max(1e-10, 2.0**-48 * (abs(lam) + rate) ** 2)
+        step = spectrum._char(lam, rate, slope) / (1.0 + slope * cmath.exp(-lam))
+        polished = 2 * j * math.pi - im < 1e-6  # found in the strip; the others by the band scan
+        assert abs(step) <= sys.float_info.epsilon * abs(lam) * (4.0 if polished else rate), j
+
+
 @pytest.mark.parametrize("slope", [1e300, 1e-300])
 def test_large_roots_clear_the_scaled_residual_gate(slope):
     """Near |lam| = 690 a residual of eps |lam|^2 (up to 3.3e-10 here) is the float floor, not a failed root."""
@@ -359,6 +382,18 @@ def test_slope_near_the_float_floor_names_slope(slope):
     """Pair 1's real part lies below -709 there, so exp(-lam) overflows in the residual gate."""
     with pytest.raises(ParameterError, match="root pair 1 did not converge") as err:
         complex_root_pairs(1.0, slope)
+    assert err.value.field == "slope"
+
+
+@pytest.mark.parametrize("rate, slope", [(1.0, 1e-320), (1e9, 1e-315)])
+def test_slope_over_R_underflow_names_slope(rate, slope):
+    """Near a band's edge slope / R underflows to 0: the scan reads it as -inf, and a root there names slope.
+
+    At (1, 1e-320) the halving used to reach math.log(0.0) and raise a bare
+    ValueError; at (1e9, 1e-315) the root found in the strip has slope / R = 0.
+    """
+    with pytest.raises(ParameterError) as err:
+        complex_root_pairs(rate, slope)
     assert err.value.field == "slope"
 
 

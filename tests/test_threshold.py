@@ -158,6 +158,24 @@ class TestDStar:
         assert not res.unresolved
 
 
+# find_dstar(1.0, tol=1e-4): bracket and probe rows as the march gave them before its units skipped
+# the work they rule out (crossing-free scans, side arrays, per-unit stage grids)
+_PINNED_DSTAR_C1 = (1.7564453125000001, 1.7565429687500003, 1.756494140625, (
+    (1.1, IN_D, 2.01), (1.3, IN_D, 2.01), (1.6, IN_D, 2.01), (2.0, HITS_ONE, 4.722023021230416),
+    (1.8, HITS_ONE, 8.685856018194173), (1.7000000000000002, IN_D, 2.8), (1.75, IN_D, 4.164999999999999),
+    (1.775, HITS_ONE, 10.879437289625931), (1.7625, HITS_ONE, 13.831555591526849), (1.75625, IN_D, 7.885),
+    (1.759375, HITS_ONE, 15.767511852347816), (1.7578125, HITS_ONE, 17.817507222827118),
+    (1.75703125, HITS_ONE, 20.1311849642123), (1.7566406250000002, HITS_ONE, 23.266001631037508),
+    (1.7564453125000001, IN_D, 9.389999999999999), (1.7565429687500003, HITS_ONE, 25.45563526109181),
+))
+
+
+def test_bisection_is_pinned_to_the_bit():
+    """Every probe row, the bracket and the estimate, as floats compared with ``==``."""
+    res = find_dstar(1.0, tol=1e-4)
+    assert (res.lo, res.hi, res.estimate, res.history) == _PINNED_DSTAR_C1
+
+
 class TestOrdering:
     def test_probe_solutions_ordered_in_gain(self):
         grid = [1.2, 1.35, 1.5, 1.62, 1.72]
