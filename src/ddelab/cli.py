@@ -1,8 +1,9 @@
 """Command-line entry point: ``ddelab <task> --scenario <file> [--out <dir>]``.
 
 Every task accepts a scenario file; ``spectrum`` and ``threshold`` also take
-direct flags for quick interactive use.  The flags make the task's scenario,
-validated as the fields of the same names and run in memory by the same
+direct flags for quick interactive use.  Without ``--scenario``, the flags
+given make the task's scenario, validated as the fields of the same names (a
+flag left out keeps the runner's default) and run in memory by the same
 runner; its one artifact is printed, not written.  Exit codes: 0 all verdicts
 resolved, 2 validation failure, 3 at least one verdict unresolved.
 """
@@ -76,26 +77,25 @@ def _show_threshold(doc: dict) -> None:
     print(json.dumps(doc, indent=1))
 
 
+_FLAGS = {  # each task's direct flags: (flag, scenario field, type)
+    "spectrum": (("--rate", "rate", float), ("--slope", "slope", float), ("--pairs", "pairs", int)),
+    "threshold": (("--c", "c", float), ("--tol", "tol", float), ("--Tmax", "T_max", float)),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="ddelab", description="delay-equation laboratory")
     sub = parser.add_subparsers(dest="task", required=True)
     for task in TASKS:
         p = sub.add_parser(task, help=f"run a '{task}' scenario")
         _add_common(p)
-        if task == "spectrum":
-            p.add_argument("--rate", type=float)
-            p.add_argument("--slope", type=float)
-            p.add_argument("--pairs", type=int, default=5)
-        if task == "threshold":
-            p.add_argument("--c", type=float)
-            p.add_argument("--tol", type=float, default=1e-4)
-            p.add_argument("--Tmax", type=float, default=400.0)
+        for flag, name, kind in _FLAGS.get(task, ()):
+            p.add_argument(flag, dest=name, type=kind)
 
     args = parser.parse_args(argv)
-    if args.task == "spectrum" and args.scenario is None and args.rate is not None and args.slope is not None:
-        return _run_direct(args, {"rate": args.rate, "slope": args.slope, "pairs": args.pairs}, _show_spectrum)
-    if args.task == "threshold" and args.scenario is None and args.c is not None:
-        return _run_direct(args, {"c": args.c, "tol": args.tol, "T_max": args.Tmax}, _show_threshold)
+    fields = {name: getattr(args, name) for _, name, _ in _FLAGS.get(args.task, ()) if getattr(args, name) is not None}
+    if args.scenario is None and fields:
+        return _run_direct(args, fields, _show_spectrum if args.task == "spectrum" else _show_threshold)
     return _run_from_scenario(args, args.task)
 
 

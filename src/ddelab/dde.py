@@ -59,30 +59,29 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class System:
-    """Parameter bundle: decay rate, feedback gain, and the nonlinearity."""
+    """Parameter bundle: decay rate, feedback gain, and the nonlinearity, whose type gives ``kind``."""
 
-    kind: str  # "limit" | "smooth"
     rate: float
     gain: float
     feedback: Feedback
 
     def __post_init__(self):
-        if self.kind not in ("limit", "smooth"):
-            raise ValueError("kind must be 'limit' or 'smooth'")
         if not (self.rate > 0.0 and self.gain > 0.0):
             raise ValueError("rate and gain must be positive")
-        if self.kind == "limit" and not isinstance(self.feedback, PowerCutoff):
-            raise ValueError("limit systems use the power-cutoff feedback")
-        if self.kind == "smooth" and not isinstance(self.feedback, Hill):
-            raise ValueError("smooth systems use the Hill feedback")
+        if not isinstance(self.feedback, (PowerCutoff, Hill)):
+            raise ValueError("feedback must be PowerCutoff (limit) or Hill (smooth)")
+
+    @property
+    def kind(self) -> str:
+        return "limit" if isinstance(self.feedback, PowerCutoff) else "smooth"
 
     @classmethod
     def limit(cls, c: float, d: float, k: float = 2.0) -> "System":
-        return cls("limit", float(c), float(d), PowerCutoff(k=k))
+        return cls(float(c), float(d), PowerCutoff(k=k))
 
     @classmethod
     def smooth(cls, a: float, b: float, k: float = 2.0, n: int = 100) -> "System":
-        return cls("smooth", float(a), float(b), Hill(k=k, n=n))
+        return cls(float(a), float(b), Hill(k=k, n=n))
 
 
 def _rk4_affine_coeffs(rate: float, h: float) -> tuple[float, float, float, float]:

@@ -12,7 +12,7 @@ it is never integrated backward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ class Landmarks:
     x_t1p1: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {"t1": self.t1, "t2": self.t2, "t3": self.t3, "eps": self.eps, "x_t1p1": self.x_t1p1}
+        return asdict(self)
 
 
 @dataclass
@@ -235,7 +235,7 @@ def convergence_table(c: float, d: float, k: float, n_grid) -> ConvergenceTable:
     ``1 + eps`` on the limit branch's super-threshold window.
     """
     limit_sys = System.limit(c, d, k=k)
-    xi1 = stationary_points(limit_sys, 0.999).interior().value
+    xi1, _ = _interior_data(limit_sys)
     kappa = 0.5 * (1.0 - xi1)
     x_sol = shoot_branch(limit_sys, "plus", kappa=kappa, T=18.0)
     lm = x_sol.landmarks

@@ -11,7 +11,6 @@ The two families used throughout the package are
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -59,10 +58,6 @@ class PowerCutoff:
     def clamped_power(self, xi: np.ndarray) -> np.ndarray:
         """Sub-cutoff branch evaluated with clipping; used on event-split pieces."""
         return np.power(np.minimum(np.maximum(xi, 0.0), 1.0), self.k)
-
-    def sup_deriv_unit(self) -> float:
-        """sup of the derivative on [0, 1] (attained at 1 for k >= 1)."""
-        return self.k if self.k >= 1.0 else math.inf
 
 
 @dataclass(frozen=True)

@@ -233,17 +233,16 @@ class FloquetReport:
         }
 
 
-def _dense_slope(traj: Trajectory, t: np.ndarray) -> np.ndarray:
-    """Time derivative of the dense output at ``t``.
+def _flow(traj: Trajectory, t: np.ndarray) -> np.ndarray:
+    """The vector field ``-rate x(t) + gain F(x(t - 1))`` along ``traj``.
 
-    A central difference a thousandth of a step wide, clipped at the horizon:
-    the slope of the computed solution itself, resolving transition layers
-    as finely as the integration does.
+    The delayed time is clamped at ``-1 + 1e-12``, inside the history.  On
+    the orbit's end segment this is the phase direction: Newton's
+    ``dS/domega`` and the trivial Floquet eigenvector.
     """
-    d = 1e-3 / traj.N
-    hi = np.minimum(t + d, traj.T)
-    lo = t - d
-    return (traj.eval_many(hi) - traj.eval_many(lo)) / (hi - lo)
+    system = traj.system
+    delayed = traj.eval_many(np.maximum(t - 1.0, -1.0 + 1e-12))
+    return -system.rate * traj.eval_many(t) + system.gain * system.feedback.value(np.maximum(delayed, 0.0))
 
 
 def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_int: Optional[int] = None) -> FloquetReport:
@@ -259,11 +258,12 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
     from a matrix that never does.
 
     The trivial multiplier is picked by its eigenvector, the one closest in
-    angle to the orbit's derivative on the mesh, not by its value: on long
-    multi-bump orbits the phase responds so strongly to perturbations that
-    the hat mesh's error in the derivative moves that multiplier far from 1
-    (``trivial_error`` then exceeds any gate), while the eigenvalue nearest 1
-    may belong to a strongly contracting direction.
+    angle to the flow on the end segment (``_flow``, the vector Newton uses
+    as ``dS/domega``), not by its value: on long multi-bump orbits the phase
+    responds so strongly to perturbations that the hat mesh's error in the
+    derivative moves that multiplier far from 1 (``trivial_error`` then
+    exceeds any gate), while the eigenvalue nearest 1 may belong to a
+    strongly contracting direction.
     """
     if system.kind != "smooth":
         raise ValueError("Floquet analysis needs the differentiable family")
@@ -276,7 +276,7 @@ def monodromy_multipliers(system: System, orbit: PeriodicOrbit, N: int = 200, N_
     eig, vecs = np.linalg.eig(M)
     order = np.argsort(-np.abs(eig))
     eig, vecs = eig[order], vecs[:, order]
-    phase = _dense_slope(base, orbit.omega + mesh)
+    phase = _flow(base, orbit.omega + mesh)
     trivial_idx = int(np.argmax(np.abs(phase @ vecs) / np.linalg.norm(vecs, axis=0)))
     trivial_err = float(np.abs(eig[trivial_idx] - 1.0))
     others = np.abs(np.delete(eig, trivial_idx))
@@ -411,12 +411,9 @@ def _newton_periodic(
         res = max(float(np.max(np.abs(R))), abs(phase))
         if res < 1e-10:
             return u, omega, base, res
-        Mmat = _period_map_matrix(base, N)
-        xi_end = base.eval_many(np.maximum(omega + mesh - 1.0, -1.0 + 1e-12))
-        dS_domega = -system.rate * Su + system.gain * system.feedback.value(np.maximum(xi_end, 0.0))
         J = np.zeros((N + 2, N + 2))
-        J[: N + 1, : N + 1] = Mmat - np.eye(N + 1)
-        J[: N + 1, N + 1] = dS_domega
+        J[: N + 1, : N + 1] = _period_map_matrix(base, N) - np.eye(N + 1)
+        J[: N + 1, N + 1] = _flow(base, omega + mesh)  # dS/domega
         J[N + 1, : N + 1] = w * ref_dphase
         rhs = np.concatenate([-R, [-phase]])
         try:

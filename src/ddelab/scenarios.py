@@ -39,8 +39,6 @@ from .threshold import envelopes, find_dstar
 
 __all__ = ["Scenario", "ScenarioError", "validate_scenario", "run_scenario", "FIGURE_PRESETS"]
 
-TASKS = ("simulate", "threshold", "envelope", "manifold", "spectrum", "periodic", "hopf", "diagram", "figure")
-
 _HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
 FIGURE_PRESETS = {
     "x1": {"a": 1.0, "b": 7.38, "k": 2.0, "n": 200},
@@ -620,3 +618,4 @@ _RUNNERS = {
     "diagram": _run_diagram,
     "figure": _run_figure,
 }
+TASKS = tuple(_RUNNERS)

@@ -17,13 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .dde import ParameterError, System, _bisect_crossings
-from .nonlinearity import Hill
 
 __all__ = [
     "StationaryPoint",
@@ -236,14 +235,7 @@ class SpectrumReport:
     residuals: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "slope": self.slope,
-            "lambda0": self.lambda0,
-            "pairs": [list(p) for p in self.pairs],
-            "beta_window": list(self.beta_window),
-            "residuals": list(self.residuals),
-        }
+        return asdict(self)
 
 
 def spectrum_report(rate: float, slope: float, count: int = 5) -> SpectrumReport:
@@ -311,20 +303,7 @@ class HopfData:
     omega_guess: float      # 2 pi / theta_n
 
     def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "theta": self.theta,
-            "theta_n": self.theta_n,
-            "beta_n": self.beta_n,
-            "alpha": self.alpha,
-            "a_n": self.a_n,
-            "b_n": self.b_n,
-            "transversality": self.transversality,
-            "xi1": self.xi1,
-            "xi1_n": self.xi1_n,
-            "slope_n": self.slope_n,
-            "omega_guess": self.omega_guess,
-        }
+        return asdict(self)
 
 
 def hopf_angles(c: float, slope_n: float, j: int) -> tuple[float, float]:
@@ -354,12 +333,11 @@ def hopf_data(c: float, d: float, k: float, n: int, j: int = 1, alpha: float = 0
     gap = abs(c - slope_limit * math.cos(theta))
     if gap > 1e-8:
         raise ParameterError("c", f"criticality violated: |c - slope*cos(theta_j)| = {gap:.3e}")
-    smooth = System.smooth(c, d, k=k, n=n)
     try:
-        xi1_n = stationary_points(smooth, ceiling=0.9).interior().value
+        interior = stationary_points(System.smooth(c, d, k=k, n=n), ceiling=0.9).interior()
     except ValueError:
         raise ParameterError("d", "no interior equilibrium below 0.9: gain too close to the rate") from None
-    slope_n = d * Hill(k=k, n=n).deriv(xi1_n)
+    xi1_n, slope_n = interior.value, interior.slope
     if slope_n <= c:
         raise ValueError("finite-n slope does not exceed the decay rate")
     theta_n, beta_n = hopf_angles(c, slope_n, j)

@@ -16,7 +16,7 @@ envelope's margin ledger (items 1-4).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -238,15 +238,8 @@ class EnvelopeData:
     w1: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        out = {
-            "c": self.c, "d": self.d, "d0": self.d0, "d1": self.d1,
-            "tau0": self.tau0, "tau1": self.tau1, "m0": self.m0, "m1": self.m1,
-            "sigma": self.sigma, "delta": self.delta, "big_delta": self.big_delta,
-            "k1": self.k1, "k2": self.k2, "nu1": self.nu1,
-            "m0_n": self.m0_n, "m1_n": self.m1_n, "sigma_n": self.sigma_n,
-            "ledger": self.ledger,
-        }
-        return out
+        """Every field but the functions ``w0`` and ``w1``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("w0", "w1")}
 
 
 def envelopes(c: float, d: float, d0: float, k: float = 2.0) -> EnvelopeData:
@@ -296,7 +289,7 @@ def envelopes(c: float, d: float, d0: float, k: float = 2.0) -> EnvelopeData:
     if not np.any(ok):
         raise ValueError("no admissible margin window; parameters too extreme")
     big_delta = float(dg[ok][-1])
-    k1 = 4.0 + 2.0 * d * g.sup_deriv_unit()
+    k1 = 4.0 + 2.0 * d * k  # sup of g' = k x^(k-1) on [0, 1] is k, as interior_equilibrium required k > 1
     k2 = 2.0 + big_delta * k1
 
     # bound 3 integrates e^{cs} g(e^{-c(s-1)}) over [1, 1 + Delta], where g(x) = x^k

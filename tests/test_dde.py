@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -33,6 +34,18 @@ from ddelab.spectrum import stationary_points
 def random_history(rng, lo, hi, n_nodes=10):
     nodes = np.linspace(-1.0, 0.0, n_nodes)
     return HistoryFunction.from_samples(nodes, rng.uniform(lo, hi, size=n_nodes))
+
+
+class TestSystem:
+    def test_kind_is_read_off_the_feedback(self):
+        """``System`` holds rate, gain and feedback; the feedback's type is its kind."""
+        assert [f.name for f in dataclasses.fields(System)] == ["rate", "gain", "feedback"]
+        assert System.limit(1.0, 2.0).kind == "limit"
+        assert System.smooth(1.0, 2.0).kind == "smooth"
+
+    def test_other_feedback_rejected(self):
+        with pytest.raises(ValueError, match="feedback"):
+            System(1.0, 2.0, lambda xi: xi)
 
 
 class TestIntegrate:

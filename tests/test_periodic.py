@@ -95,6 +95,26 @@ class TestDetect:
         assert orbit is not None
         assert abs(orbit.omega / x1_diagram.orbit.omega - 1.0) < 1e-9
 
+    def test_anchor_within_a_period_of_the_window_checks_the_next_period(self, monkeypatch):
+        """No full period lies before the anchor, so the return must also close one period after it."""
+        traj = integrate(System.smooth(1.0, 7.38, n=100), HistoryFunction.constant(1.2), 104.3, N=400)
+        seen = []
+        distance = periodic._segment_distance
+
+        def recorded(tr, t_a, t_b):
+            seen.append((t_a, t_b, distance(tr, t_a, t_b)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(periodic, "_segment_distance", recorded)
+        # level 1.9 is crossed upward twice a period, and the window from 95.44 holds five of those crossings
+        orbit = detect_periodic(traj, level=1.9, transient=95.44)
+        assert orbit is not None and abs(orbit.omega - 2.8337906) < 1e-6
+        assert orbit.anchor - orbit.omega < traj.crossings(1.9, "up", t_lo=95.44)[0][0]
+        (a0, b0, r0), (a1, b1, r1) = seen
+        assert (a0, b0) == (orbit.anchor, orbit.anchor + orbit.omega)
+        assert (a1, b1) == (orbit.anchor + orbit.omega, orbit.anchor + 2 * orbit.omega)
+        assert orbit.residual == r1 > r0
+
 
 class TestMonodromy:
     def test_trivial_multiplier_near_one(self, x1_orbit_n100):
@@ -215,6 +235,56 @@ def test_one_stage_rule():
     assert periodic._stages(500.0) == [50.0, 100.0, 200.0, 400.0, 500.0]
     assert periodic._stages(250.0) == [50.0, 100.0, 200.0, 250.0]
     assert periodic._stages(40.0) == [40.0]
+
+
+def test_one_flow():
+    """Newton's ``dS/domega`` and the trivial Floquet direction both come from ``_flow``; no difference quotient is left."""
+    assert {"_newton_periodic", "monodromy_multipliers"} <= _callers(Path(periodic.__file__), "_flow")
+    assert not hasattr(periodic, "_dense_slope")
+
+
+def test_flow_is_the_newton_column_to_the_bit(monkeypatch):
+    """On the converged x3 base, ``_flow`` gives the bits of the inline expression Newton used before it."""
+    solved = []
+    newton = periodic._newton_periodic
+
+    def kept(system, *args):
+        solved.append((system, newton(system, *args)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(periodic, "_newton_periodic", kept)
+    assert hopf_orbit_search(HOPF_C, 7.95, 2.0, 100) is not None
+    system, (_, omega, base, _) = solved[-1]
+    mesh = np.linspace(-1.0, 0.0, 101)
+    Su = base.eval_many(omega + mesh)
+    xi_end = base.eval_many(np.maximum(omega + mesh - 1.0, -1.0 + 1e-12))
+    dS_domega = -system.rate * Su + system.gain * system.feedback.value(np.maximum(xi_end, 0.0))
+    assert periodic._flow(base, omega + mesh).tobytes() == dS_domega.tobytes()
+
+
+def _central_slope(traj, t):
+    """The difference quotient a thousandth of a step wide that picked the trivial eigenvector before ``_flow``."""
+    d = 1e-3 / traj.N
+    hi = np.minimum(t + d, traj.T)
+    lo = t - d
+    return (traj.eval_many(hi) - traj.eval_many(lo)) / (hi - lo)
+
+
+@pytest.mark.parametrize("case,N", [("x1", 200), ("x1", 400), ("x3", 120)])
+def test_flow_picks_the_central_difference_trivial_eigenvector(x1_orbit_n100, case, N):
+    if case == "x1":
+        system, _, orbit = x1_orbit_n100
+    else:
+        found = hopf_orbit_search(HOPF_C, 7.95, 2.0, 100)
+        system, orbit = found.system, found.orbit
+    base = integrate(system, orbit.q0, orbit.omega, N=periodic._orbit_mesh(system.feedback.n))
+    _, vecs = np.linalg.eig(periodic._period_map_matrix(base, N))
+    t = orbit.omega + np.linspace(-1.0, 0.0, N + 1)
+
+    def trivial(phase):
+        return int(np.argmax(np.abs(phase @ vecs) / np.linalg.norm(vecs, axis=0)))
+
+    assert trivial(periodic._flow(base, t)) == trivial(_central_slope(base, t))
 
 
 def test_one_newton_seed():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import json
 import math
@@ -29,7 +30,9 @@ from ddelab.scenarios import (
     run_scenario,
     validate_scenario,
 )
-from ddelab.spectrum import spectrum_report
+from ddelab.manifold import Landmarks
+from ddelab.spectrum import hopf_data, spectrum_report
+from ddelab.threshold import EnvelopeData, envelopes
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -135,6 +138,15 @@ class TestTopLevelValidation:
         with pytest.raises(ScenarioError) as err:
             validate_scenario(dict(_VALID[task], **{key: value}))
         assert _names(err.value.problems, key), err.value.problems
+
+    @pytest.mark.parametrize("task,key", [
+        ("envelope", "d0"), ("envelope", "c"), ("threshold", "c"), ("spectrum", "slope"), ("hopf", "d"),
+    ])
+    def test_missing_required_key_reads_missing(self, task, key):
+        doc = {k: v for k, v in _VALID[task].items() if k != key}
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(doc)
+        assert err.value.problems == [f"{key}: missing"]
 
     def test_seed_is_unknown_to_simulate(self):
         with pytest.raises(ScenarioError) as err:
@@ -482,6 +494,16 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         assert "error: c:" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("args,field", [
+        (("spectrum", "--rate", "1"), "slope"),
+        (("threshold", "--tol", "1e-3"), "c"),
+    ])
+    def test_partial_direct_flags_name_the_missing_field(self, capsys, args, field):
+        """Any direct flag without ``--scenario`` runs the direct path; a flag left out is a missing field."""
+        proc = self.main_cli(capsys, *args)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {field}: missing\n"
+
     def test_threshold_small_rate_exit_zero(self, capsys):
         # the first ladder rung, 1.1c, already reaches the cutoff
         proc = self.main_cli(capsys, "threshold", "--c", "0.1")
@@ -660,6 +682,47 @@ def test_threshold_flags_print_the_scenario_artifact(tmp_path, capsys):
     path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 1e-3})
     run_scenario(str(path), out_dir=str(tmp_path / "out"))
     assert printed == json.loads((tmp_path / "out" / "threshold.json").read_text())
+
+
+def _run_twice(tmp_path, doc) -> dict:
+    """Run ``doc`` through the CLI into two directories; each must exit 0 and write the same bytes."""
+    path = write_scenario(tmp_path, doc)
+    runs = []
+    for out in (tmp_path / "o1", tmp_path / "o2"):
+        assert main([doc["task"], "--scenario", str(path), "--out", str(out)]) == 0
+        runs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+@pytest.mark.parametrize("doc,names", [
+    ({"name": "f", "task": "figure", "preset": "x3"}, {"hopf_orbit.csv", "plus.csv", "minus.csv", "figure.svg"}),
+    ({"name": "f", "task": "figure", "preset": "x4"}, {"hopf_orbit.csv", "plus.csv", "minus.csv", "figure.svg"}),
+    ({"name": "e", "task": "envelope", "c": 1.0, "d": 7.38, "d0": 6.5}, {"envelope.json"}),
+], ids=["figure-x3", "figure-x4", "envelope"])
+def test_runner_writes_its_artifacts_and_reruns_to_the_byte(tmp_path, capsys, doc, names):
+    assert set(_run_twice(tmp_path, doc)) == names | {"manifest.json"}
+
+
+@pytest.mark.parametrize("history,value", [(None, 1.0), ({"kind": "constant", "value": 0.5}, 0.5)],
+                         ids=["default", "constant"])
+def test_simulate_starts_from_its_history(tmp_path, capsys, history, value):
+    """Without a history the run starts from the constant 1; a constant history starts from its value."""
+    doc = {"name": "s", "task": "simulate", "system": {"kind": "limit", "c": 1.0, "d": 7.38}, "T": 5.0}
+    files = _run_twice(tmp_path, doc if history is None else dict(doc, history=history))
+    assert set(files) == {"trajectory.csv", "events.json", "manifest.json"}
+    t0, x0, x_delayed0, _ = map(float, files["trajectory.csv"].decode().splitlines()[1].split(","))
+    assert (t0, x0, x_delayed0) == (0.0, value, value)
+
+
+def test_records_serialize_their_own_fields():
+    """Each record's ``to_dict`` holds exactly its fields (``EnvelopeData`` without its two functions)."""
+    for record in (hopf_data(_HOPF_RATE, 25.0, 2.0, 100), Landmarks(t1=1.0, t2=2.0),
+                   spectrum_report(1.0, 2.0, 3), envelopes(1.0, 7.38, 6.5)):
+        names = {f.name for f in dataclasses.fields(record)}
+        if isinstance(record, EnvelopeData):
+            names -= {"w0", "w1"}
+        assert set(record.to_dict()) == names, type(record).__name__
 
 
 def _scenario_functions() -> dict:
