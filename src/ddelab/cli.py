@@ -3,9 +3,10 @@
 Every task accepts a scenario file; ``spectrum`` and ``threshold`` also take
 direct flags for quick interactive use.  Without ``--scenario``, the flags
 given make the task's scenario, validated as the fields of the same names (a
-flag left out keeps the runner's default) and run in memory by the same
-runner; its one artifact is printed, not written.  Exit codes: 0 all verdicts
-resolved, 2 validation failure, 3 at least one verdict unresolved.
+flag left out takes the default of ``scenarios._TASKS``, and each flag has
+its field's type) and run in memory by the same runner; its one artifact is
+printed, not written.  Exit codes: 0 all verdicts resolved, 2 validation
+failure, 3 at least one verdict unresolved.
 """
 from __future__ import annotations
 
@@ -77,9 +78,9 @@ def _show_threshold(doc: dict) -> None:
     print(json.dumps(doc, indent=1))
 
 
-_FLAGS = {  # each task's direct flags: (flag, scenario field, type)
-    "spectrum": (("--rate", "rate", float), ("--slope", "slope", float), ("--pairs", "pairs", int)),
-    "threshold": (("--c", "c", float), ("--tol", "tol", float), ("--Tmax", "T_max", float)),
+_FLAGS = {  # each task's direct flags: (flag, scenario field), typed by the field's cast
+    "spectrum": (("--rate", "rate"), ("--slope", "slope"), ("--pairs", "pairs")),
+    "threshold": (("--c", "c"), ("--tol", "tol"), ("--Tmax", "T_max")),
 }
 
 
@@ -89,11 +90,11 @@ def main(argv=None) -> int:
     for task in TASKS:
         p = sub.add_parser(task, help=f"run a '{task}' scenario")
         _add_common(p)
-        for flag, name, kind in _FLAGS.get(task, ()):
-            p.add_argument(flag, dest=name, type=kind)
+        for flag, name in _FLAGS.get(task, ()):
+            p.add_argument(flag, dest=name, type=scenarios._RULES[name][2])
 
     args = parser.parse_args(argv)
-    fields = {name: getattr(args, name) for _, name, _ in _FLAGS.get(args.task, ()) if getattr(args, name) is not None}
+    fields = {name: getattr(args, name) for _, name in _FLAGS.get(args.task, ()) if getattr(args, name) is not None}
     if args.scenario is None and fields:
         return _run_direct(args, fields, _show_spectrum if args.task == "spectrum" else _show_threshold)
     return _run_from_scenario(args, args.task)

@@ -104,7 +104,8 @@ def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[fl
     from the anchor.  The anchor is the crossing 70% into the window, or the
     last one a period before the horizon if that is earlier.  The return must
     then close within ``_RETURN_TOL`` at two anchors a period apart.  Returns
-    None when fewer than 4 crossings exist, when no lag passes, or when the
+    None when fewer than 4 crossings exist, when no lag passes, when the
+    window holds no second period before or after the anchor, or when the
     return residual fails.
     """
     transient = 0.5 * traj.T if transient is None else transient
@@ -130,6 +131,8 @@ def detect_periodic(traj: Trajectory, level: float = 1.0, transient: Optional[fl
         resid = max(resid, _segment_distance(traj, anchor - omega, anchor))
     elif anchor + 2 * omega <= traj.T:
         resid = max(resid, _segment_distance(traj, anchor + omega, anchor + 2 * omega))
+    else:
+        return None
     if resid >= _RETURN_TOL:
         return None
     return _orbit_record(traj, anchor, omega, level, resid)

@@ -40,11 +40,13 @@ from .threshold import envelopes, find_dstar
 __all__ = ["Scenario", "ScenarioError", "validate_scenario", "run_scenario", "FIGURE_PRESETS"]
 
 _HOPF_C = 5.0 * math.pi / (3.0 * math.sqrt(3.0))
+# x3 and x4 draw the small saddle orbit, searched on the detuning grid
+# ``alphas`` (None: the search's default grid); x1 and x2 draw the branches
 FIGURE_PRESETS = {
     "x1": {"a": 1.0, "b": 7.38, "k": 2.0, "n": 200},
     "x2": {"a": 4.0, "b": 12.71, "k": 2.0, "n": 200},
-    "x3": {"a": _HOPF_C, "b": 7.95, "k": 2.0, "n": 100},
-    "x4": {"a": _HOPF_C, "b": 25.0, "k": 2.0, "n": 100},
+    "x3": {"a": _HOPF_C, "b": 7.95, "k": 2.0, "n": 100, "alphas": None},
+    "x4": {"a": _HOPF_C, "b": 25.0, "k": 2.0, "n": 100, "alphas": (0.2,)},
 }
 
 
@@ -63,18 +65,23 @@ class Scenario:
     def to_json(self) -> dict:
         return dict(self.spec)
 
+    @property
+    def params(self) -> dict:
+        """Each of the task's keys: its value as given, through its cast, or else its default."""
+        return {
+            key: (_RULES[key][2](self.spec[key]) if key in _RULES else self.spec[key]) if key in self.spec else default
+            for key, default in _TASKS[self.task].items()
+        }
 
-def _check_positive(problems, spec, path, key, required=True):
-    where = f"{path}.{key}" if path else key
+
+def _check_positive(problems, spec, path, key):
     if key not in spec:
-        if required:
-            problems.append(f"{where}: missing")
+        problems.append(f"{path}.{key}: missing")
         return None
-    v = spec[key]
-    if not _is_positive(v):
-        problems.append(f"{where}: must be a positive number")
+    if not _is_positive(spec[key]):
+        problems.append(f"{path}.{key}: must be a positive number")
         return None
-    return float(v)
+    return float(spec[key])
 
 
 def _is_positive(v) -> bool:
@@ -88,8 +95,8 @@ def _is_int(v, lo: int) -> bool:
 _SYSTEM_KEYS = {"kind", "a", "b", "c", "d", "k", "n"}
 
 
-def _check_system(problems, spec, path="system"):
-    """Check a system object; returns its rate, its gain (None where invalid) and the gain's key."""
+def _check_system(problems, spec, k_rule, path="system"):
+    """Check a system object, its ``k`` by ``k_rule``; returns its rate, gain (None where invalid) and gain key."""
     if not isinstance(spec, dict):
         problems.append(f"{path}: must be an object")
         return None, None, None
@@ -103,7 +110,10 @@ def _check_system(problems, spec, path="system"):
     rate_key, gain_key = ("c", "d") if kind == "limit" else ("a", "b")
     rate = _check_positive(problems, spec, path, rate_key)
     gain = _check_positive(problems, spec, path, gain_key)
-    k = _check_positive(problems, spec, path, "k") if "k" in spec else 2.0
+    k = spec.get("k", 2.0)
+    if not k_rule[0](k):
+        problems.append(f"{path}.k: must be {k_rule[1]}")
+        k = None
     if kind == "smooth":
         _check_hill_order(problems, f"{path}.n", spec.get("n"), k)
     return rate, gain, f"{path}.{gain_key}"
@@ -173,50 +183,52 @@ def _history_from(spec, system: System) -> HistoryFunction:
         raise ParameterError("history.values", "the interpolated history overflows the float range") from None
 
 
-_TOP_KEYS = {
-    "simulate": {"name", "task", "system", "history", "T", "N", "plot"},
-    "threshold": {"name", "task", "c", "k", "tol", "T_max", "bracket"},
-    "envelope": {"name", "task", "c", "d", "d0", "k"},
-    "manifold": {"name", "task", "system", "branch", "kappa", "eps_seed", "T", "N"},
-    "spectrum": {"name", "task", "rate", "slope", "pairs"},
-    "periodic": {"name", "task", "system", "T", "N", "transient", "level"},
-    "hopf": {"name", "task", "c", "d", "k", "n", "j", "alpha_grid"},
-    "diagram": {"name", "task", "c", "d", "k", "n", "with_hopf", "alpha_grid", "T_orbit", "N"},
-    "figure": {"name", "task", "preset", "T", "N"},
+_POSITIVE = (_is_positive, "a positive number", float)
+# the equilibrium (c/d)^(1/(k-1)) is below the cutoff only for k > 1
+_ABOVE_ONE = (lambda v: _is_finite(v) and v > 1, "a number above 1", float)
+
+# each top-level key but system and history: the rule its value must meet,
+# the rule's wording, and the cast a runner reads the value through
+_RULES = {
+    **dict.fromkeys(("c", "d", "d0", "rate", "slope", "T", "tol", "level", "T_orbit"), _POSITIVE),
+    **dict.fromkeys(("plot", "with_hopf"), (lambda v: isinstance(v, bool), "a boolean", bool)),
+    **dict.fromkeys(("pairs", "j"), (lambda v: _is_int(v, 1), "an integer >= 1", int)),
+    "k": _ABOVE_ONE,
+    "T_max": _ABOVE_ONE,  # the probe's decay profile fills the first unit of its horizon
+    "n": (lambda v: _is_int(v, 2), "an integer >= 2", int),
+    "N": (lambda v: _is_int(v, 100), "an integer >= 100", int),
+    # cast to the values as given: an integer bracket prints as one
+    "bracket": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)) and v[0] < v[1],
+                "two positive numbers [lo, hi] with lo < hi", tuple),
+    # the sign by branch is a cross-field check
+    "kappa": (lambda v: _is_finite(v) and 0 < abs(v) < 1,
+              "a number in (0, 1) on the plus branch and in (-1, 0) on the minus branch", float),
+    "eps_seed": (lambda v: _is_finite(v) and 0 < v <= 1e-4, "a number in (0, 1e-4]", float),
+    "transient": (lambda v: _is_finite(v) and v >= 0, "a nonnegative number", float),
+    # each detuning scales the rates by 1 + alpha
+    "alpha_grid": (lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(a) and a > -1 for a in v),
+                   "a non-empty list of numbers above -1", lambda v: tuple(map(float, v))),
+    "branch": (lambda v: v in ("plus", "minus"), "'plus' or 'minus'", str),
+    "preset": (lambda v: isinstance(v, str) and v in FIGURE_PRESETS, f"one of {', '.join(sorted(FIGURE_PRESETS))}", str),
 }
 
-_POSITIVE = (_is_positive, "a positive number")
-
-# the optional top-level keys: the rule a value must meet, and its wording
-_OPTIONAL_RULES = {
-    # threshold, envelope, hopf, diagram: the equilibrium (c/d)^(1/(k-1)) is below the cutoff only for k > 1
-    "k": (lambda v: _is_finite(v) and v > 1, "a number above 1"),
-    "T": _POSITIVE,
-    "N": (lambda v: _is_int(v, 100), "an integer >= 100"),
-    "tol": _POSITIVE,
-    # the probe's decay profile fills the first unit of its horizon
-    "T_max": (lambda v: _is_finite(v) and v > 1, "a number above 1"),
-    "bracket": (
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)) and v[0] < v[1],
-        "two positive numbers [lo, hi] with lo < hi",
-    ),
-    "pairs": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "j": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "eps_seed": (lambda v: _is_finite(v) and 0 < v <= 1e-4, "a number in (0, 1e-4]"),
-    "transient": (lambda v: _is_finite(v) and v >= 0, "a nonnegative number"),
-    "level": _POSITIVE,
-    "T_orbit": _POSITIVE,
-    # each detuning scales the rates by 1 + alpha
-    "alpha_grid": (
-        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(a) and a > -1 for a in v),
-        "a non-empty list of numbers above -1",
-    ),
-    "plot": (lambda v: isinstance(v, bool), "a boolean"),
-    "with_hopf": (lambda v: isinstance(v, bool), "a boolean"),
+# each task's keys besides name and task, with their defaults; ... marks a
+# required key, and the periodic transient None reads 70% of T
+_TASKS = {
+    "simulate": {"system": ..., "history": None, "T": 50.0, "N": 200, "plot": False},
+    "threshold": {"c": ..., "k": 2.0, "tol": 1e-4, "T_max": 400.0, "bracket": None},
+    "envelope": {"c": ..., "d": ..., "d0": ..., "k": 2.0},
+    "manifold": {"system": ..., "branch": ..., "kappa": None, "eps_seed": None, "T": 30.0, "N": 200},
+    "spectrum": {"rate": ..., "slope": ..., "pairs": 5},
+    "periodic": {"system": ..., "T": 500.0, "N": 400, "transient": None, "level": 1.0},
+    "hopf": {"c": ..., "d": ..., "k": 2.0, "n": ..., "j": 1, "alpha_grid": None},
+    "diagram": {"c": ..., "d": ..., "k": 2.0, "n": ..., "with_hopf": False, "alpha_grid": None, "T_orbit": 500.0, "N": 200},
+    "figure": {"preset": ..., "T": 60.0, "N": 400},
 }
 
 
 def validate_scenario(doc: dict) -> Scenario:
+    """One pass over the document (unknown key, failed rule, missing required key), then the cross-field checks."""
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise ScenarioError(["document: must be a JSON object"])
@@ -227,53 +239,42 @@ def validate_scenario(doc: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         problems.append("name: missing or empty")
         name = "unnamed"
-    for key in doc:
-        if key not in _TOP_KEYS[task]:
+    keys = _TASKS[task]
+    good = {}  # the values that meet their rule
+    for key, value in doc.items():
+        if key in ("name", "task"):
+            continue
+        if key not in keys:
             problems.append(f"{key}: unknown key for task '{task}'")
-        elif key in _OPTIONAL_RULES and not _OPTIONAL_RULES[key][0](doc[key]):
-            problems.append(f"{key}: must be {_OPTIONAL_RULES[key][1]}")
+        elif key in _RULES and not _RULES[key][0](value):
+            problems.append(f"{key}: must be {_RULES[key][1]}")
+        else:
+            good[key] = value
+    problems += [f"{key}: missing" for key, default in keys.items() if default is ... and key not in doc]
 
-    if task in ("simulate", "manifold", "periodic"):
-        rate, gain, gain_key = _check_system(problems, doc.get("system"))
-    if task == "simulate":
-        _check_history(problems, doc.get("history"))
-    if task == "manifold":
-        # the branches leave an interior equilibrium, which needs gain > rate
-        if None not in (rate, gain) and not gain > rate:
+    if "system" in good:
+        # the branches leave an interior equilibrium, which needs k > 1 and gain > rate
+        rate, gain, gain_key = _check_system(problems, good["system"], _ABOVE_ONE if task == "manifold" else _POSITIVE)
+        if task == "manifold" and None not in (rate, gain) and not gain > rate:
             problems.append(f"{gain_key}: must exceed the system's rate")
-        if doc.get("branch") not in ("plus", "minus"):
-            problems.append("branch: must be 'plus' or 'minus'")
-        elif "kappa" in doc:
-            # necessary, not sufficient: the equilibrium lies in (0, 1), and the
-            # marker between it and the cutoff (plus) or zero (minus)
-            sign = 1.0 if doc["branch"] == "plus" else -1.0
-            if not (_is_finite(doc["kappa"]) and 0.0 < sign * doc["kappa"] < 1.0):
-                problems.append("kappa: must lie in (0, 1) on the plus branch and in (-1, 0) on the minus branch")
-    if task in ("threshold", "envelope", "hopf", "diagram"):
-        c = _check_positive(problems, doc, "", "c")
-        bracket = doc.get("bracket")
-        if task == "threshold" and c is not None and _OPTIONAL_RULES["bracket"][0](bracket) and bracket[0] <= c:
-            problems.append("bracket: lower end must exceed c")
-    if task in ("envelope", "hopf", "diagram"):
-        d = _check_positive(problems, doc, "", "d")
+    if "history" in good:
+        _check_history(problems, good["history"])
+    # necessary, not sufficient: the equilibrium lies in (0, 1), and the
+    # marker between it and the cutoff (plus) or zero (minus)
+    if "branch" in good and "kappa" in good and (good["branch"] == "plus") != (good["kappa"] > 0):
+        problems.append(f"kappa: must be {_RULES['kappa'][1]}")
+    c, d = good.get("c"), good.get("d")
+    if c is not None and "bracket" in good and good["bracket"][0] <= c:
+        problems.append("bracket: lower end must exceed c")
     if task in ("hopf", "diagram") and None not in (c, d) and not d > c:
         problems.append("d: must exceed c")
-    if task == "envelope":
-        d0 = _check_positive(problems, doc, "", "d0")
-        if None not in (c, d, d0) and not c < d0 < d:
-            problems.append("d0: must lie in (c, d)")
-    if task in ("hopf", "diagram"):
-        k = doc.get("k", 2.0)
-        _check_hill_order(problems, "n", doc.get("n"), k if _OPTIONAL_RULES["k"][0](k) else None)
-    if task == "spectrum":
-        _check_positive(problems, doc, "", "rate")
-        _check_positive(problems, doc, "", "slope")
-    if task == "figure":
-        if doc.get("preset") not in FIGURE_PRESETS:
-            problems.append(f"preset: must be one of {', '.join(sorted(FIGURE_PRESETS))}")
-        elif doc["preset"] in ("x3", "x4") and _is_positive(doc.get("T")) and doc["T"] < 1.0:
-            # the phase plot of the disk run draws x(t) against x(t - 1) from t = 1
-            problems.append("T: must be at least 1 for presets x3 and x4")
+    if None not in (c, d, good.get("d0")) and not c < good["d0"] < d:
+        problems.append("d0: must lie in (c, d)")
+    if "n" in good and ("k" in good or "k" not in doc):
+        _check_hill_order(problems, "n", good["n"], good.get("k", 2.0))
+    # the phase plot of the disk run draws x(t) against x(t - 1) from t = 1
+    if "preset" in good and "alphas" in FIGURE_PRESETS[good["preset"]] and good.get("T", 1.0) < 1.0:
+        problems.append("T: must be at least 1 for presets x3 and x4")
     if problems:
         raise ScenarioError(problems)
     return Scenario(name=name, task=task, spec=dict(doc))
@@ -442,16 +443,15 @@ def _traj_columns(traj) -> dict:
 
 
 def _run_simulate(sc: Scenario):
-    system = _system_from(sc.spec["system"])
-    history = _history_from(sc.spec.get("history"), system)
-    T = float(sc.spec.get("T", 50.0))
-    N = int(sc.spec.get("N", 200))
-    traj = integrate(system, history, T, N=N)
+    p = sc.params
+    system = _system_from(p["system"])
+    T = p["T"]
+    traj = integrate(system, _history_from(p["history"], system), T, N=p["N"])
     arts = {
         "trajectory.csv": _traj_columns(traj),
         "events.json": [{"t": e["t"], "kind": e["kind"]} for e in traj.events],
     }
-    if sc.spec.get("plot", False):
+    if p["plot"]:
         sub = np.linspace(0.0, T, min(4001, math.ceil(20 * T) + 1))
         vals = traj.eval_many(sub)
         arts["plot.svg"] = emit_plot(
@@ -463,31 +463,20 @@ def _run_simulate(sc: Scenario):
 
 
 def _run_threshold(sc: Scenario):
-    c = float(sc.spec["c"])
-    res = find_dstar(
-        c,
-        bracket=tuple(sc.spec["bracket"]) if "bracket" in sc.spec else None,
-        tol=float(sc.spec.get("tol", 1e-4)),
-        T_max=float(sc.spec.get("T_max", 400.0)),
-        k=float(sc.spec.get("k", 2.0)),
-    )
-    return {"threshold.json": {"c": c, **res.to_dict()}}, bool(res.unresolved)
+    p = sc.params
+    res = find_dstar(p["c"], bracket=p["bracket"], tol=p["tol"], T_max=p["T_max"], k=p["k"])
+    return {"threshold.json": {"c": p["c"], **res.to_dict()}}, bool(res.unresolved)
 
 
 def _run_envelope(sc: Scenario):
-    env = envelopes(float(sc.spec["c"]), float(sc.spec["d"]), float(sc.spec["d0"]), k=float(sc.spec.get("k", 2.0)))
-    return {"envelope.json": env.to_dict()}, False
+    p = sc.params
+    return {"envelope.json": envelopes(p["c"], p["d"], p["d0"], k=p["k"]).to_dict()}, False
 
 
 def _run_manifold(sc: Scenario):
-    system = _system_from(sc.spec["system"])
+    p = sc.params
     sol = shoot_branch(
-        system,
-        sc.spec["branch"],
-        kappa=sc.spec.get("kappa"),
-        eps_seed=sc.spec.get("eps_seed"),
-        T=float(sc.spec.get("T", 30.0)),
-        N=int(sc.spec.get("N", 200)),
+        _system_from(p["system"]), p["branch"], kappa=p["kappa"], eps_seed=p["eps_seed"], T=p["T"], N=p["N"]
     )
     lo, hi = sol.domain
     tt = np.linspace(max(lo, -15.0), hi - 0.5, 4001)
@@ -497,22 +486,20 @@ def _run_manifold(sc: Scenario):
 
 
 def _run_spectrum(sc: Scenario):
-    rep = spectrum_report(float(sc.spec["rate"]), float(sc.spec["slope"]), int(sc.spec.get("pairs", 5)))
-    return {"spectrum.json": rep.to_dict()}, False
+    p = sc.params
+    return {"spectrum.json": spectrum_report(p["rate"], p["slope"], p["pairs"]).to_dict()}, False
 
 
 def _run_periodic(sc: Scenario):
-    system = _system_from(sc.spec["system"])
-    T = float(sc.spec.get("T", 500.0))
-    N = int(sc.spec.get("N", 400))
-    level = float(sc.spec.get("level", 1.0))
-    transient = float(sc.spec.get("transient", 0.7 * T))
+    p = sc.params
+    system = _system_from(p["system"])
+    transient = 0.7 * p["T"] if p["transient"] is None else p["transient"]
 
     def run(N_run, T_run):
         traj = integrate(system, HistoryFunction.constant(1.2), T_run, N=N_run)
         return traj, traj, 0.0
 
-    _, orbit, flo, _ = find_orbit(system, run, N, T, level=level, transient=transient)
+    _, orbit, flo, _ = find_orbit(system, run, p["N"], p["T"], level=p["level"], transient=transient)
     if orbit is None:
         return {"orbit.json": {"found": False}}, True
     doc = {"found": True, **orbit.to_dict()}
@@ -525,13 +512,8 @@ def _run_periodic(sc: Scenario):
 
 
 def _run_hopf(sc: Scenario):
-    kwargs = {}
-    if "alpha_grid" in sc.spec:
-        kwargs["alphas"] = tuple(float(a) for a in sc.spec["alpha_grid"])
-    found = hopf_orbit_search(
-        float(sc.spec["c"]), float(sc.spec["d"]), float(sc.spec.get("k", 2.0)),
-        int(sc.spec["n"]), j=int(sc.spec.get("j", 1)), **kwargs,
-    )
+    p = sc.params
+    found = hopf_orbit_search(p["c"], p["d"], p["k"], p["n"], j=p["j"], alphas=p["alpha_grid"])
     if found is None:
         return {"hopf.json": {"found": False}}, True
     doc = {
@@ -546,30 +528,22 @@ def _run_hopf(sc: Scenario):
 
 
 def _run_diagram(sc: Scenario):
-    kwargs = {}
-    if "alpha_grid" in sc.spec:
-        kwargs["hopf_alphas"] = tuple(float(a) for a in sc.spec["alpha_grid"])
-    if "T_orbit" in sc.spec:
-        kwargs["T_orbit"] = float(sc.spec["T_orbit"])
-    if "N" in sc.spec:
-        kwargs["N"] = int(sc.spec["N"])
-    diag = connection_diagram(
-        float(sc.spec["c"]), float(sc.spec["d"]), float(sc.spec.get("k", 2.0)),
-        int(sc.spec["n"]), with_hopf=bool(sc.spec.get("with_hopf", False)), **kwargs,
-    )
+    p = sc.params
+    diag = connection_diagram(p["c"], p["d"], p["k"], p["n"], with_hopf=p["with_hopf"], hopf_alphas=p["alpha_grid"],
+                              N=p["N"], T_orbit=p["T_orbit"])
     return {"diagram.json": diag.to_dict()}, bool(diag.unresolved)
 
 
 def _run_figure(sc: Scenario):
-    preset = FIGURE_PRESETS[sc.spec["preset"]]
+    p = sc.params
+    preset = FIGURE_PRESETS[p["preset"]]
     a, b, k, n = preset["a"], preset["b"], preset["k"], preset["n"]
     system = System.smooth(a, b, k=k, n=n)
-    T = float(sc.spec.get("T", 60.0))
-    N = int(sc.spec.get("N", 400))
+    T, N = p["T"], p["N"]
     arts = {}
     series = []
     phase = []
-    if sc.spec["preset"] in ("x1", "x2"):
+    if "alphas" not in preset:
         plus = shoot_branch(system, "plus", T=T, N=N)
         minus = shoot_branch(system, "minus", T=min(T, 40.0), N=N)
         for name, sol in (("plus", plus), ("minus", minus)):
@@ -585,7 +559,7 @@ def _run_figure(sc: Scenario):
         sel = np.linspace(1.0, plus.domain[1] - 0.5, 3001)
         phase.append((plus.eval_many(sel), plus.eval_many(sel - 1.0), "plus"))
     else:
-        found = hopf_orbit_search(a, b, k, n, j=1, alphas=(0.2,) if sc.spec["preset"] == "x4" else None)
+        found = hopf_orbit_search(a, b, k, n, j=1, alphas=preset["alphas"])
         if found is None:
             return {"figure.json": {"found": False}}, True
         orbit, sysn = found.orbit, found.system
@@ -603,7 +577,7 @@ def _run_figure(sc: Scenario):
             if name == "plus":
                 sel = np.linspace(1.0, T, 3001)
                 phase.append((traj.eval_many(sel), traj.eval_many(sel - 1.0), "plus"))
-    arts["figure.svg"] = emit_plot(series, phase=phase or None, title=f"preset {sc.spec['preset']}")
+    arts["figure.svg"] = emit_plot(series, phase=phase or None, title=f"preset {p['preset']}")
     return arts, False
 
 

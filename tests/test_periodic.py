@@ -115,6 +115,23 @@ class TestDetect:
         assert (a1, b1) == (orbit.anchor + orbit.omega, orbit.anchor + 2 * orbit.omega)
         assert orbit.residual == r1 > r0
 
+    def test_return_checked_at_one_anchor_only_is_refused(self, monkeypatch):
+        """No second period fits before the anchor or after it: the return cannot close at two anchors."""
+        traj = integrate(System.smooth(1.0, 7.38, n=100), HistoryFunction.constant(1.2), 100.0, N=400)
+        seen = []
+        distance = periodic._segment_distance
+
+        def recorded(tr, t_a, t_b):
+            seen.append((t_a, t_b))
+            return distance(tr, t_a, t_b)
+
+        monkeypatch.setattr(periodic, "_segment_distance", recorded)
+        assert detect_periodic(traj, level=1.9, transient=94.02) is None
+        # the one return the window holds: a 2.8338 period from the anchor, which closes to 1.5e-10
+        ((t_a, t_b),) = seen
+        assert abs(t_b - t_a - 2.8337906) < 1e-6 and distance(traj, t_a, t_b) < 1e-8
+        assert t_a - (t_b - t_a) < traj.crossings(1.9, "up", t_lo=94.02)[0][0] and t_b + (t_b - t_a) > traj.T
+
 
 class TestMonodromy:
     def test_trivial_multiplier_near_one(self, x1_orbit_n100):

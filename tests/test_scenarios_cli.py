@@ -23,7 +23,7 @@ from ddelab.periodic import connection_diagram
 from ddelab.plotting import _H, _PAD, _W, Series, emit_plot
 from ddelab.scenarios import (
     _CSV_BLOCK,
-    _TOP_KEYS,
+    _TASKS,
     ScenarioError,
     _traj_columns,
     _write_csv,
@@ -94,7 +94,8 @@ _BAD_VALUE = {
     "eps_seed": 1e-3, "transient": -1.0, "level": [1.0], "T_orbit": 0, "alpha_grid": [],
     "plot": 1, "with_hopf": "yes",
 }
-_TASK_KEYS = [(task, key) for task in _TOP_KEYS for key in sorted(_TOP_KEYS[task])]
+_TASK_KEYS = [(task, key) for task in _TASKS for key in sorted({"name", "task", *_TASKS[task]})]
+_REQUIRED = [(task, key) for task, keys in _TASKS.items() for key, default in keys.items() if default is ...]
 
 
 def _names(problems, key):
@@ -139,9 +140,7 @@ class TestTopLevelValidation:
             validate_scenario(dict(_VALID[task], **{key: value}))
         assert _names(err.value.problems, key), err.value.problems
 
-    @pytest.mark.parametrize("task,key", [
-        ("envelope", "d0"), ("envelope", "c"), ("threshold", "c"), ("spectrum", "slope"), ("hopf", "d"),
-    ])
+    @pytest.mark.parametrize("task,key", _REQUIRED)
     def test_missing_required_key_reads_missing(self, task, key):
         doc = {k: v for k, v in _VALID[task].items() if k != key}
         with pytest.raises(ScenarioError) as err:
@@ -152,6 +151,63 @@ class TestTopLevelValidation:
         with pytest.raises(ScenarioError) as err:
             validate_scenario(dict(SIM, seed=3))
         assert err.value.problems == ["seed: unknown key for task 'simulate'"]
+
+    @pytest.mark.parametrize("kind", [{"kind": "limit", "c": 1.0, "d": 7.38, "k": 0.5},
+                                      {"kind": "smooth", "a": 1.0, "b": 7.38, "k": 1, "n": 200}],
+                             ids=["limit", "smooth"])
+    def test_manifold_power_at_most_one_is_refused(self, kind):
+        """Without k > 1 there is no interior equilibrium to leave, whatever the gain."""
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(_VALID["manifold"], system=kind))
+        assert err.value.problems == ["system.k: must be a number above 1"]
+        for task in ("simulate", "periodic"):  # these need no interior equilibrium
+            validate_scenario(dict(_VALID[task], system=kind))
+
+    def test_preset_that_is_a_list_is_refused(self):
+        """An unhashable preset is named, not raised as a TypeError from the preset lookup."""
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(_VALID["figure"], preset=["x1"]))
+        assert err.value.problems == ["preset: must be one of x1, x2, x3, x4"]
+
+    def test_every_key_has_a_rule(self):
+        """The one table: each task key but system and history has a rule, a wording and a cast."""
+        for task, keys in _TASKS.items():
+            for key in keys:
+                assert key in ("system", "history") or len(scenarios._RULES[key]) == 3, (task, key)
+        assert set(_TASKS) == set(scenarios.TASKS)
+
+    # each optional key's default, as the runners wrote it out before the table held them
+    @pytest.mark.parametrize("task,defaults", [
+        ("simulate", {"history": None, "T": 50.0, "N": 200, "plot": False}),
+        ("threshold", {"k": 2.0, "tol": 1e-4, "T_max": 400.0, "bracket": None}),
+        ("envelope", {"k": 2.0}),
+        ("manifold", {"kappa": None, "eps_seed": None, "T": 30.0, "N": 200}),
+        ("spectrum", {"pairs": 5}),
+        ("periodic", {"T": 500.0, "N": 400, "transient": None, "level": 1.0}),
+        ("hopf", {"k": 2.0, "j": 1, "alpha_grid": None}),
+        ("diagram", {"k": 2.0, "with_hopf": False, "alpha_grid": None, "T_orbit": 500.0, "N": 200}),
+        ("figure", {"T": 60.0, "N": 400}),
+    ])
+    def test_params_fill_the_task_defaults(self, task, defaults):
+        """The valid document without its optional keys reads the required values as given, the rest by default."""
+        doc = {key: value for key, value in _VALID[task].items() if key not in defaults}
+        params = validate_scenario(doc).params
+        assert params == {**{key: doc[key] for key in set(doc) - {"name", "task"}}, **defaults}
+        assert all(type(params[key]) is type(value) for key, value in defaults.items())
+        assert set(defaults) == {key for key, default in _TASKS[task].items() if default is not ...}
+
+    def test_params_cast_what_is_given(self):
+        """Numbers read as floats, counts as ints, the alpha grid as floats; a bracket keeps its values."""
+        doc = {"name": "t", "task": "threshold", "c": 2, "bracket": [4, 5], "tol": 1, "T_max": 300, "k": 3}
+        params = validate_scenario(doc).params
+        assert params == {"c": 2.0, "bracket": (4, 5), "tol": 1.0, "T_max": 300.0, "k": 3.0}
+        assert [type(params[key]) for key in ("c", "tol", "T_max", "k")] == [float] * 4
+        assert [type(v) for v in params["bracket"]] == [int, int]
+        doc = dict(_VALID["diagram"], c=1, d=7, n=100, N=300, alpha_grid=[0, 1], T_orbit=60, with_hopf=True)
+        params = validate_scenario(doc).params
+        assert params["alpha_grid"] == (0.0, 1.0) and type(params["alpha_grid"][0]) is float
+        assert (type(params["c"]), type(params["n"]), type(params["N"]), type(params["T_orbit"])) == (float, int, int, float)
+        assert validate_scenario(doc).to_json() == doc  # the manifest embeds the document as given
 
 
 _BAD_HISTORIES = [
@@ -735,6 +791,25 @@ def _called_names(fn) -> set:
     return {getattr(func, "id", getattr(func, "attr", None)) for func in calls}
 
 
+def test_runners_read_typed_params():
+    """No runner reads ``sc.spec``: every key comes from ``Scenario.params``, one table's casts and defaults."""
+    for name, fn in _scenario_functions().items():
+        if name.startswith("_run_"):
+            assert not [n for n in ast.walk(fn) if isinstance(n, ast.Attribute) and n.attr == "spec"], name
+    assert not hasattr(scenarios, "_TOP_KEYS") and not hasattr(scenarios, "_OPTIONAL_RULES")
+
+
+def test_cli_flags_take_the_field_casts(capsys):
+    """A count flag is an int: ``--pairs 2.5`` is refused by the parser, as the field's cast would."""
+    from ddelab import cli
+
+    for task, flags in cli._FLAGS.items():
+        assert all(name in scenarios._TASKS[task] for _, name in flags)
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--rate", "1", "--slope", "2", "--pairs", "2.5"])
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+
+
 def test_one_runner_signature():
     """Every task runner takes the scenario alone: no output directory."""
     runners = {name: fn for name, fn in _scenario_functions().items() if name.startswith("_run_")}
@@ -806,3 +881,26 @@ def test_no_module_imports_scipy():
                 [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_audit_sets_every_optional_key(monkeypatch):
+    """``tools/artifact_audit.py`` sets each task's optional keys away from their defaults, some as integers."""
+    import importlib.util
+
+    # the script sets these as it loads; they are restored after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_audit.py"
+    spec = importlib.util.spec_from_file_location("artifact_audit", path)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    docs = audit.scenarios()
+    for doc in docs:
+        validate_scenario(doc)
+    for task, keys in _TASKS.items():
+        for key, default in keys.items():
+            if default is not ...:
+                assert any(doc["task"] == task and doc.get(key, default) != default for doc in docs), (task, key)
+    floats = {key for key, rule in scenarios._RULES.items() if rule[2] is float}
+    assert {key for doc in docs for key in floats if type(doc.get(key)) is int} >= {"c", "d", "d0", "T", "T_max"}

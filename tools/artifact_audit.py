@@ -8,8 +8,10 @@ count) and writes its artifacts and manifest to ``OUT_DIR/<name>/``.  ddelab
 is imported from ``src/`` of the checkout this file sits in, so two checkouts
 write the same bytes exactly when ``diff -r`` of their two ``OUT_DIR``\\ s is
 empty.  The set covers the benchmark's four workloads at seeds 1 and 2 (read
-from ``bench/workloads.py``), the figure presets, the slower diagrams, and
-every other task at least once.
+from ``bench/workloads.py``), the figure presets, the slower diagrams,
+every other task at least once, and every optional key of every task set
+away from its default at least once, so the comparison covers each value a
+runner reads.
 """
 from __future__ import annotations
 
@@ -64,6 +66,30 @@ def scenarios() -> list:
          "system": {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 200}},
         {"name": "simulate-limit-constant", "task": "simulate", "history": {"kind": "constant", "value": 0.5},
          "system": {"kind": "limit", "c": 1.0, "d": 7.38}},
+    ]
+    # every optional key the documents above leave at its default, set at
+    # least once, with integers where the runner reads a float
+    docs += [
+        {"name": "threshold-int", "task": "threshold", "c": 2, "bracket": [4, 5], "tol": 1e-3, "T_max": 300},
+        {"name": "threshold-k3", "task": "threshold", "c": 1, "k": 3, "tol": 1e-3},
+        {"name": "envelope-int-k3", "task": "envelope", "c": 1, "d": 8, "d0": 7, "k": 3},
+        {"name": "simulate-int-samples", "task": "simulate", "T": 12, "N": 150, "plot": True,
+         "history": {"kind": "samples", "mesh": [-1, -0.5, 0], "values": [1, 2, 0.5]},
+         "system": {"kind": "limit", "c": 1, "d": 7, "k": 3}},
+        {"name": "manifold-plus-set", "task": "manifold", "branch": "plus", "kappa": 0.3, "eps_seed": 1e-6,
+         "T": 12, "N": 150, "system": {"kind": "limit", "c": 1, "d": 7}},
+        {"name": "spectrum-int", "task": "spectrum", "rate": 1, "slope": 3, "pairs": 3},
+        {"name": "periodic-int", "task": "periodic", "T": 120, "N": 300, "transient": 60, "level": 0.9,
+         "system": {"kind": "limit", "c": 1, "d": 7}},
+        # c at the crossing-pair criticality of the j-th band, cos(theta) = 1/k
+        {"name": "hopf-j2", "task": "hopf", "c": 11 * math.pi / (3 * math.sqrt(3)), "d": 20, "k": 2, "n": 100, "j": 2},
+        {"name": "hopf-k3", "task": "hopf", "c": (2 * math.pi - math.acos(1 / 3)) / math.sqrt(8), "d": 6, "k": 3,
+         "n": 100},
+        {"name": "diagram-x1-set", "task": "diagram", "c": 1, "d": 7.38, "k": 3, "n": 200, "N": 300, "T_orbit": 60},
+        {"name": "diagram-x3-grid", "task": "diagram", "c": HOPF_C, "d": 7.95, "n": 100, "with_hopf": True,
+         "alpha_grid": [0.02]},
+        {"name": "figure-x1-int", "task": "figure", "preset": "x1", "T": 30, "N": 300},
+        {"name": "figure-x3-int", "task": "figure", "preset": "x3", "T": 10, "N": 300},
     ]
     return docs
 
