@@ -28,21 +28,15 @@ import numpy as np
 from .history import HistoryFunction
 from .nonlinearity import Feedback, Hill, PowerCutoff
 
-__all__ = [
-    "System",
-    "Trajectory",
-    "BoundsReport",
-    "DDEIntegrationError",
-    "ParameterError",
-    "integrate",
-    "segment_at",
-    "check_bounds",
-]
+__all__ = ["System", "Trajectory", "BoundsReport", "DDEIntegrationError", "ParameterError", "integrate", "segment_at",
+           "check_bounds"]
 
 _BISECT_TOL = 1e-12
 _GRAZE_TOL = 1e-9  # how near the level a piece must come to count as touching it
 _SAMPLE_THETAS = np.linspace(0.0, 1.0, 5)
 _CHUNK = 1 << 14  # pieces per crossing-scan window, times per dense-output block
+_ROW_BLOCK = 1 << 16  # values per row block of a column unit's stages
+_SPLIT_SLACK = 8  # pieces per unit a trajectory's arrays hold beyond N, for split sub-intervals
 
 
 class DDEIntegrationError(RuntimeError):
@@ -108,7 +102,7 @@ def _stage_grid(s0: float, s1: float, h: float) -> tuple[np.ndarray, float]:
     return s0 + 0.5 * h2 * np.arange(2 * M + 1), h2
 
 
-def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray, nodes=None, slopes=None):
     """RK4 steps of ``x' = -rate x + B(t)`` from ``x0`` over the forcing on a stage grid.
 
     ``B`` holds the forcing at the stages, shape ``(stages,)`` or
@@ -117,7 +111,7 @@ def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray) -> tuple[np.nda
     ``k + 1`` is ``r[k] + A * node[k]``, from node 0 ``= x0``, in that order
     of operations (bit for bit ``scipy.signal.lfilter([1], [1, -A], r)`` on
     finite values).  Returns the node values and each step's slopes at its
-    left and right node.
+    left and right node, columns into ``nodes`` and ``slopes`` if given.
     """
     A, c1, cm, c2 = _rk4_affine_coeffs(rate, h2)
     r = c1 * B[0:-1:2] + cm * B[1::2] + c2 * B[2::2]
@@ -128,23 +122,20 @@ def _rk4_affine_steps(rate: float, h2: float, x0, B: np.ndarray) -> tuple[np.nda
         ys += [y := rk + A * y for rk in r.tolist()]
         node_vals = np.fromiter(ys, dtype=float, count=len(ys))
     else:
-        node_vals = np.empty((len(r) + 1,) + r.shape[1:])
+        node_vals = np.empty((len(r) + 1,) + r.shape[1:]) if nodes is None else nodes
         node_vals[0] = y = x0
         for rk, row in zip(r, node_vals[1:]):
             y = np.add(rk, A * y, out=row)
-    derivs = -rate * node_vals + B[0::2]
+    derivs = np.multiply(-rate, node_vals, out=slopes)
+    derivs += B[0::2]
     return node_vals, derivs[:-1], derivs[1:]
 
 
 def _hermite_eval(theta: np.ndarray, h: np.ndarray, x0, d0, x1, d1) -> np.ndarray:
     t2 = theta * theta
     t3 = t2 * theta
-    return (
-        x0 * (2.0 * t3 - 3.0 * t2 + 1.0)
-        + d0 * h * (t3 - 2.0 * t2 + theta)
-        + x1 * (-2.0 * t3 + 3.0 * t2)
-        + d1 * h * (t3 - t2)
-    )
+    return (x0 * (2.0 * t3 - 3.0 * t2 + 1.0) + d0 * h * (t3 - 2.0 * t2 + theta)
+            + x1 * (-2.0 * t3 + 3.0 * t2) + d1 * h * (t3 - t2))
 
 
 def _eval_pieces(t: np.ndarray, ts, xs, dl, dr, side=None, rate: float = 0.0) -> np.ndarray:
@@ -304,26 +295,40 @@ class Trajectory:
         """Grow the trajectory in place to ``T`` and return it.
 
         The march resumes after the last whole unit, so a partial last unit
-        is marched again in whole and its old pieces are replaced.  The
-        grown trajectory is, to the bit, the one ``integrate`` gives to
-        ``T``.
+        is marched again in whole and its old pieces are replaced.  The kept
+        pieces are copied once into arrays sized for ``T`` (``N +
+        _SPLIT_SLACK`` pieces per unit to march, doubled if a limit unit's
+        split sub-intervals overflow them), each unit's pieces are written
+        straight into them, and the trajectory keeps views of their filled
+        part.  The grown trajectory is, to the bit, the one ``integrate``
+        gives to ``T``.
         """
         if self._resume is None:
             raise ValueError("only a trajectory from integrate can grow")
         if T < self.T:
             raise ValueError("a trajectory grows only forward")
-        unit, prev, crossings, n_cross, n_pieces = self._resume
+        unit, prev, crossings, n_cross, n = self._resume
         crossings = crossings[:n_cross]
-        parts = [[self.ts[: n_pieces + 1]], [self.xs[: n_pieces + 1]], [self.dl[:n_pieces]], [self.dr[:n_pieces]],
-                 [self.side[:n_pieces]]]
+        size = n + (self.N + _SPLIT_SLACK) * max(0, math.ceil(T - 1e-12) - unit)
+        offs = (1, 1, 0, 0, 0)  # ts and xs hold one node more than pieces
+        def grown(a, o):  # the first n + o values of a, in an array of size + o
+            out = np.empty(size + o, dtype=a.dtype)
+            out[: n + o] = a[: n + o]
+            return out
+        arrays = [grown(a, o) for a, o in zip((self.ts, self.xs, self.dl, self.dr, self.side), offs)]
+        # the old arrays are let go before the march, not after it
+        self.ts, self.xs, self.dl, self.dr, self.side = (a[: n + o] for a, o in zip(arrays, offs))
         for blk in _march(self.system, self.history, T, self.N, crossings, start=(unit, prev)):
-            for part, a in zip(parts, (blk[0][1:], blk[1][1:], *blk[2:])):
-                part.append(a)
-            unit += 1
-            n_pieces += len(blk[2])
+            k = len(blk[2])
+            if n + k > size:
+                size += max(size, k)
+                arrays = [grown(a, o) for a, o in zip(arrays, offs)]
+            for a, b, o in zip(arrays, (blk[0][1:], blk[1][1:], *blk[2:]), offs):
+                a[n + o : n + o + k] = b
+            unit, n = unit + 1, n + k
             if unit <= T:  # the unit just marched is whole
-                self._resume = (unit, blk, crossings, len(crossings), n_pieces)
-        self.ts, self.xs, self.dl, self.dr, self.side = (np.concatenate(part) for part in parts)
+                self._resume = (unit, blk, crossings, len(crossings), n)
+        self.ts, self.xs, self.dl, self.dr, self.side = (a[: n + o] for a, o in zip(arrays, offs))
         self.T = float(T)
         events: list[dict] = []
         for tc, up in crossings:
@@ -383,10 +388,8 @@ class Trajectory:
             t = ts[i] + roots[k, i] * h[i]
             inside = (t >= t_lo) & (t <= t_hi)
             i, theta = i[inside], roots[k[inside], i[inside]]
-            vals = np.concatenate([
-                x1[(ts[1:] >= t_lo) & (ts[1:] <= t_hi)],
-                _hermite_eval(theta, h[i], x0[i], dl[i], x1[i], dr[i]),
-            ])
+            vals = np.concatenate([x1[(ts[1:] >= t_lo) & (ts[1:] <= t_hi)],
+                                   _hermite_eval(theta, h[i], x0[i], dl[i], x1[i], dr[i])])
             if vals.size:
                 lo, hi = min(lo, float(np.min(vals))), max(hi, float(np.max(vals)))
         return lo, hi
@@ -403,9 +406,8 @@ class Trajectory:
         """
         return list(self._walk_crossings(level, direction, t_lo, t_hi))
 
-    def first_crossing(
-        self, level: float, direction: str = "both", t_lo: float = 0.0, t_hi: Optional[float] = None
-    ) -> Optional[tuple]:
+    def first_crossing(self, level: float, direction: str = "both", t_lo: float = 0.0,
+                       t_hi: Optional[float] = None) -> Optional[tuple]:
         """The first entry of ``crossings(level, direction, t_lo, t_hi)``, or None.
 
         The scan stops at the window of pieces that holds it, so a crossing
@@ -426,26 +428,19 @@ class Trajectory:
         last = None  # time of the last crossing yielded
         for c0 in range(i_lo, i_hi + 1, _CHUNK):
             c1 = min(c0 + _CHUNK, i_hi + 1)
-            times, ups = _level_crossings(
-                level, self.ts[c0 : c1 + 1], self.xs[c0 : c1 + 1], self.dl[c0:c1], self.dr[c0:c1],
-                self.side[c0:c1], self.system.rate,
-            )
+            times, ups = _level_crossings(level, self.ts[c0 : c1 + 1], self.xs[c0 : c1 + 1], self.dl[c0:c1],
+                                          self.dr[c0:c1], self.side[c0:c1], self.system.rate)
             for tc, up in sorted(zip(times.tolist(), ups.tolist())):
                 dirn = "up" if up else "down"
-                if not (t_lo - 1e-12 <= tc <= t_hi + 1e-12):
+                if not (t_lo - 1e-12 <= tc <= t_hi + 1e-12) or last is not None and abs(tc - last) < 1e-10:
                     continue
-                if last is not None and abs(tc - last) < 1e-10:
-                    continue
-                if dirn != direction and direction != "both":
-                    continue
-                last = tc
-                yield tc, dirn
+                if direction in ("both", dirn):
+                    last = tc
+                    yield tc, dirn
 
 
-def _march(
-    system: System, history: HistoryFunction, T: float, N: int, crossings: list,
-    forcing: Optional[Callable] = None, start: Optional[tuple] = None,
-):
+def _march(system: System, history: HistoryFunction, T: float, N: int, crossings: list,
+           forcing: Optional[Callable] = None, start: Optional[tuple] = None):
     """Advance the system to time ``T`` one unit interval at a time.
 
     The package's one unit-by-unit loop.  Yields the pieces ``(ts, xs, dl,
@@ -453,15 +448,19 @@ def _march(
     last node of the unit before.  For limit systems the cutoff crossings
     ``(t, upward)`` are appended to ``crossings`` in time order as they are
     located, those of the history first, so a caller that stops after any
-    unit has seen every crossing up to that unit's end.  Each unit looks up
-    its delayed values in one call.  The march is causal: a unit depends
-    only on the units before it, never on ``T`` beyond its own end.
+    unit has seen every crossing up to that unit's end.  The march is
+    causal: a unit depends only on the units before it, never on ``T``
+    beyond its own end.
 
     A smooth system's history may return ``(k, m)`` values, ``m`` columns
     that march together as a trailing axis of ``xs``, ``dl`` and ``dr``.
-    ``forcing(stages, delayed)``, which may overwrite ``delayed``, is the
-    forcing at a sub-interval's stages (default: the system's feedback
-    ``gain * F(x(t - 1))``).  The history's sign is the caller's to check.
+    A scalar unit looks up its delayed values in one call; a column unit is
+    looked up, forced and stepped in row blocks of at most ``_ROW_BLOCK``
+    values, into its own node and slope arrays (``dl``, ``dr`` are views of
+    the slopes).  ``forcing(stages, delayed)``, which may overwrite
+    ``delayed``, is the forcing at a sub-interval's (or row block's) stages,
+    each stage's alone (default: the system's feedback ``gain * F(x(t -
+    1))``).  The history's sign is the caller's to check.
 
     ``start = (unit, prev)`` resumes the march at the start of ``unit``:
     ``prev`` is the block the march yielded for the unit before (None at
@@ -489,9 +488,8 @@ def _march(
 
     def record(times, ups) -> None:
         for tc, up in zip(times, ups):
-            if crossings and abs(tc - crossings[-1][0]) < 1e-10:
-                continue
-            crossings.append((tc, up))
+            if not (crossings and abs(tc - crossings[-1][0]) < 1e-10):
+                crossings.append((tc, up))
 
     unit0, prev = start or (0, None)  # prev: the previous unit's pieces, for delayed lookups
     if limit and prev is None:
@@ -509,8 +507,7 @@ def _march(
 
     first = 0  # crossings before this index are four delays or more in the past
     for unit in range(unit0, int(math.ceil(T - 1e-12))):
-        t0 = float(unit)
-        t1 = min(unit + 1.0, T)
+        t0, t1 = float(unit), min(unit + 1.0, T)
         sub_edges = [t0, t1]
         if limit:
             # a crossing at tc kinks the forcing at tc+1 and, one derivative
@@ -531,28 +528,41 @@ def _march(
             grids = [(t0 + unit_offs, unit_h2)]
         else:
             grids = [_stage_grid(s0, s1, h) for s0, s1 in spans]
-        # the stages of all sub-intervals, then (limit) their midpoints, whose
-        # delayed values tell on which side of the cutoff the forcing lies
-        mids = [0.5 * (s0 + s1) for s0, s1 in spans] if limit else []
-        looked = delayed_eval(np.concatenate([g[0] for g in grids] + [mids]) - 1.0)
-        at_mid = looked[len(looked) - len(mids) :]
-        pieces = []  # per sub-interval (ts, xs, dl, dr, side); neighbours share a node
-        end = 0
-        for k, (stages, h2) in enumerate(grids):
-            nodes = stages[0::2]
-            xi = looked[end : end + stages.size]
-            end += stages.size
-            M = nodes.size - 1
-            if limit and at_mid[k] > 1.0:
-                node_vals = x_cur * np.exp(-rate * h2 * np.arange(M + 1))  # exp(-0.0) = 1: node 0 is x_cur
-                slopes = -rate * node_vals
-                d0, d1 = slopes[:-1], slopes[1:]
-                sides = np.ones(M, dtype=np.int8)
-            else:
-                node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, forcing(stages, xi))
-                sides = np.zeros(M, dtype=np.int8)
-            pieces.append((nodes, node_vals, d0, d1, sides))
+        if np.ndim(x_cur):  # a column unit: looked up, forced and stepped in row blocks
+            (stages, h2), = grids
+            M, step = stages.size // 2, max(1, (_ROW_BLOCK // x_cur.size - 1) // 2)  # a block: 2 step + 1 stages
+            node_vals, slopes = np.empty((M + 1, x_cur.size)), np.empty((M + 1, x_cur.size))
+            node_vals[0] = x_cur
+            for s0 in range(0, M, step):
+                s1 = min(s0 + step, M)
+                rows = stages[2 * s0 : 2 * s1 + 1]
+                _rk4_affine_steps(rate, h2, node_vals[s0], forcing(rows, delayed_eval(rows - 1.0)),
+                                  node_vals[s0 : s1 + 1], slopes[s0 : s1 + 1])
             x_cur = node_vals[-1]
+            pieces = [(stages[0::2], node_vals, slopes[:-1], slopes[1:], np.zeros(M, dtype=np.int8))]
+        else:
+            # the stages of all sub-intervals, then (limit) their midpoints, whose
+            # delayed values tell on which side of the cutoff the forcing lies
+            mids = [0.5 * (s0 + s1) for s0, s1 in spans] if limit else []
+            looked = delayed_eval(np.concatenate([g[0] for g in grids] + [mids]) - 1.0)
+            at_mid = looked[len(looked) - len(mids) :]
+            pieces = []  # per sub-interval (ts, xs, dl, dr, side); neighbours share a node
+            end = 0
+            for k, (stages, h2) in enumerate(grids):
+                nodes = stages[0::2]
+                xi = looked[end : end + stages.size]
+                end += stages.size
+                M = nodes.size - 1
+                if limit and at_mid[k] > 1.0:
+                    node_vals = x_cur * np.exp(-rate * h2 * np.arange(M + 1))  # exp(-0.0) = 1: node 0 is x_cur
+                    slopes = -rate * node_vals
+                    d0, d1 = slopes[:-1], slopes[1:]
+                    sides = np.ones(M, dtype=np.int8)
+                else:
+                    node_vals, d0, d1 = _rk4_affine_steps(rate, h2, x_cur, forcing(stages, xi))
+                    sides = np.zeros(M, dtype=np.int8)
+                pieces.append((nodes, node_vals, d0, d1, sides))
+                x_cur = node_vals[-1]
 
         blk = pieces[0] if len(pieces) == 1 else tuple(
             np.concatenate([col[0]] + [a[1:] if i < 2 else a for a in col[1:]]) for i, col in enumerate(zip(*pieces))
@@ -582,11 +592,9 @@ def integrate(system: System, history: HistoryFunction, T: float, N: int = 200) 
     """
     if not history.is_nonnegative():
         raise ValueError("history must be nonnegative")
-    traj = Trajectory(
-        system=system, history=history, N=N, T=0.0,
-        ts=np.zeros(1), xs=np.asarray([float(history.eval(0.0))]),
-        dl=np.empty(0), dr=np.empty(0), side=np.empty(0, dtype=np.int8),
-    )
+    traj = Trajectory(system=system, history=history, N=N, T=0.0, ts=np.zeros(1),
+                      xs=np.asarray([float(history.eval(0.0))]), dl=np.empty(0), dr=np.empty(0),
+                      side=np.empty(0, dtype=np.int8))
     traj._resume = (0, None, [], 0, 0)
     return traj.extend(T)
 
@@ -620,19 +628,11 @@ def check_bounds(traj: Trajectory, band_tol: float = 1e-9) -> BoundsReport:
     sys_ = traj.system
     hi = 2.0 * sys_.gain / sys_.rate if sys_.kind == "smooth" else sys_.gain / sys_.rate
     lip_bound = 8.0 * sys_.gain if sys_.kind == "smooth" else 2.0 * sys_.gain
-    vmax = float(np.max(traj.xs))
-    vmin = float(np.min(traj.xs))
+    vmax, vmin = float(np.max(traj.xs)), float(np.min(traj.xs))
     mask = traj.ts[:-1] >= 1.0 - 1e-12
-    if np.any(mask):
-        lip = float(max(np.max(np.abs(traj.dl[mask])), np.max(np.abs(traj.dr[mask]))))
-    else:
-        lip = 0.0
+    lip = float(max(np.max(np.abs(traj.dl[mask]), initial=0.0), np.max(np.abs(traj.dr[mask]), initial=0.0)))
     return BoundsReport(
-        max_value=vmax,
-        min_value=vmin,
-        lipschitz=lip,
-        band=(0.0, hi),
+        max_value=vmax, min_value=vmin, lipschitz=lip, band=(0.0, hi),
         band_ok=bool(vmin >= -band_tol and vmax <= hi + band_tol),
-        lipschitz_bound=lip_bound,
-        lipschitz_ok=bool(lip <= lip_bound + band_tol),
+        lipschitz_bound=lip_bound, lipschitz_ok=bool(lip <= lip_bound + band_tol),
     )

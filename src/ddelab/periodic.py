@@ -583,6 +583,7 @@ def connection_diagram(
     except ParameterError as exc:  # the default marker fits; only the gain can fail
         raise ParameterError("d", str(exc)) from None
     minus_ev = {"tail_max": float(np.max(np.abs(_tail(minus))))}
+    del minus  # nothing reads the branch again: its trajectory goes before the plus branch's period map
     minus_limit = "ZERO" if minus_ev["tail_max"] < 1e-6 else "UNRESOLVED"
     if minus_limit != "ZERO":
         unresolved.append("minus")

@@ -432,13 +432,12 @@ def run_scenario(path: str, out_dir: Optional[str] = None) -> RunResult:
 
 def _traj_columns(traj) -> dict:
     ts = traj.ts
-    ev = np.sort([e["t"] for e in traj.events])
+    ev = np.asarray([e["t"] for e in traj.events], dtype=float)
     flags = np.zeros(ts.size)
     if ev.size:
-        # the nearest event to each node is one of the two around its insertion point
-        k = np.searchsorted(ev, ts)
-        gap = np.minimum(np.abs(ev[np.maximum(k - 1, 0)] - ts), np.abs(ev[np.minimum(k, ev.size - 1)] - ts))
-        flags[gap < 1e-12] = 1.0
+        # a node within 1e-12 of an event is the one at its insertion point or a neighbour
+        near = np.minimum(np.maximum(np.searchsorted(ts, ev)[:, None] + np.arange(-1, 2), 0), ts.size - 1)
+        flags[near[np.abs(ts[near] - ev[:, None]) < 1e-12]] = 1.0
     return {"t": ts, "x": traj.xs, "x_delayed": traj.eval_many(ts - 1.0), "derivative_flag": flags}
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from ddelab import dde, threshold
+from ddelab import dde, periodic, threshold
 from ddelab.dde import (
     _BISECT_TOL,
     _SAMPLE_THETAS,
@@ -354,6 +355,68 @@ class TestMarchWork:
             assert h2 == want_h2 and type(h2) is type(want_h2) is float
 
 
+class TestRowBlocks:
+    """Column units stepped in row blocks of any size give the bytes of whole-unit blocks."""
+
+    @staticmethod
+    def blocked(monkeypatch, steps, m, run):
+        """``run()`` with row blocks of ``steps`` RK steps over ``m`` columns, and each block's steps."""
+        sizes = []
+        stepper = dde._rk4_affine_steps
+
+        def spied(rate, h2, x0, B, *out):
+            sizes.append(len(B) // 2)
+            return stepper(rate, h2, x0, B, *out)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dde, "_ROW_BLOCK", (2 * steps + 1) * m)
+            patch.setattr(dde, "_rk4_affine_steps", spied)
+            return run(), sizes
+
+    def check(self, monkeypatch, m, steps_per_unit, split, run, same):
+        whole, sizes = self.blocked(monkeypatch, 1 << 40, m, run)
+        assert steps_per_unit in sizes  # the reference steps whole units
+        for steps in (1, split):  # one-step blocks, and a split whose last block is one step
+            got, sizes = self.blocked(monkeypatch, steps, m, run)
+            assert max(sizes) == steps and 1 in sizes
+            assert same(got, whole)
+        assert same(run(), whole)  # the default bound
+
+    @pytest.mark.parametrize("variational", [False, True])
+    def test_march_over_hat_columns(self, monkeypatch, variational):
+        system = System.smooth(1.0, 7.38, n=20)
+        mesh = np.linspace(-1.0, 0.0, 41)
+        hats = np.eye(41)
+
+        def forcing(s, v):  # a linear time-varying forcing, as the variational equation's
+            v *= np.cos(3.0 * s)[:, None]
+            return v
+
+        def run():
+            history = HistoryFunction.from_callable(lambda s: periodic._interp_columns(s, mesh, hats))
+            return list(_march(system, history, 3.5, 150, [], forcing if variational else None))
+
+        def same(a, b):
+            return len(a) == len(b) == 4 and all(x.tobytes() == y.tobytes() for u, v in zip(a, b) for x, y in zip(u, v))
+
+        # 150 steps a unit: 149-step blocks leave a one-step last block
+        self.check(monkeypatch, 41, 150, 149, run, same)
+
+    @pytest.mark.parametrize("case", ["x1", "x3"])
+    def test_period_map(self, monkeypatch, x1_diagram, case):
+        """The x1 orbit at N_int = 800 with 200 hats, and the x3 saddle orbit at N_int = 400 with 100 hats."""
+        if case == "x1":
+            system, orbit, hats, split = System.smooth(1.0, 7.38, n=200), x1_diagram.orbit, 200, 17
+        else:
+            found = periodic.hopf_orbit_search(5.0 * math.pi / (3.0 * math.sqrt(3.0)), 7.95, 2.0, 100)
+            system, orbit, hats, split = found.system, found.orbit, 100, 19
+        N_int = periodic._orbit_mesh(system.feedback.n)
+        assert N_int == 4 * hats and (N_int - 1) % split == 0  # split-step blocks end on a one-step block
+        base = integrate(system, orbit.q0, orbit.omega, N=N_int)
+        self.check(monkeypatch, hats + 1, N_int, split, lambda: periodic._period_map_matrix(base, hats),
+                   lambda a, b: a.tobytes() == b.tobytes())
+
+
 def same_bits(a, b) -> bool:
     """Two trajectories with the same horizon, pieces and events, to the bit."""
     return a.T == b.T and a.events == b.events and all(
@@ -403,6 +466,45 @@ class TestExtend:
                               ts=traj.ts, xs=traj.xs, dl=traj.dl, dr=traj.dr, side=traj.side)
         with pytest.raises(ValueError, match="integrate"):
             bare.extend(6.0)
+
+    @pytest.mark.parametrize("history", [HistoryFunction.exp_decay(1.0), HistoryFunction.constant(1.2)],
+                             ids=["exp-decay", "constant"])
+    def test_split_units_that_overflow_the_arrays(self, monkeypatch, history):
+        """With no slack, split units outgrow ``N`` pieces per unit; the arrays double and every bit stays."""
+        system = System.limit(1.0, 7.38)
+        want = integrate(system, history, 40.0)
+        monkeypatch.setattr(dde, "_SPLIT_SLACK", 0)
+        traj = integrate(system, history, 3.5)
+        for T in (10.0, 22.7, 40.0):
+            traj.extend(T)
+        assert len(traj.dl) > 40 * traj.N  # more pieces than the estimate held
+        assert same_bits(traj, want)
+        assert same_bits(integrate(system, history, 40.0), want)
+
+    def test_growth_peaks_near_the_final_arrays(self):
+        """Growing 50 units to 200 holds about one copy: the kept pieces go into arrays sized for the new horizon."""
+        traj = integrate(System.smooth(1.0, 7.38, n=200), HistoryFunction.constant(1.2), 50.0, N=800)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            traj.extend(200.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        final = sum(getattr(traj, k).nbytes for k in ("ts", "xs", "dl", "dr", "side"))
+        assert len(traj.dl) == 200 * 800
+        assert peak <= 1.25 * final
+
+    @pytest.mark.parametrize("T0,T1", [(5.7, 5.7), (8.0, 8.0), (0.3, 0.9), (5.7, 6.0), (2.5, 12.25)])
+    def test_growth_to_the_same_or_a_near_horizon(self, T0, T1):
+        """Growth to the same T, within one unit and from a non-integer T, is the one-shot trajectory."""
+        for system, history in ((System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0)),
+                                (System.smooth(1.0, 7.38, n=20), HistoryFunction.constant(1.2))):
+            traj = integrate(system, history, T0)
+            assert same_bits(traj.extend(T1), integrate(system, history, T1))
 
 
 class TestExtremes:

@@ -370,6 +370,55 @@ class TestCsvDigits:
         assert path.read_bytes() == expected.encode()
 
 
+def _flags_by_nearest_event(traj):
+    """The event flags as the gap from every node to its nearest event, which the lookup per event replaced."""
+    ts, ev = traj.ts, np.sort([e["t"] for e in traj.events])
+    flags = np.zeros(ts.size)
+    if ev.size:
+        k = np.searchsorted(ev, ts)
+        gap = np.minimum(np.abs(ev[np.maximum(k - 1, 0)] - ts), np.abs(ev[np.minimum(k, ev.size - 1)] - ts))
+        flags[gap < 1e-12] = 1.0
+    return flags
+
+
+def _audit_module(monkeypatch):
+    import importlib.util
+
+    # the script sets these as it loads; they are restored after the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_audit.py"
+    spec = importlib.util.spec_from_file_location("artifact_audit", path)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    return audit
+
+
+class TestEventFlags:
+    def test_audit_simulate_runs_flag_the_nearest_event_rows(self, monkeypatch):
+        runs = 0
+        for doc in _audit_module(monkeypatch).scenarios():
+            if doc["task"] != "simulate":
+                continue
+            p = validate_scenario(doc).params
+            system = scenarios._system_from(p["system"])
+            traj = integrate(system, scenarios._history_from(p["history"], system), p["T"], N=p["N"])
+            flags = _traj_columns(traj)["derivative_flag"]
+            assert flags.tobytes() == _flags_by_nearest_event(traj).tobytes()
+            runs += bool(flags.any())
+        assert runs >= 6  # the limit runs: benchmark seeds 1 and 2, and the audit's own
+
+    def test_events_at_node_times_and_near_them(self):
+        traj = integrate(System.limit(1.0, 7.38), HistoryFunction.exp_decay(1.0), 30.0)
+        ts = traj.ts
+        picked = ts[[0, 1, 17, 400, 401, ts.size - 2, ts.size - 1]]
+        near = np.concatenate([picked, ts[[900, 2000, 3000]] + np.array([5e-13, -9e-13, 2e-12])])
+        traj.events = [{"t": float(t), "kind": "forcing-on"} for t in near] + traj.events
+        flags = _traj_columns(traj)["derivative_flag"]
+        assert flags.tobytes() == _flags_by_nearest_event(traj).tobytes()
+        assert flags[[0, 1, 17, 400, 401, ts.size - 2, ts.size - 1, 900, 2000]].all() and not flags[3000]
+
 def _per_point_polylines(series_xy, x_all, y_all):
     """The polyline points of one panel, one f-string per point."""
     xlo, xhi = float(np.min(x_all)), float(np.max(x_all))

@@ -11,15 +11,20 @@ empty.  The set covers the benchmark's four workloads at seeds 1 and 2 (read
 from ``bench/workloads.py``), the figure presets, the slower diagrams,
 every other task at least once, and every optional key of every task set
 away from its default at least once, so the comparison covers each value a
-runner reads.
+runner reads.  One line per scenario on stderr gives its seconds and the
+process's peak resident memory so far (``ru_maxrss``), which shows the cost
+of the heavy diagrams the benchmark does not run; nothing of it is written
+to ``OUT_DIR``.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import resource
 import sys
 import tempfile
+import time
 
 sys.dont_write_bytecode = True  # leave no cache files in the checkout
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
@@ -107,7 +112,11 @@ def main(argv=None) -> int:
             path = os.path.join(tmp, doc["name"] + ".json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
+            start = time.perf_counter()
             files += len(run_scenario(path, out_dir=os.path.join(out, doc["name"])).artifacts)
+            rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
+            print(f"{doc['name']}: {time.perf_counter() - start:.2f} s, max RSS so far {rss_mib:.1f} MiB",
+                  file=sys.stderr)
     print(f"{len(docs)} scenarios, {files} files in {out}")
     return 0
 
