@@ -31,7 +31,9 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return np.linspace(lo, hi, n)
 
 
-def _panel(x_all, y_all, series_xy, x0: int, title: str, xlabel: str, ylabel: str) -> str:
+def _panel(series: list, x0: int, title: str, xlabel: str, ylabel: str) -> str:
+    x_all = np.concatenate([s.t for s in series])
+    y_all = np.concatenate([s.values for s in series])
     xlo, xhi = float(np.min(x_all)), float(np.max(x_all))
     ylo, yhi = float(np.min(y_all)), float(np.max(y_all))
     if xhi - xlo < 1e-12:
@@ -63,9 +65,9 @@ def _panel(x_all, y_all, series_xy, x0: int, title: str, xlabel: str, ylabel: st
         parts.append(
             f'<text x="{x0 + _PAD - 6}" y="{py(yv):.1f}" text-anchor="end" font-size="10">{yv:.3g}</text>'
         )
-    for xs, ys, role in series_xy:
-        color = COLORS.get(role, COLORS["default"])
-        pxy = np.column_stack([px(xs), py(ys)])
+    for s in series:
+        color = COLORS.get(s.role, COLORS["default"])
+        pxy = np.column_stack([px(s.t), py(s.values)])
         pts = " ".join(["%.3f,%.3f"] * len(pxy)) % tuple(pxy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>')
     return "\n".join(parts)
@@ -74,8 +76,8 @@ def _panel(x_all, y_all, series_xy, x0: int, title: str, xlabel: str, ylabel: st
 def emit_plot(series: list, phase: list = None, title: str = "") -> str:
     """Render time-series (and optional phase-projection) panels as SVG text.
 
-    ``series`` is a list of ``Series``; ``phase`` optionally holds
-    ``(x_values, y_values, role)`` tuples for the right panel.
+    ``series`` is a list of ``Series``; ``phase`` optionally holds ``Series``
+    of ``value(t-1)`` against ``value(t)`` for the right panel.
     """
     if not series:
         raise ValueError("no series to plot")
@@ -86,24 +88,8 @@ def emit_plot(series: list, phase: list = None, title: str = "") -> str:
         f'viewBox="0 0 {width} {_H}">',
         f'<rect width="{width}" height="{_H}" fill="white"/>',
     ]
-    x_all = np.concatenate([s.t for s in series])
-    y_all = np.concatenate([s.values for s in series])
-    out.append(
-        _panel(x_all, y_all, [(s.t, s.values, s.role) for s in series], 0, title or "time series", "t", "value")
-    )
+    out.append(_panel(series, 0, title or "time series", "t", "value"))
     if two:
-        px_all = np.concatenate([np.asarray(p[0], dtype=float) for p in phase])
-        py_all = np.concatenate([np.asarray(p[1], dtype=float) for p in phase])
-        out.append(
-            _panel(
-                px_all,
-                py_all,
-                [(np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float), p[2]) for p in phase],
-                _W,
-                "phase projection",
-                "value(t)",
-                "value(t-1)",
-            )
-        )
+        out.append(_panel(phase, _W, "phase projection", "value(t)", "value(t-1)"))
     out.append("</svg>")
     return "\n".join(out) + "\n"

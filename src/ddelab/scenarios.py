@@ -67,69 +67,26 @@ class Scenario:
 
     @property
     def params(self) -> dict:
-        """Each of the task's keys: its value as given, through its cast, or else its default."""
-        return {
-            key: (_RULES[key][2](self.spec[key]) if key in _RULES else self.spec[key]) if key in self.spec else default
-            for key, default in _TASKS[self.task].items()
-        }
+        """Each of the task's keys: its value as given, through its cast, or else its default.
+
+        A system or history is cast by its kind's constructor, from its own keys read the same way;
+        an exp-decay history decays at the system's rate."""
+        p = _read(self.spec, _TASKS[self.task])
+        for key in ("system", "history"):
+            if isinstance(p.get(key), dict):
+                constructor, keys = _KINDS[key][p[key]["kind"]]
+                rate = {"c": p["system"].rate} if p[key]["kind"] == "exp-decay" else {}
+                p[key] = constructor(**_read(p[key], keys, key + "."), **rate)
+        return p
 
 
-def _check_positive(problems, spec, path, key):
-    if key not in spec:
-        problems.append(f"{path}.{key}: missing")
-        return None
-    if not _is_positive(spec[key]):
-        problems.append(f"{path}.{key}: must be a positive number")
-        return None
-    return float(spec[key])
-
-
-def _is_positive(v) -> bool:
-    return _is_finite(v) and v > 0
+def _read(obj: dict, keys: dict, path: str = "") -> dict:
+    """Each of the keys: its value in ``obj`` through its rule's cast, or else (absent or null) its default."""
+    return {key: default if obj.get(key) is None else _RULES[path + key][2](obj[key]) for key, default in keys.items()}
 
 
 def _is_int(v, lo: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= lo
-
-
-_SYSTEM_KEYS = {"kind", "a", "b", "c", "d", "k", "n"}
-
-
-def _check_system(problems, spec, k_rule, path="system"):
-    """Check a system object, its ``k`` by ``k_rule``; returns its rate, gain (None where invalid) and gain key."""
-    if not isinstance(spec, dict):
-        problems.append(f"{path}: must be an object")
-        return None, None, None
-    kind = spec.get("kind")
-    if kind not in ("limit", "smooth"):
-        problems.append(f"{path}.kind: must be 'limit' or 'smooth'")
-        return None, None, None
-    for key in spec:
-        if key not in _SYSTEM_KEYS:
-            problems.append(f"{path}.{key}: unknown key")
-    rate_key, gain_key = ("c", "d") if kind == "limit" else ("a", "b")
-    rate = _check_positive(problems, spec, path, rate_key)
-    gain = _check_positive(problems, spec, path, gain_key)
-    k = spec.get("k", 2.0)
-    if not k_rule[0](k):
-        problems.append(f"{path}.k: must be {k_rule[1]}")
-        k = None
-    if kind == "smooth":
-        _check_hill_order(problems, f"{path}.n", spec.get("n"), k)
-    return rate, gain, f"{path}.{gain_key}"
-
-
-def _check_hill_order(problems, where, n, k):
-    """The Hill order: an integer >= 2 above the power ``k`` (None when ``k`` is invalid and named)."""
-    if not (_is_int(n, 2) and (k is None or n > k)):
-        problems.append(f"{where}: must be an integer >= 2" + ("" if k is None else f" above k = {k:g}"))
-
-
-def _system_from(spec) -> System:
-    k = float(spec.get("k", 2.0))
-    if spec["kind"] == "limit":
-        return System.limit(float(spec["c"]), float(spec["d"]), k=k)
-    return System.smooth(float(spec["a"]), float(spec["b"]), k=k, n=int(spec["n"]))
 
 
 def _is_finite(v) -> bool:
@@ -138,56 +95,39 @@ def _is_finite(v) -> bool:
 
 
 def _check_history(problems, spec, path="history"):
-    if spec is None:
+    mesh, vals = spec["mesh"], spec["values"]
+    if not (isinstance(mesh, list) and isinstance(vals, list) and len(mesh) == len(vals) and len(mesh) >= 2):
+        problems.append(f"{path}: samples need matching 'mesh' and 'values' lists")
         return
-    if not isinstance(spec, dict):
-        problems.append(f"{path}: must be an object")
-        return
-    kind = spec.get("kind")
-    if kind == "constant":
-        if not (_is_finite(spec.get("value")) and spec["value"] >= 0):
-            problems.append(f"{path}.value: must be a nonnegative number")
-    elif kind == "exp-decay":
-        pass
-    elif kind == "samples":
-        mesh, vals = spec.get("mesh"), spec.get("values")
-        if not (isinstance(mesh, list) and isinstance(vals, list) and len(mesh) == len(vals) and len(mesh) >= 2):
-            problems.append(f"{path}: samples need matching 'mesh' and 'values' lists")
-            return
-        for i, m in enumerate(mesh):
-            if not _is_finite(m):
-                problems.append(f"{path}.mesh[{i}]: must be a number")
-        for i, v in enumerate(vals):
-            if not (_is_finite(v) and v >= 0):
-                problems.append(f"{path}.values[{i}]: must be a nonnegative number")
-        # the ends within the tolerance of HistoryFunction.from_samples
-        if all(map(_is_finite, mesh)) and not (
-            abs(mesh[0] + 1.0) <= 1e-12 and abs(mesh[-1]) <= 1e-12 and all(a < b for a, b in zip(mesh, mesh[1:]))
-        ):
-            problems.append(f"{path}.mesh: must run strictly increasing from -1 to 0")
-    else:
-        problems.append(f"{path}.kind: must be one of constant | exp-decay | samples")
+    for i, m in enumerate(mesh):
+        if not _is_finite(m):
+            problems.append(f"{path}.mesh[{i}]: must be a number")
+    for i, v in enumerate(vals):
+        if not (_is_finite(v) and v >= 0):
+            problems.append(f"{path}.values[{i}]: must be a nonnegative number")
+    # the ends within the tolerance of HistoryFunction.from_samples
+    if all(map(_is_finite, mesh)) and not (
+        abs(mesh[0] + 1.0) <= 1e-12 and abs(mesh[-1]) <= 1e-12 and all(a < b for a, b in zip(mesh, mesh[1:]))
+    ):
+        problems.append(f"{path}.mesh: must run strictly increasing from -1 to 0")
 
 
-def _history_from(spec, system: System) -> HistoryFunction:
-    if spec is None:
-        return HistoryFunction.constant(1.0)
-    if spec["kind"] == "constant":
-        return HistoryFunction.constant(float(spec["value"]))
-    if spec["kind"] == "exp-decay":
-        return HistoryFunction.exp_decay(system.rate)
+def _from_samples(mesh, values) -> HistoryFunction:
     # the mesh is validated, so only values that overflow the interpolant fail here
     try:
-        return HistoryFunction.from_samples(np.asarray(spec["mesh"], float), np.asarray(spec["values"], float))
+        return HistoryFunction.from_samples(mesh, values)
     except ValueError:
         raise ParameterError("history.values", "the interpolated history overflows the float range") from None
 
 
-_POSITIVE = (_is_positive, "a positive number", float)
+_POSITIVE = (lambda v: _is_finite(v) and v > 0, "a positive number", float)
 # the equilibrium (c/d)^(1/(k-1)) is below the cutoff only for k > 1
 _ABOVE_ONE = (lambda v: _is_finite(v) and v > 1, "a number above 1", float)
+_NONNEGATIVE = (lambda v: _is_finite(v) and v >= 0, "a nonnegative number", float)
+# a key whose value is checked together with its object's other keys, after the pass
+_JOINT = (lambda v: True, "checked with its object's other keys")
 
-# each top-level key but system and history: the rule its value must meet,
+# each key, top-level or nested (``system.c``): the rule its value must meet,
 # the rule's wording, and the cast a runner reads the value through
 _RULES = {
     **dict.fromkeys(("c", "d", "d0", "rate", "slope", "T", "tol", "level", "T_orbit"), _POSITIVE),
@@ -198,24 +138,34 @@ _RULES = {
     "n": (lambda v: _is_int(v, 2), "an integer >= 2", int),
     "N": (lambda v: _is_int(v, 100), "an integer >= 100", int),
     # cast to the values as given: an integer bracket prints as one
-    "bracket": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_positive, v)) and v[0] < v[1],
+    "bracket": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_POSITIVE[0], v)) and v[0] < v[1],
                 "two positive numbers [lo, hi] with lo < hi", tuple),
     # the sign by branch is a cross-field check
     "kappa": (lambda v: _is_finite(v) and 0 < abs(v) < 1,
               "a number in (0, 1) on the plus branch and in (-1, 0) on the minus branch", float),
     "eps_seed": (lambda v: _is_finite(v) and 0 < v <= 1e-4, "a number in (0, 1e-4]", float),
-    "transient": (lambda v: _is_finite(v) and v >= 0, "a nonnegative number", float),
+    "transient": _NONNEGATIVE,
     # each detuning scales the rates by 1 + alpha
     "alpha_grid": (lambda v: isinstance(v, list) and len(v) > 0 and all(_is_finite(a) and a > -1 for a in v),
                    "a non-empty list of numbers above -1", lambda v: tuple(map(float, v))),
     "branch": (lambda v: v in ("plus", "minus"), "'plus' or 'minus'", str),
     "preset": (lambda v: isinstance(v, str) and v in FIGURE_PRESETS, f"one of {', '.join(sorted(FIGURE_PRESETS))}", str),
+    # an object's own keys are read by Scenario.params, after its kind
+    "system": (lambda v: isinstance(v, dict), "an object", dict),
+    "history": (lambda v: v is None or isinstance(v, dict), "an object", dict),
+    "system.kind": (lambda v: v in ("limit", "smooth"), "'limit' or 'smooth'", str),
+    "history.kind": (lambda v: v in ("constant", "exp-decay", "samples"), "one of constant | exp-decay | samples", str),
+    # the manifold's k above 1 and the Hill order above k are cross-field checks
+    **dict.fromkeys(("system.a", "system.b", "system.c", "system.d", "system.k"), _POSITIVE),
+    "system.n": (*_JOINT, int),
+    "history.value": _NONNEGATIVE,
+    **dict.fromkeys(("history.mesh", "history.values"), (*_JOINT, lambda v: np.asarray(v, float))),
 }
 
 # each task's keys besides name and task, with their defaults; ... marks a
 # required key, and the periodic transient None reads 70% of T
 _TASKS = {
-    "simulate": {"system": ..., "history": None, "T": 50.0, "N": 200, "plot": False},
+    "simulate": {"system": ..., "history": HistoryFunction.constant(1.0), "T": 50.0, "N": 200, "plot": False},
     "threshold": {"c": ..., "k": 2.0, "tol": 1e-4, "T_max": 400.0, "bracket": None},
     "envelope": {"c": ..., "d": ..., "d0": ..., "k": 2.0},
     "manifold": {"system": ..., "branch": ..., "kappa": None, "eps_seed": None, "T": 30.0, "N": 200},
@@ -225,10 +175,42 @@ _TASKS = {
     "diagram": {"c": ..., "d": ..., "k": 2.0, "n": ..., "with_hopf": False, "alpha_grid": None, "T_orbit": 500.0, "N": 200},
     "figure": {"preset": ..., "T": 60.0, "N": 400},
 }
+# each kind of system and history: the constructor it is cast by, and its keys
+# besides kind with their defaults, as for a task
+_KINDS = {
+    "system": {"limit": (System.limit, {"c": ..., "d": ..., "k": 2.0}),
+               "smooth": (System.smooth, {"a": ..., "b": ..., "k": 2.0, "n": ...})},
+    "history": {"constant": (HistoryFunction.constant, {"value": ...}),
+                "exp-decay": (HistoryFunction.exp_decay, {}),
+                "samples": (_from_samples, {"mesh": ..., "values": ...})},
+}
+
+
+def _check_keys(problems, obj, keys, rules, path="", unknown="unknown key") -> dict:
+    """One pass over an object but its name, task or kind: unknown keys, failed rules, then missing keys.
+
+    A system or history of a valid kind gets the same pass over its kind's keys.  Returns the values
+    that meet their rule, an object's as its own."""
+    good = {}
+    for key, value in obj.items():
+        name = path + key
+        if key not in keys:
+            problems.append(f"{name}: {unknown}")
+        elif not rules[name][0](value):
+            problems.append(f"{name}: must be {rules[name][1]}")
+        elif name not in _KINDS or value is None:
+            good[key] = value
+        elif not rules[name + ".kind"][0](value.get("kind")):
+            problems.append(f"{name}.kind: must be {rules[name + '.kind'][1]}")
+        else:
+            own = {k: v for k, v in value.items() if k != "kind"}
+            good[key] = _check_keys(problems, own, _KINDS[name][value["kind"]][1], rules, name + ".")
+    problems += [f"{path}{key}: missing" for key, default in keys.items() if default is ... and key not in obj]
+    return good
 
 
 def validate_scenario(doc: dict) -> Scenario:
-    """One pass over the document (unknown key, failed rule, missing required key), then the cross-field checks."""
+    """One key pass over the document, its system and its history, then the cross-field checks."""
     problems: list[str] = []
     if not isinstance(doc, dict):
         raise ScenarioError(["document: must be a JSON object"])
@@ -239,25 +221,23 @@ def validate_scenario(doc: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         problems.append("name: missing or empty")
         name = "unnamed"
-    keys = _TASKS[task]
-    good = {}  # the values that meet their rule
-    for key, value in doc.items():
-        if key in ("name", "task"):
-            continue
-        if key not in keys:
-            problems.append(f"{key}: unknown key for task '{task}'")
-        elif key in _RULES and not _RULES[key][0](value):
-            problems.append(f"{key}: must be {_RULES[key][1]}")
-        else:
-            good[key] = value
-    problems += [f"{key}: missing" for key, default in keys.items() if default is ... and key not in doc]
+    # the branches leave an interior equilibrium, which needs k > 1 and gain > rate
+    rules = {**_RULES, "system.k": _ABOVE_ONE} if task == "manifold" else _RULES
+    top = {key: value for key, value in doc.items() if key not in ("name", "task")}
+    good = _check_keys(problems, top, _TASKS[task], rules, unknown=f"unknown key for task '{task}'")
 
-    if "system" in good:
-        # the branches leave an interior equilibrium, which needs k > 1 and gain > rate
-        rate, gain, gain_key = _check_system(problems, good["system"], _ABOVE_ONE if task == "manifold" else _POSITIVE)
-        if task == "manifold" and None not in (rate, gain) and not gain > rate:
-            problems.append(f"{gain_key}: must exceed the system's rate")
-    if "history" in good:
+    if task == "manifold" and "system" in good:
+        rate, gain = ("c", "d") if doc["system"]["kind"] == "limit" else ("a", "b")
+        system = good["system"]
+        if rate in system and gain in system and not float(system[gain]) > float(system[rate]):
+            problems.append(f"system.{gain}: must exceed the system's rate")
+    # a Hill order exceeds k: its default when absent, and no bound when it fails its rule
+    for path, given, ok in (("", doc, good), ("system.", doc.get("system"), good.get("system", {}))):
+        if "n" in ok:
+            k = ok.get("k", 2.0) if "k" in ok or "k" not in given else None
+            if not (_is_int(ok["n"], 2) and (k is None or ok["n"] > k)):
+                problems.append(f"{path}n: must be an integer >= 2" + ("" if k is None else f" above k = {k:g}"))
+    if {"mesh", "values"} <= set(good.get("history") or ()):
         _check_history(problems, good["history"])
     # necessary, not sufficient: the equilibrium lies in (0, 1), and the
     # marker between it and the cutoff (plus) or zero (minus)
@@ -270,8 +250,6 @@ def validate_scenario(doc: dict) -> Scenario:
         problems.append("d: must exceed c")
     if None not in (c, d, good.get("d0")) and not c < good["d0"] < d:
         problems.append("d0: must lie in (c, d)")
-    if "n" in good and ("k" in good or "k" not in doc):
-        _check_hill_order(problems, "n", good["n"], good.get("k", 2.0))
     # the phase plot of the disk run draws x(t) against x(t - 1) from t = 1
     if "preset" in good and "alphas" in FIGURE_PRESETS[good["preset"]] and good.get("T", 1.0) < 1.0:
         problems.append("T: must be at least 1 for presets x3 and x4")
@@ -443,19 +421,18 @@ def _traj_columns(traj) -> dict:
 
 def _run_simulate(sc: Scenario):
     p = sc.params
-    system = _system_from(p["system"])
     T = p["T"]
-    traj = integrate(system, _history_from(p["history"], system), T, N=p["N"])
+    traj = integrate(p["system"], p["history"], T, N=p["N"])
     arts = {
         "trajectory.csv": _traj_columns(traj),
-        "events.json": [{"t": e["t"], "kind": e["kind"]} for e in traj.events],
+        "events.json": traj.events,
     }
     if p["plot"]:
         sub = np.linspace(0.0, T, min(4001, math.ceil(20 * T) + 1))
         vals = traj.eval_many(sub)
         arts["plot.svg"] = emit_plot(
             [Series(sub, vals)],
-            phase=[(vals, traj.eval_many(sub - 1.0), "default")],
+            phase=[Series(vals, traj.eval_many(sub - 1.0))],
             title=sc.name,
         )
     return arts, False
@@ -475,7 +452,7 @@ def _run_envelope(sc: Scenario):
 def _run_manifold(sc: Scenario):
     p = sc.params
     sol = shoot_branch(
-        _system_from(p["system"]), p["branch"], kappa=p["kappa"], eps_seed=p["eps_seed"], T=p["T"], N=p["N"]
+        p["system"], p["branch"], kappa=p["kappa"], eps_seed=p["eps_seed"], T=p["T"], N=p["N"]
     )
     lo, hi = sol.domain
     tt = np.linspace(max(lo, -15.0), hi - 0.5, 4001)
@@ -491,7 +468,7 @@ def _run_spectrum(sc: Scenario):
 
 def _run_periodic(sc: Scenario):
     p = sc.params
-    system = _system_from(p["system"])
+    system = p["system"]
     transient = 0.7 * p["T"] if p["transient"] is None else p["transient"]
 
     def run(N_run, T_run):
@@ -556,7 +533,7 @@ def _run_figure(sc: Scenario):
         arts["stationary.csv"] = {"t": tt, "x": np.full_like(tt, xi)}
         series.append(Series(tt, np.full_like(tt, xi), "stationary"))
         sel = np.linspace(1.0, plus.domain[1] - 0.5, 3001)
-        phase.append((plus.eval_many(sel), plus.eval_many(sel - 1.0), "plus"))
+        phase.append(Series(plus.eval_many(sel), plus.eval_many(sel - 1.0), "plus"))
     else:
         found = hopf_orbit_search(a, b, k, n, j=1, alphas=preset["alphas"])
         if found is None:
@@ -575,7 +552,7 @@ def _run_figure(sc: Scenario):
             series.append(Series(tt, vals, name))
             if name == "plus":
                 sel = np.linspace(1.0, T, 3001)
-                phase.append((traj.eval_many(sel), traj.eval_many(sel - 1.0), "plus"))
+                phase.append(Series(traj.eval_many(sel), traj.eval_many(sel - 1.0), "plus"))
     arts["figure.svg"] = emit_plot(series, phase=phase or None, title=f"preset {p['preset']}")
     return arts, False
 

@@ -170,15 +170,34 @@ class TestTopLevelValidation:
         assert err.value.problems == ["preset: must be one of x1, x2, x3, x4"]
 
     def test_every_key_has_a_rule(self):
-        """The one table: each task key but system and history has a rule, a wording and a cast."""
+        """The one table: each key of each task and of each system or history kind has a rule, a wording and a cast."""
         for task, keys in _TASKS.items():
             for key in keys:
-                assert key in ("system", "history") or len(scenarios._RULES[key]) == 3, (task, key)
+                assert len(scenarios._RULES[key]) == 3, (task, key)
+        for path, kinds in scenarios._KINDS.items():
+            assert len(scenarios._RULES[path + ".kind"]) == 3, path
+            for kind, (_, keys) in kinds.items():
+                for key in keys:
+                    assert len(scenarios._RULES[f"{path}.{key}"]) == 3, (kind, key)
         assert set(_TASKS) == set(scenarios.TASKS)
+
+    @pytest.mark.parametrize("task,key,value,problems", [
+        ("simulate", "system", {"kind": "limit", "c": 1, "d": 7.38, "a": 5, "n": 3},
+         ["system.a: unknown key", "system.n: unknown key"]),
+        ("manifold", "system", {"kind": "smooth", "a": 1.0, "b": 7.38, "n": 100, "d": 9}, ["system.d: unknown key"]),
+        ("simulate", "history", {"kind": "exp-decay", "rate": 3}, ["history.rate: unknown key"]),
+        ("periodic", "system", {"kind": "smooth", "a": 1.0, "b": 7.38}, ["system.n: missing"]),
+        ("simulate", "history", {"kind": "samples", "mesh": [-1.0, 0.0]}, ["history.values: missing"]),
+    ], ids=["limit-a-n", "smooth-d", "exp-decay-rate", "smooth-no-n", "samples-no-values"])
+    def test_nested_keys_get_the_top_level_pass(self, task, key, value, problems):
+        """A key the object's kind lacks is refused, and a missing required one reads missing."""
+        with pytest.raises(ScenarioError) as err:
+            validate_scenario(dict(_VALID[task], **{key: value}))
+        assert err.value.problems == problems
 
     # each optional key's default, as the runners wrote it out before the table held them
     @pytest.mark.parametrize("task,defaults", [
-        ("simulate", {"history": None, "T": 50.0, "N": 200, "plot": False}),
+        ("simulate", {"history": HistoryFunction.constant(1.0), "T": 50.0, "N": 200, "plot": False}),
         ("threshold", {"k": 2.0, "tol": 1e-4, "T_max": 400.0, "bracket": None}),
         ("envelope", {"k": 2.0}),
         ("manifold", {"kappa": None, "eps_seed": None, "T": 30.0, "N": 200}),
@@ -192,7 +211,9 @@ class TestTopLevelValidation:
         """The valid document without its optional keys reads the required values as given, the rest by default."""
         doc = {key: value for key, value in _VALID[task].items() if key not in defaults}
         params = validate_scenario(doc).params
-        assert params == {**{key: doc[key] for key in set(doc) - {"name", "task"}}, **defaults}
+        params.pop("system", None)  # built: see test_params_build_system_and_history
+        given = {key: doc[key] for key in set(doc) - {"name", "task", "system"}}
+        assert _sampled(params) == _sampled({**given, **defaults})
         assert all(type(params[key]) is type(value) for key, value in defaults.items())
         assert set(defaults) == {key for key, default in _TASKS[task].items() if default is not ...}
 
@@ -208,6 +229,34 @@ class TestTopLevelValidation:
         assert params["alpha_grid"] == (0.0, 1.0) and type(params["alpha_grid"][0]) is float
         assert (type(params["c"]), type(params["n"]), type(params["N"]), type(params["T_orbit"])) == (float, int, int, float)
         assert validate_scenario(doc).to_json() == doc  # the manifest embeds the document as given
+
+    @pytest.mark.parametrize("system,built", [
+        ({"kind": "limit", "c": 1, "d": 7}, System.limit(1.0, 7.0)),
+        ({"kind": "limit", "c": 1, "d": 7, "k": 3}, System.limit(1.0, 7.0, k=3.0)),
+        ({"kind": "smooth", "a": 1, "b": 7, "n": 50}, System.smooth(1.0, 7.0, n=50)),
+        ({"kind": "smooth", "a": 1, "b": 7, "k": 3, "n": 50}, System.smooth(1.0, 7.0, k=3.0, n=50)),
+    ])
+    @pytest.mark.parametrize("history,built_history", [
+        (None, HistoryFunction.constant(1.0)),
+        ({"kind": "constant", "value": 2}, HistoryFunction.constant(2.0)),
+        ({"kind": "exp-decay"}, HistoryFunction.exp_decay(1.0)),
+        ({"kind": "samples", "mesh": [-1, -0.5, 0], "values": [1, 2, 0.5]},
+         HistoryFunction.from_samples([-1.0, -0.5, 0.0], [1.0, 2.0, 0.5])),
+    ], ids=["null", "constant", "exp-decay", "samples"])
+    def test_params_build_system_and_history(self, system, built, history, built_history):
+        """Each kind's constructor, called with the object's own keys through their casts; exp-decay at the rate."""
+        p = validate_scenario(dict(SIM, system=system, history=history)).params
+        assert p["system"] == built
+        assert [type(v) for v in dataclasses.astuple(p["system"].feedback)] == [
+            type(v) for v in dataclasses.astuple(built.feedback)]
+        assert _sampled(p)["history"] == _sampled({"history": built_history})["history"]
+        assert validate_scenario(dict(_VALID["manifold"], system=system)).params["system"] == built
+
+
+def _sampled(params: dict) -> dict:
+    """The params with each history as its values on [-1, 0]: two history functions never compare equal."""
+    return {key: value.sampled(11)[1].tolist() if isinstance(value, HistoryFunction) else value
+            for key, value in params.items()}
 
 
 _BAD_HISTORIES = [
@@ -402,8 +451,7 @@ class TestEventFlags:
             if doc["task"] != "simulate":
                 continue
             p = validate_scenario(doc).params
-            system = scenarios._system_from(p["system"])
-            traj = integrate(system, scenarios._history_from(p["history"], system), p["T"], N=p["N"])
+            traj = integrate(p["system"], p["history"], p["T"], N=p["N"])
             flags = _traj_columns(traj)["derivative_flag"]
             assert flags.tobytes() == _flags_by_nearest_event(traj).tobytes()
             runs += bool(flags.any())
@@ -437,7 +485,7 @@ class TestPlot:
     def test_polylines_match_per_point_formatting(self):
         t = np.linspace(0.0, 200.0, 4001)
         x, xd = np.sin(t) ** 3 + 1e-3 * t, np.cos(1.3 * t)
-        svg = emit_plot([Series(t, x, "plus"), Series(t, xd, "minus")], phase=[(x, xd, "plus")])
+        svg = emit_plot([Series(t, x, "plus"), Series(t, xd, "minus")], phase=[Series(x, xd, "plus")])
         got = [ln.split('points="')[1].split('"')[0] for ln in svg.splitlines() if "<polyline" in ln]
         expected = _per_point_polylines([(0, t, x), (0, t, xd)], np.concatenate([t, t]), np.concatenate([x, xd]))
         expected += _per_point_polylines([(_W, x, xd)], x, xd)
@@ -452,8 +500,8 @@ class TestPlot:
 
     def test_deterministic_bytes(self):
         t = np.linspace(0.0, 5.0, 101)
-        a = emit_plot([Series(t, np.sin(t), "plus")], phase=[(np.sin(t), np.cos(t), "plus")])
-        b = emit_plot([Series(t, np.sin(t), "plus")], phase=[(np.sin(t), np.cos(t), "plus")])
+        a = emit_plot([Series(t, np.sin(t), "plus")], phase=[Series(np.sin(t), np.cos(t), "plus")])
+        b = emit_plot([Series(t, np.sin(t), "plus")], phase=[Series(np.sin(t), np.cos(t), "plus")])
         assert a == b
 
     def test_empty_input_rejected(self):
@@ -933,23 +981,24 @@ def test_no_module_imports_scipy():
 
 
 def test_audit_sets_every_optional_key(monkeypatch):
-    """``tools/artifact_audit.py`` sets each task's optional keys away from their defaults, some as integers."""
-    import importlib.util
-
-    # the script sets these as it loads; they are restored after the test
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_audit.py"
-    spec = importlib.util.spec_from_file_location("artifact_audit", path)
-    audit = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(audit)
-    docs = audit.scenarios()
+    """``tools/artifact_audit.py`` sets each task's and each kind's optional keys away from their defaults, some as
+    integers."""
+    docs = _audit_module(monkeypatch).scenarios()
     for doc in docs:
         validate_scenario(doc)
     for task, keys in _TASKS.items():
         for key, default in keys.items():
             if default is not ...:
                 assert any(doc["task"] == task and doc.get(key, default) != default for doc in docs), (task, key)
+    objects = [(path, doc[path]) for doc in docs for path in scenarios._KINDS if isinstance(doc.get(path), dict)]
+    for path, kinds in scenarios._KINDS.items():
+        for kind, (_, keys) in kinds.items():
+            for key, default in keys.items():
+                if default is not ...:
+                    assert any(p == path and obj["kind"] == kind and obj.get(key, default) != default
+                               for p, obj in objects), (kind, key)
+    given = [(key, value) for doc in docs for key, value in doc.items()]
+    given += [(f"{path}.{key}", value) for path, obj in objects for key, value in obj.items()]
     floats = {key for key, rule in scenarios._RULES.items() if rule[2] is float}
-    assert {key for doc in docs for key in floats if type(doc.get(key)) is int} >= {"c", "d", "d0", "T", "T_max"}
+    assert {key for key, value in given if key in floats and type(value) is int} >= {
+        "c", "d", "d0", "T", "T_max", "system.a", "system.b", "system.c", "system.d", "system.k"}

@@ -9,12 +9,12 @@ is imported from ``src/`` of the checkout this file sits in, so two checkouts
 write the same bytes exactly when ``diff -r`` of their two ``OUT_DIR``\\ s is
 empty.  The set covers the benchmark's four workloads at seeds 1 and 2 (read
 from ``bench/workloads.py``), the figure presets, the slower diagrams,
-every other task at least once, and every optional key of every task set
-away from its default at least once, so the comparison covers each value a
-runner reads.  One line per scenario on stderr gives its seconds and the
-process's peak resident memory so far (``ru_maxrss``), which shows the cost
-of the heavy diagrams the benchmark does not run; nothing of it is written
-to ``OUT_DIR``.
+every other task at least once, and every optional key of every task and
+of every system kind set away from its default at least once, so the
+comparison covers each value a runner reads.  One line per scenario on
+stderr gives its seconds and the process's peak resident memory so far
+(``ru_maxrss``), which shows the cost of the heavy diagrams the benchmark
+does not run; nothing of it is written to ``OUT_DIR``.
 """
 from __future__ import annotations
 
@@ -81,6 +81,8 @@ def scenarios() -> list:
         {"name": "simulate-int-samples", "task": "simulate", "T": 12, "N": 150, "plot": True,
          "history": {"kind": "samples", "mesh": [-1, -0.5, 0], "values": [1, 2, 0.5]},
          "system": {"kind": "limit", "c": 1, "d": 7, "k": 3}},
+        {"name": "simulate-smooth-int-k3", "task": "simulate", "T": 15,
+         "system": {"kind": "smooth", "a": 1, "b": 7, "k": 3, "n": 50}},
         {"name": "manifold-plus-set", "task": "manifold", "branch": "plus", "kappa": 0.3, "eps_seed": 1e-6,
          "T": 12, "N": 150, "system": {"kind": "limit", "c": 1, "d": 7}},
         {"name": "spectrum-int", "task": "spectrum", "rate": 1, "slope": 3, "pairs": 3},
