@@ -4,7 +4,7 @@ feedback and their hard-cutoff limit.
 Core objects: ``System`` (parameters plus nonlinearity), ``HistoryFunction``
 (states), ``integrate`` (method-of-steps solver with exact event handling),
 plus analysis layers for equilibria and spectra, unstable-branch shooting,
-the critical-gain bisection, periodic orbits and Floquet diagnostics, and a
+the critical-gain search, periodic orbits and Floquet diagnostics, and a
 scenario-driven CLI that emits deterministic CSV/JSON/SVG artifacts.
 """
 

@@ -75,7 +75,12 @@ def _show_spectrum(doc: dict) -> None:
 
 
 def _show_threshold(doc: dict) -> None:
+    """The record on stdout; the log-law slope beside 1/lambda0 and the step counts on stderr."""
     print(json.dumps(doc, indent=1))
+    if doc["lambda0"] and doc["law_slope"] is not None:
+        print(f"log law: slope of tau0 against -ln(d - dstar) {doc['law_slope']:.6g}, 1/lambda0 {1.0 / doc['lambda0']:.6g}"
+              " (agreement is consistent with a connection to xi1)", file=sys.stderr)
+    print(f"search: {doc['law_steps']} law steps, {doc['midpoints']} midpoints", file=sys.stderr)
 
 
 _FLAGS = {  # each task's direct flags: (flag, scenario field), typed by the field's cast

@@ -188,11 +188,11 @@ def _bisect_crossings(v: np.ndarray, thetas: np.ndarray, f, tol: float, width: O
     va, vb = v[:, :-1], v[:, 1:]
     rows, j = np.nonzero((va > 0.0) != (vb > 0.0))
     up = vb[rows, j] > va[rows, j]
-    th = thetas.tolist()
     widths = np.ones(len(v)) if width is None else width
     mids = []
-    for r, k, flo, w in zip(rows.tolist(), j.tolist(), va[rows, j].tolist(), widths[rows].tolist()):
-        lo, hi = th[k], th[k + 1]
+    for r, lo, hi, flo, w in zip(
+        rows.tolist(), thetas[j].tolist(), thetas[j + 1].tolist(), va[rows, j].tolist(), widths[rows].tolist()
+    ):
         while (hi - lo) * w > tol:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:

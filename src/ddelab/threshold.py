@@ -7,7 +7,8 @@ returns to the cutoff in finite time.  The two outcomes are decided in finite
 time by, respectively, a whole delay segment falling under the interior
 equilibrium (monotone trapping) and an event-located first contact with the
 cutoff.  A probe is marched one unit interval at a time and stops at the
-unit that decides it.  Bisection on the gain brackets the critical value.
+unit that decides it.  A search on the gain, steered by the saddle's log
+law, brackets the critical value.
 
 The envelope functions bound every sub- and super-cutoff excursion of the
 plus branch, yielding the invariant band, the recurrence gap, and the
@@ -24,7 +25,7 @@ import numpy as np
 from .dde import ParameterError, System, _march, integrate
 from .history import HistoryFunction
 from .nonlinearity import PowerCutoff
-from .spectrum import interior_equilibrium
+from .spectrum import interior_equilibrium, leading_real_root
 
 __all__ = [
     "ZClassification",
@@ -103,10 +104,23 @@ def classify_zd(c: float, d: float, k: float = 2.0, T_max: float = 400.0) -> ZCl
 
 @dataclass(frozen=True)
 class DStarResult:
+    """The critical-gain bracket, its probe rows and the log-law evidence.
+
+    ``lambda0`` is the leading root at ``xi1`` (None for ``k <= 1``);
+    ``law_slope`` is ``_law_slope``'s fit, None with fewer than two contacts
+    to fit.  A slope near ``1/lambda0`` is consistent with a connection to
+    ``xi1`` at d*.  ``law_steps`` and ``midpoints`` count the probes after
+    the bracket was found that the law placed and that halved it.
+    """
+
     estimate: float
     lo: float
     hi: float
     history: tuple    # one (d, verdict, deciding time or None) row per probe
+    lambda0: Optional[float]
+    law_slope: Optional[float]
+    law_steps: int
+    midpoints: int
 
     @property
     def unresolved(self) -> tuple:
@@ -123,11 +137,45 @@ class DStarResult:
             "bracket": [self.lo, self.hi],
             "history": [list(h) for h in self.history],
             "unresolved": list(self.unresolved),
+            "lambda0": self.lambda0,
+            "law_slope": self.law_slope,
+            "law_steps": self.law_steps,
+            "midpoints": self.midpoints,
         }
 
 
 _BRACKET_LADDER = (1.1, 1.3, 1.6, 2.0, 2.5, 3.2, 4.0, 5.5, 8.0, 12.0, 20.0, 50.0, 100.0)
 _MIN_EXCESS = 0.1 * 2.0**-20  # the smallest d/c - 1 probed below the ladder
+
+
+def _law_estimate(history: list, lam0: float) -> Optional[float]:
+    """The gain where the log law puts d*, from the two contacts of smallest gain.
+
+    Near d* the contact time is ``-(1/lam0) ln(d - d*)`` plus a constant, so
+    ``(d - d*) exp(lam0 tau0)`` is the same at both contacts.  The weights
+    are scaled by the larger time, so nothing overflows.  None with fewer
+    than two contacts or when the two weights are equal.
+    """
+    hits = sorted((d, t) for d, verdict, t in history if verdict == HITS_ONE)[:2]
+    if len(hits) < 2:
+        return None
+    (d1, t1), (d2, t2) = hits
+    top = max(t1, t2)
+    w1, w2 = math.exp(lam0 * (t1 - top)), math.exp(lam0 * (t2 - top))
+    if w1 == w2:
+        return None
+    return (d1 * w1 - d2 * w2) / (w1 - w2)
+
+
+def _law_slope(history: list, lo: float, hi: float, tol: float) -> Optional[float]:
+    """Least-squares slope of tau0 against ``-ln(d - d*)`` over the contacts at least ``10 tol`` above ``hi``."""
+    dstar = 0.5 * (lo + hi)
+    pts = [(-math.log(d - dstar), t) for d, verdict, t in history if verdict == HITS_ONE and d - hi >= 10.0 * tol]
+    if len(pts) < 2:
+        return None
+    x, y = np.array(pts).T
+    x = x - x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
 
 
 def find_dstar(
@@ -137,22 +185,38 @@ def find_dstar(
     T_max: float = 400.0,
     k: float = 2.0,
 ) -> DStarResult:
-    """Bisection bracket for the critical gain.
+    """Bracket the critical gain, probing where the saddle's log law puts it.
 
     The bracket invariant (below: collapse certificate, above: cutoff
     contact) is maintained throughout.  Each probe is marched once, to
     ``4 T_max``, and logs one ``history`` row ``(d, verdict, t)``: ``t`` is
     the time that decided it (``tau0`` or ``certificate_time``), None when
-    it is unresolved.  Each bisection step probes the midpoint only; an
-    unresolved midpoint ends the bisection, and the bracket is reported as
-    it stands, with the gain listed in ``unresolved``.  Without ``bracket``
-    the gains ``c * _BRACKET_LADDER`` are probed until one reaches the
-    cutoff; the last rung below it that collapsed is the lower end.  When
-    none did (for small ``c`` already ``1.1c`` reaches the cutoff), the
-    excess ``d/c - 1`` is halved from 0.1 until a probe collapses, down to
-    ``_MIN_EXCESS``.
+    it is unresolved.  Without ``bracket`` the gains ``c * _BRACKET_LADDER``
+    are probed until one reaches the cutoff; the last rung below it that
+    collapsed is the lower end.  When none did (for small ``c`` already
+    ``1.1c`` reaches the cutoff), the excess ``d/c - 1`` is halved from 0.1
+    until a probe collapses, down to ``_MIN_EXCESS``.
     ``ParameterError("c")`` is raised when no rung reaches the cutoff or no
     halving collapses.
+
+    Then each step probes one gain inside the bracket.  At d* the probe lies
+    on the stable manifold of the saddle ``xi1``, so the contact time grows
+    like ``-(1/lambda0) ln(d - d*)``, with ``lambda0`` the leading root at
+    ``xi1`` (slope ``k c`` for every d); ``_law_estimate`` solves that law
+    for d* from the two contacts of smallest gain.  The step probes a margin
+    ``eta`` above the estimate, so a contact moves ``hi`` close to d*: after
+    each contact ``eta`` is an eighth of ``hi``'s distance from the next
+    estimate, and it grows fourfold after a proposal that collapses, never
+    below ``tol/4``.  Once the estimate lies within ``0.75 tol`` of ``hi``,
+    the step probes ``hi - 0.9 tol``, which closes the bracket when it
+    collapses.  The step takes the midpoint instead when
+    there is no estimate, it lies outside the bracket, the proposal lies
+    within ``tol/4`` of an end, ``k <= 1`` (no saddle), three proposals in a
+    row gave the verdict the estimate did not predict, or the probes after
+    the bracket was found number the halvings it needs: the search then
+    takes at most twice bisection's count.  An unresolved probe ends the
+    search, and the bracket is reported as it stands, with the gain listed
+    in ``unresolved``.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -193,16 +257,40 @@ def find_dstar(
         if classify(hi) != HITS_ONE:
             raise ParameterError("bracket", "upper end does not reach the cutoff")
 
+    lam0 = leading_real_root(c, k * c) if k > 1.0 else None
+    found = len(history)
+    cap = found + (math.ceil(math.log2((hi - lo) / tol)) if hi - lo > tol else 0)
+    law_steps = misses = 0
+    eta = None  # the margin above the estimate; None: an eighth of hi's distance from the next estimate
     while hi - lo > tol:
         mid = lo + 0.5 * (hi - lo)
-        v = classify(mid)
+        guess = _law_estimate(history, lam0) if lam0 is not None and misses < 3 and len(history) < cap else None
+        law = guess is not None and lo < guess < hi
+        if law:
+            if eta is None:
+                eta = 0.125 * (hi - guess)
+            d = max(hi - 0.9 * tol, mid) if hi - guess <= 0.75 * tol else guess + max(eta, 0.25 * tol)
+            law = lo + 0.25 * tol <= d <= hi - 0.25 * tol
+        if not law:
+            d = mid
+        v = classify(d)
+        if law:
+            law_steps += 1
+            misses = 0 if (v == HITS_ONE) == (d > guess) else misses + 1
         if v == IN_D:
-            lo = mid
+            lo = d
+            if law:
+                eta *= 4.0
         elif v == HITS_ONE:
-            hi = mid
+            hi = d
+            eta = None
         else:
-            break  # an unresolved midpoint; report the bracket as it stands
-    return DStarResult(estimate=0.5 * (lo + hi), lo=lo, hi=hi, history=tuple(history))
+            break  # an unresolved probe; report the bracket as it stands
+    return DStarResult(
+        estimate=0.5 * (lo + hi), lo=lo, hi=hi, history=tuple(history), lambda0=lam0,
+        law_slope=_law_slope(history, lo, hi, tol), law_steps=law_steps,
+        midpoints=len(history) - found - law_steps,
+    )
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from ddelab.scenarios import (
 )
 from ddelab.manifold import Landmarks
 from ddelab.spectrum import hopf_data, spectrum_report
-from ddelab.threshold import EnvelopeData, envelopes
+from ddelab.threshold import DStarResult, EnvelopeData, envelopes, find_dstar
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -829,9 +829,12 @@ def test_failed_run_writes_nothing(tmp_path, monkeypatch, exc):
 
 
 def test_threshold_flags_print_the_scenario_artifact(tmp_path, capsys):
-    """The direct flags run the same runner as the scenario: stdout is the object ``threshold.json`` holds."""
+    """The direct flags run the same runner as the scenario: stdout is the object ``threshold.json`` holds,
+    and stderr sets the log law's slope beside 1/lambda0."""
     assert main(["threshold", "--c", "1", "--tol", "1e-3"]) == 0
-    printed = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    printed = json.loads(out)
+    assert f"{printed['law_slope']:.6g}, 1/lambda0 {1.0 / printed['lambda0']:.6g}" in err
     path = write_scenario(tmp_path, {"name": "t", "task": "threshold", "c": 1.0, "tol": 1e-3})
     run_scenario(str(path), out_dir=str(tmp_path / "out"))
     assert printed == json.loads((tmp_path / "out" / "threshold.json").read_text())
@@ -869,12 +872,15 @@ def test_simulate_starts_from_its_history(tmp_path, capsys, history, value):
 
 
 def test_records_serialize_their_own_fields():
-    """Each record's ``to_dict`` holds exactly its fields (``EnvelopeData`` without its two functions)."""
+    """Each record's ``to_dict`` holds exactly its fields (``EnvelopeData`` without its two functions;
+    ``DStarResult`` writes its estimate and ends as ``dstar`` and ``bracket``, and adds ``unresolved``)."""
     for record in (hopf_data(_HOPF_RATE, 25.0, 2.0, 100), Landmarks(t1=1.0, t2=2.0),
-                   spectrum_report(1.0, 2.0, 3), envelopes(1.0, 7.38, 6.5)):
+                   spectrum_report(1.0, 2.0, 3), envelopes(1.0, 7.38, 6.5), find_dstar(1.0, tol=1e-2)):
         names = {f.name for f in dataclasses.fields(record)}
         if isinstance(record, EnvelopeData):
             names -= {"w0", "w1"}
+        if isinstance(record, DStarResult):
+            names = names - {"estimate", "lo", "hi"} | {"dstar", "bracket", "unresolved"}
         assert set(record.to_dict()) == names, type(record).__name__
 
 

@@ -10,7 +10,7 @@ from ddelab import dde, threshold
 from ddelab.dde import ParameterError, System, integrate
 from ddelab.history import HistoryFunction
 from ddelab.nonlinearity import PowerCutoff
-from ddelab.spectrum import interior_equilibrium
+from ddelab.spectrum import interior_equilibrium, leading_real_root
 from ddelab.threshold import (
     HITS_ONE,
     IN_D,
@@ -158,22 +158,126 @@ class TestDStar:
         assert not res.unresolved
 
 
-# find_dstar(1.0, tol=1e-4): bracket and probe rows as the march gave them before its units skipped
-# the work they rule out (crossing-free scans, side arrays, per-unit stage grids)
-_PINNED_DSTAR_C1 = (1.7564453125000001, 1.7565429687500003, 1.756494140625, (
+# find_dstar(1.0, tol=1e-4): bracket, estimate and probe rows of the search steered by the log law
+_PINNED_DSTAR_C1 = (1.7564009782560464, 1.7564909782560463, 1.7564459782560462, (
     (1.1, IN_D, 2.01), (1.3, IN_D, 2.01), (1.6, IN_D, 2.01), (2.0, HITS_ONE, 4.722023021230416),
-    (1.8, HITS_ONE, 8.685856018194173), (1.7000000000000002, IN_D, 2.8), (1.75, IN_D, 4.164999999999999),
-    (1.775, HITS_ONE, 10.879437289625931), (1.7625, HITS_ONE, 13.831555591526849), (1.75625, IN_D, 7.885),
-    (1.759375, HITS_ONE, 15.767511852347816), (1.7578125, HITS_ONE, 17.817507222827118),
-    (1.75703125, HITS_ONE, 20.1311849642123), (1.7566406250000002, HITS_ONE, 23.266001631037508),
-    (1.7564453125000001, IN_D, 9.389999999999999), (1.7565429687500003, HITS_ONE, 25.45563526109181),
+    (1.8, HITS_ONE, 8.685856018194173), (1.7488035651830247, IN_D, 4.154999999999999),
+    (1.7744017825915124, HITS_ONE, 10.965068596646015), (1.7578070204504863, HITS_ONE, 17.828369500846893),
+    (1.7566068659009226, HITS_ONE, 23.83985347095906), (1.7564909782560463, HITS_ONE, 28.473959215057256),
+    (1.7564009782560464, IN_D, 8.120000000000001),
 ))
 
 
-def test_bisection_is_pinned_to_the_bit():
+def test_search_is_pinned_to_the_bit():
     """Every probe row, the bracket and the estimate, as floats compared with ``==``."""
     res = find_dstar(1.0, tol=1e-4)
     assert (res.lo, res.hi, res.estimate, res.history) == _PINNED_DSTAR_C1
+
+
+def _bisection_count(lo: float, hi: float, tol: float) -> int:
+    return math.ceil(math.log2((hi - lo) / tol))
+
+
+def _stub_search(monkeypatch, dstar: float, tau0, tol: float = 1e-6, k: float = 2.0):
+    """``find_dstar(1.0)`` on a stub probe: collapse below ``dstar``, contact at ``tau0(d)`` from it on."""
+    def stub(c, d, k=2.0, T_max=400.0):
+        if d < dstar:
+            return threshold.ZClassification(IN_D, c, d, certificate_time=3.0)
+        return threshold.ZClassification(HITS_ONE, c, d, tau0=tau0(d))
+
+    monkeypatch.setattr(threshold, "classify_zd", stub)
+    return find_dstar(1.0, tol=tol, k=k)
+
+
+def _bisection_rows(lo: float, hi: float, dstar: float, tol: float) -> list:
+    gains = []
+    while hi - lo > tol:
+        mid = lo + 0.5 * (hi - lo)
+        gains.append(mid)
+        lo, hi = (mid, hi) if mid < dstar else (lo, mid)
+    return gains
+
+
+class TestLawSearch:
+    """The search probes where the saddle's log law puts d*, and the midpoint where the law says nothing."""
+
+    @pytest.mark.parametrize("c,tol,bisection", [
+        (0.1, 1e-6, 15), (0.5, 1e-6, 21), (1.0, 1e-6, 23), (2.8, 1e-6, 26),
+        (0.1, 1e-10, 28), (0.5, 1e-10, 34), (1.0, 1e-10, 36), (2.8, 1e-10, 39),
+    ])
+    def test_no_more_probes_than_bisection(self, c, tol, bisection):
+        """``bisection`` is the probe count of plain bisection after the same ladder."""
+        res = find_dstar(c, tol=tol)
+        assert len(res.history) <= bisection
+        assert res.law_steps > 0 and not res.unresolved
+        assert 0.0 < res.hi - res.lo <= tol
+        assert classify_zd(c, res.lo, T_max=1600.0).verdict == IN_D
+        assert classify_zd(c, res.hi, T_max=1600.0).verdict == HITS_ONE
+
+    def test_equal_contact_times_take_the_midpoint(self, monkeypatch):
+        res = _stub_search(monkeypatch, 1.75, lambda d: 2.0)
+        assert [d for d, _, _ in res.history[4:]] == _bisection_rows(1.6, 2.0, 1.75, 1e-6)
+        assert (res.law_steps, res.midpoints) == (0, len(res.history) - 4)
+
+    def test_no_saddle_takes_the_midpoint(self, monkeypatch):
+        """At k <= 1 there is no positive root at xi1: no law, and no warning from asking for one."""
+        res = _stub_search(monkeypatch, 1.75, lambda d: 5.0 - d, k=1.0)
+        assert res.lambda0 is None and res.law_steps == 0
+        assert [d for d, _, _ in res.history[4:]] == _bisection_rows(1.6, 2.0, 1.75, 1e-6)
+
+    def test_exact_law_closes_in_few_probes(self, monkeypatch):
+        lam0 = leading_real_root(1.0, 2.0)
+        res = _stub_search(monkeypatch, 1.75, lambda d: 5.0 - math.log(d - 1.75) / lam0 if d > 1.75 else 1e3)
+        assert res.lo < 1.75 <= res.hi and res.hi - res.lo <= 1e-6
+        assert len(res.history) - 4 <= 8 < _bisection_count(1.6, 2.0, 1e-6)
+
+    @staticmethod
+    def _wrong_rate_search(monkeypatch, scale: float):
+        """Contact times that follow the log law at rate ``scale * lambda0`` instead of ``lambda0``."""
+        lam = scale * leading_real_root(1.0, 2.0)
+        return _stub_search(monkeypatch, 1.75, lambda d: 5.0 - math.log(d - 1.75) / lam if d > 1.75 else 1e3,
+                            tol=1e-10)
+
+    def test_lagging_estimate_is_capped(self, monkeypatch):
+        """At a quarter of the rate the estimate lags above d* and each contact gains little; after
+        as many probes as bisection needs the search halves, so it ends within twice that count."""
+        res = self._wrong_rate_search(monkeypatch, 0.25)
+        assert res.lo < 1.75 <= res.hi and res.hi - res.lo <= 1e-10
+        assert res.law_steps == _bisection_count(1.6, 2.0, 1e-10) - 1  # the first step had no estimate
+        assert len(res.history) - 4 <= 2 * _bisection_count(1.6, 2.0, 1e-10)
+
+    def test_three_misses_end_the_law(self, monkeypatch):
+        """At twice the rate the estimate falls below d*, so every proposal collapses where a contact
+        was predicted; after three such misses the search takes only midpoints."""
+        res = self._wrong_rate_search(monkeypatch, 2.0)
+        assert res.lo < 1.75 <= res.hi and res.hi - res.lo <= 1e-10
+        assert res.law_steps == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1.6, 2.0, exclude_min=True), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1e-6, 1e-10]))
+    def test_random_contact_times_keep_the_bracket(self, dstar, seed, tol):
+        """Whatever the contact times, the bracket holds d* within tol after at most twice bisection's probes."""
+        rng = np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            res = _stub_search(mp, dstar, lambda d: float(rng.uniform(1.0, 50.0)), tol=tol)
+        assert res.lo < dstar <= res.hi and res.hi - res.lo <= tol
+        assert len(res.history) - 4 <= 2 * _bisection_count(1.6, 2.0, tol)
+        assert res.law_steps + res.midpoints == len(res.history) - 4
+
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_contact_time_follows_the_log_law(self, c):
+        """tau0 against -ln(d - d*) over d/d* - 1 from 1e-3 to 1e-8 has slope 1/lambda0 within 0.5%."""
+        dstar = find_dstar(c, tol=1e-12).estimate
+        d = dstar * (1.0 + 10.0 ** -np.arange(3.0, 9.0))
+        tau0 = np.array([classify_zd(c, float(di), T_max=1600.0).tau0 for di in d])
+        slope = np.polyfit(-np.log(d - dstar), tau0, 1)[0]
+        assert slope == pytest.approx(1.0 / leading_real_root(c, 2.0 * c), rel=5e-3)
+
+    def test_record_carries_the_law(self, dstar_c1):
+        lam0 = leading_real_root(1.0, 2.0)
+        assert dstar_c1.lambda0 == lam0
+        assert dstar_c1.law_slope == pytest.approx(1.0 / lam0, rel=0.1)
+        assert dstar_c1.law_steps > 0
 
 
 class TestOrdering:
